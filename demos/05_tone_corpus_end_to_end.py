@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from rawphone.cli import compute_emissions
 from rawphone.corpus import (
     SynthSpec,
     build_frame_dataset,
@@ -19,11 +20,10 @@ from rawphone.corpus import (
     reference_sequence,
     synth_corpus,
     utterance_frame_labels,
-    utterance_windows,
 )
 from rawphone.crf import train_transitions, viterbi
 from rawphone.hmm import build_duration_graph, hmm_decode
-from rawphone.net import NetworkConfig, StageConfig, forward_pass, param_count, softmax
+from rawphone.net import NetworkConfig, StageConfig, param_count, softmax
 from rawphone.scoring import collapse_path, levenshtein
 from rawphone.training import TrainConfig, train_network
 
@@ -56,14 +56,10 @@ print(f"trained {len(history)} epochs in {time.time() - t0:.0f}s; "
       f"cv frame accuracy per epoch: {[round(h[2], 1) for h in history]}")
 
 
-def emissions_of(utt):
-    windows = utterance_windows(utt, config.input_frames, HOP)
-    return np.array([forward_pass(w, best)[0] for w in windows], dtype=np.float64)
-
-
 # CRF transitions trained on the frozen network's training emissions
 crf_data = [
-    (emissions_of(u), utterance_frame_labels(u, config.input_frames, HOP, label_to_index))
+    (compute_emissions(u, best, HOP),
+     utterance_frame_labels(u, config.input_frames, HOP, label_to_index))
     for u in train_utts
 ]
 transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10, seed=0).transitions
@@ -73,11 +69,10 @@ print(np.round(transitions, 2))
 graph = build_duration_graph(len(alphabet), min_duration=3)
 totals = {"argmax": [0, 0], "hmm": [0, 0], "crf": [0, 0]}
 for utt in test_utts:
-    e = emissions_of(utt)
+    e = compute_emissions(utt, best, HOP)
     ref = [label_to_index[l] for l in reference_sequence(utt)]
     hyps = {"argmax": collapse_path(list(e.argmax(axis=1)))}
-    posteriors = np.array([softmax(row) for row in e])
-    hyps["hmm"] = hmm_decode(posteriors, graph).phonemes
+    hyps["hmm"] = hmm_decode(softmax(e), graph).phonemes
     hyps["crf"] = collapse_path(list(viterbi(e, transitions)[0]))
     for name, hyp in hyps.items():
         dist, _ = levenshtein(ref, hyp)

@@ -35,12 +35,12 @@ from .net import (
     NetworkParams,
     StageConfig,
     backward_pass,
-    conv_forward,
     forward_pass,
     init_params,
     maxpool_forward,
     param_count,
     softmax,
+    stage_forward,
 )
 from .scoring import (
     LabelAlphabet,

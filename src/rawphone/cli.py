@@ -26,6 +26,7 @@ from .corpus import (
     reference_sequence,
     synth_corpus,
     utterance_frame_labels,
+    utterance_grid,
     utterance_windows,
     write_corpus,
 )
@@ -40,6 +41,9 @@ from .net import (
     forward_pass,
     init_params,
     param_count,
+    score_waveform,
+    score_windows,
+    shares_first_stage,
     softmax,
 )
 from .scoring import collapse_path, levenshtein, map_labels, read_mapping
@@ -128,12 +132,17 @@ def _corpus_sample_rate(utterances):
 
 
 def compute_emissions(utt, params, hop_samples):
-    """Per-frame network scores for one utterance, as a float64 T x K matrix."""
-    windows = utterance_windows(utt, params.config.input_frames, hop_samples)
-    scores = np.empty((windows.shape[0], params.config.num_classes), dtype=np.float64)
-    for t in range(windows.shape[0]):
-        scores[t] = forward_pass(windows[t], params)[0]
-    return scores
+    """Per-frame network scores for one utterance, as a float64 T x K matrix.
+
+    Raw input whose hop is a multiple of stage 0's shift shares stage 0
+    across overlapping windows; everything else is scored in batches of
+    framed windows.
+    """
+    config = params.config
+    if utt.waveform is not None and shares_first_stage(config, hop_samples):
+        grid = utterance_grid(utt, config.input_frames, hop_samples)
+        return score_waveform(utt.waveform, grid, params)
+    return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +386,8 @@ def _decode_utterance(utt, params, transitions, decoder, hop, min_duration, alph
         path, _score = viterbi(emissions, transitions)
         return collapse_path([alphabet[i] for i in path])
     if decoder == "hmm":
-        posteriors = np.empty_like(emissions)
-        for t in range(emissions.shape[0]):
-            posteriors[t] = softmax(emissions[t])
         graph = build_duration_graph(len(alphabet), min_duration)
-        result = hmm_decode(posteriors, graph)
+        result = hmm_decode(softmax(emissions), graph)
         return [alphabet[i] for i in result.phonemes]
     raise ValueError(f"unknown decoder {decoder!r}")
 
@@ -402,9 +408,14 @@ def cmd_decode(args):
     hyp_dir = out / "hyp"
     hyp_dir.mkdir(parents=True, exist_ok=True)
     log_rows = []
+    model_rate = metadata.get("sample_rate")
     for ref in refs:
         try:
             utt = load_utterance(ref, feature_dim, cfg["raw_sample_rate"] or None)
+            if utt.waveform is not None and model_rate and utt.waveform.sample_rate != model_rate:
+                raise DataError(
+                    f"sample rate {utt.waveform.sample_rate} Hz != model's {model_rate} Hz"
+                )
             phonemes = _decode_utterance(
                 utt, params, transitions, cfg["decoder"], hop,
                 cfg["min_duration"], alphabet,
@@ -417,6 +428,9 @@ def cmd_decode(args):
     _echo_resolved(out, "decode", cfg)
     failed = sum(1 for r in log_rows if r[1] != "ok")
     print(f"decoded {len(log_rows) - failed}/{len(log_rows)} utterances -> {hyp_dir}")
+    if log_rows and failed == len(log_rows):
+        print(f"data error: every utterance failed; see {out / 'decode_log.csv'}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -551,10 +565,7 @@ def cmd_ablate_pool(args):
             )
             total_n = total_e = 0
             for utt in test_utts:
-                emissions = compute_emissions(utt, best, hop)
-                posteriors = np.empty_like(emissions)
-                for t in range(emissions.shape[0]):
-                    posteriors[t] = softmax(emissions[t])
+                posteriors = softmax(compute_emissions(utt, best, hop))
                 hyp = hmm_decode(posteriors, graph).phonemes
                 ref = [label_to_index[l] for l in reference_sequence(utt)]
                 dist, _ = levenshtein(ref, hyp)

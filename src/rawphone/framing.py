@@ -94,12 +94,14 @@ def normalize_window(window):
     return centered / std
 
 
-def extract_windows(waveform, grid):
-    """Cut one normalized window per grid frame from a waveform.
+def grid_windows(waveform, grid):
+    """The raw grid windows of a waveform, as a read-only view of one signal.
 
-    Returns a (num_frames, window_samples) float64 matrix. Frame t is the
-    window of `grid.window_samples` samples centered at `grid.center(t)`,
-    on a waveform zero-padded by window_samples // 2 on both ends.
+    Returns (signal, rows): `signal` is the waveform zero-padded by
+    window_samples // 2 on both ends, starting where frame 0's window
+    starts; row t of the (num_frames, window_samples) view `rows` is
+    signal[t * hop : t * hop + window_samples], the window centered at
+    `grid.center(t)`.
     """
     x = np.asarray(waveform.samples, dtype=np.float64)
     w = grid.window_samples
@@ -109,10 +111,41 @@ def extract_windows(waveform, grid):
         raise ValueError(
             f"window of {w} samples exceeds padded waveform length {len(padded)}"
         )
-    out = np.empty((grid.num_frames, w), dtype=np.float64)
-    for t in range(grid.num_frames):
-        start = grid.center(t) - w // 2 + pad
-        out[t] = normalize_window(padded[start : start + w])
+    first = grid.center(0) - w // 2 + pad
+    stop = first + grid.num_frames * grid.hop_samples
+    rows = np.lib.stride_tricks.sliding_window_view(padded, w)[first:stop:grid.hop_samples]
+    return padded[first:], rows
+
+
+def row_stats(rows, buf):
+    """Row means and population standard deviations of `rows`, as (n, 1) columns.
+
+    Bit-identical to the statistics normalize_window computes for each
+    row: the same float64 reductions run over each contiguous row of
+    `buf` (shaped like `rows`, overwritten), so no temporary of the
+    rows' size is allocated.
+    """
+    np.copyto(buf, rows)
+    mean = buf.mean(axis=1, keepdims=True)
+    np.subtract(buf, mean, out=buf)
+    np.square(buf, out=buf)
+    return mean, np.sqrt(buf.mean(axis=1, keepdims=True))
+
+
+def extract_windows(waveform, grid):
+    """Cut one normalized window per grid frame from a waveform.
+
+    Returns a (num_frames, window_samples) float64 matrix. Frame t is the
+    window of `grid.window_samples` samples centered at `grid.center(t)`,
+    on a waveform zero-padded by window_samples // 2 on both ends. Each
+    row equals normalize_window of that raw window, bit for bit.
+    """
+    _signal, rows = grid_windows(waveform, grid)
+    out = np.empty(rows.shape, dtype=np.float64)
+    mean, std = row_stats(rows, out)
+    np.subtract(rows, mean, out=out)
+    np.divide(out, std, out=out, where=std != 0.0)
+    out[std[:, 0] == 0.0] = 0.0
     return out
 
 
@@ -132,10 +165,8 @@ def extract_feature_windows(features, context_frames):
     padded = np.concatenate(
         [np.zeros((half, d)), feats, np.zeros((context_frames - half, d))]
     )
-    out = np.empty((T, context_frames, d), dtype=np.float64)
-    for t in range(T):
-        out[t] = padded[t : t + context_frames]
-    return out
+    view = np.lib.stride_tricks.sliding_window_view(padded, context_frames, axis=0)
+    return np.ascontiguousarray(view[:T].transpose(0, 2, 1))
 
 
 def frame_labels(annotation, grid, label_to_index, garbage_index=None):

@@ -11,7 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .net import NetworkConfig, StageConfig, backward_pass, forward_pass, init_params, param_count, softmax
+from .net import (
+    NetworkConfig,
+    StageConfig,
+    backward_pass,
+    forward_pass,
+    init_params,
+    param_count,
+    score_windows,
+    softmax,
+)
 
 
 def logadd(values, axis=None):
@@ -101,12 +110,8 @@ class FrameDataset:
 
 def frame_accuracy_of(params, dataset):
     """Percent of dataset frames whose argmax score matches the label."""
-    correct = 0
-    for i in range(len(dataset)):
-        scores, _ = forward_pass(dataset.windows[i], params)
-        if int(np.argmax(scores)) == dataset.labels[i]:
-            correct += 1
-    return 100.0 * correct / len(dataset)
+    predicted = score_windows(dataset.windows, params).argmax(axis=1)
+    return 100.0 * int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 
 
 def train_network(train_set, cv_set, net_config, train_config, params=None):

@@ -187,6 +187,40 @@ class TestDecode:
         assert (tmp_path / "d" / "hyp" / "long.txt").exists()
         assert not (tmp_path / "d" / "hyp" / "short.txt").exists()
 
+    def test_sample_rate_mismatch_recorded_as_error(self, trained, tmp_path):
+        wav_dir = tmp_path / "data"
+        wav_dir.mkdir()
+        tone = np.sin(np.arange(4000) * (2 * np.pi * 300 / 16000))
+        rows = []
+        for name, rate in (("narrow", 8000), ("wide", 16000)):
+            write_wav(wav_dir / f"{name}.wav", Waveform(tone, rate))
+            write_labels(wav_dir / f"{name}.txt", SegmentAnnotation(((0, 4000, "c0"),)))
+            rows.append(json.dumps({"id": name, "wav": f"{name}.wav", "labels": f"{name}.txt"}))
+        manifest = wav_dir / "m.jsonl"
+        manifest.write_text("\n".join(rows) + "\n")
+        assert run(["decode", "--manifest", manifest, "--model", trained / "model.rcn",
+                    "--decoder", "argmax", "--out", tmp_path / "d"]) == 0
+        rows = {r["id"]: r for r in csv.DictReader((tmp_path / "d" / "decode_log.csv").open())}
+        assert rows["narrow"]["status"] == "error"
+        assert "8000" in rows["narrow"]["message"] and "16000" in rows["narrow"]["message"]
+        assert rows["wide"]["status"] == "ok"
+        assert not (tmp_path / "d" / "hyp" / "narrow.txt").exists()
+
+    def test_every_utterance_failing_exits_data_error(self, trained, tmp_path, capsys):
+        wav_dir = tmp_path / "data"
+        wav_dir.mkdir()
+        write_wav(wav_dir / "short.wav", Waveform(np.zeros(320), 16000))
+        write_labels(wav_dir / "short.txt", SegmentAnnotation(((0, 320, "c0"),)))
+        manifest = wav_dir / "m.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "short", "wav": "short.wav", "labels": "short.txt"}) + "\n"
+        )
+        assert run(["decode", "--manifest", manifest, "--model", trained / "model.rcn",
+                    "--decoder", "hmm", "--out", tmp_path / "d"]) == 2
+        assert "every utterance failed" in capsys.readouterr().err
+        rows = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").open()))
+        assert [r["status"] for r in rows] == ["error"]
+
     def test_missing_model_exits_nonzero(self, corpus, tmp_path):
         rc = run(["decode", "--manifest", corpus / "test.jsonl",
                   "--model", tmp_path / "no_such.rcn", "--out", tmp_path / "d"])

@@ -75,6 +75,12 @@ class TestExtractWindows:
         assert grid.num_frames == 1
         assert extract_windows(w, grid).shape == (1, 64)
 
+    def test_signal_shorter_than_hop_gives_no_frames(self):
+        for length, hop, window in ((1, 1000, 2), (100, 160, 1600)):
+            grid = FrameGrid.for_length(length, hop, window)
+            out = extract_windows(Waveform(np.ones(length), 16000), grid)
+            assert out.shape == (0, window)
+
     def test_frame_count_independent_of_window_size(self):
         w = Waveform(np.sin(np.arange(2000) * 0.01), 16000)
         for window in (1, 7, 160, 900, 3999):
@@ -90,6 +96,20 @@ class TestExtractWindows:
         out = extract_windows(w, grid)
         # frame 1 center is 240; within the 11-wide window the impulse sits at offset 5
         assert np.argmax(out[1]) == 5
+
+    def test_rows_bit_identical_to_normalize_window(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        for length, hop, window in ((3000, 160, 1600), (999, 7, 33), (500, 1, 8), (480, 160, 1)):
+            samples = rng.normal(size=length)
+            samples[length // 3 : length // 3 + 2 * window] = 0.0  # silent stretch
+            w = Waveform(samples, 16000)
+            grid = FrameGrid.for_length(length, hop, window)
+            out = extract_windows(w, grid)
+            padded = np.concatenate([np.zeros(window // 2), samples, np.zeros(window // 2)])
+            for t in range(grid.num_frames):
+                start = grid.center(t)
+                expected = normalize_window(padded[start : start + window])
+                assert out[t].tobytes() == expected.tobytes(), (length, hop, window, t)
 
     def test_windows_are_normalized_after_padding(self):
         w = Waveform(np.ones(100), 16000)
@@ -143,6 +163,15 @@ class TestFeatureWindows:
         np.testing.assert_array_equal(out[2][1], feats[2])
         # leading edge zero-padded
         np.testing.assert_array_equal(out[0][0], [0.0, 0.0])
+
+    def test_blocks_equal_padded_slices(self):
+        feats = np.random.default_rng(1).normal(size=(7, 3))
+        for context in (1, 4, 5):
+            half = context // 2
+            padded = np.concatenate([np.zeros((half, 3)), feats, np.zeros((context - half, 3))])
+            out = extract_feature_windows(feats, context)
+            for t in range(7):
+                np.testing.assert_array_equal(out[t], padded[t : t + context])
 
     def test_context_one_is_identity(self):
         feats = np.random.default_rng(0).normal(size=(5, 4))

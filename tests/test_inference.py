@@ -1,0 +1,135 @@
+"""Batched and shared-stage-0 inference against a per-frame forward_pass loop."""
+
+import numpy as np
+import pytest
+
+from rawphone.cli import _decode_utterance, compute_emissions
+from rawphone.corpus import LabeledUtterance, utterance_windows
+from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
+from rawphone.net import (
+    NetworkConfig,
+    StageConfig,
+    forward_pass,
+    init_params,
+    score_windows,
+    shares_first_stage,
+)
+from rawphone.training import FrameDataset, frame_accuracy_of
+
+HOP = 160
+TOL = 1e-5
+
+
+def raw_utterance(length, seed, silent=(2000, 5200)):
+    """Noisy tone with an exactly silent stretch long enough for constant windows."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(length)
+    x = 0.5 * np.sin(2 * np.pi * 440 * n / 16000) + 0.1 * rng.normal(size=length)
+    x[silent[0] : silent[1]] = 0.0
+    return LabeledUtterance("u", SegmentAnnotation(((0, length, "a"),)),
+                            waveform=Waveform(x, 16000))
+
+
+def raw_config(stages, window=1600, filters=12):
+    return NetworkConfig(window, 1, tuple(StageConfig(k, s, filters, p) for k, s, p in stages),
+                         hidden_units=20, num_classes=5)
+
+
+def per_frame_scores(utt, params, hop):
+    windows = utterance_windows(utt, params.config.input_frames, hop)
+    scores = np.empty((windows.shape[0], params.config.num_classes))
+    for t in range(windows.shape[0]):
+        scores[t] = forward_pass(windows[t], params)[0]
+    return scores
+
+
+def assert_matches_loop(utt, params, hop):
+    expected = per_frame_scores(utt, params, hop)
+    got = compute_emissions(utt, params, hop)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert np.abs(got - expected).max() <= TOL
+    np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+
+DEFAULT = ((160, 10, 3), (5, 1, 3), (9, 1, 3))
+
+
+class TestComputeEmissions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_stage0_default_stages(self, dtype):
+        cfg = raw_config(DEFAULT)
+        assert shares_first_stage(cfg, HOP)
+        assert_matches_loop(raw_utterance(12000, 0), init_params(cfg, 1, dtype=dtype), HOP)
+
+    def test_silent_windows_are_covered(self):
+        utt = raw_utterance(12000, 0)
+        rows = extract_windows(utt.waveform, FrameGrid.for_length(12000, HOP, 1600))
+        assert (~rows.any(axis=1)).sum() >= 5  # constant windows: std == 0
+        assert_matches_loop(utt, init_params(raw_config(DEFAULT), 2), HOP)
+
+    def test_offset_position_grid(self):
+        # (hop // 2) % shift == 16: stage-0 positions sit off the sample-0 grid
+        cfg = raw_config(((160, 32, 3), (5, 1, 3)))
+        assert shares_first_stage(cfg, HOP) and (HOP // 2) % 32 != 0
+        assert_matches_loop(raw_utterance(9000, 3), init_params(cfg, 3), HOP)
+
+    def test_fallback_when_hop_not_multiple_of_shift(self):
+        cfg = raw_config(((160, 7, 3), (5, 1, 3)))
+        assert not shares_first_stage(cfg, HOP)
+        assert_matches_loop(raw_utterance(9000, 4), init_params(cfg, 4), HOP)
+
+    @pytest.mark.parametrize("pool", [1, 3])
+    def test_pool_widths(self, pool):
+        cfg = raw_config(((80, 10, pool), (5, 1, pool), (3, 1, 2)), window=800)
+        assert_matches_loop(raw_utterance(7000, 5), init_params(cfg, 5, dtype=np.float64), HOP)
+
+    def test_more_frames_than_one_batch_and_odd_window(self):
+        cfg = raw_config(((16, 8, 2), (3, 1, 2)), window=401)
+        assert_matches_loop(raw_utterance(20000, 6, silent=(0, 3000)), init_params(cfg, 6), 40)
+
+    @pytest.mark.parametrize("hop", [400, 480])
+    def test_windows_without_overlap_over_several_batches(self, hop):
+        # hop >= window: a frame's stage-0 positions end before the next frame's begin
+        cfg = raw_config(((40, 10, 3), (3, 1, 2)), window=400)
+        assert shares_first_stage(cfg, hop)
+        utt = raw_utterance(hop * 40, 9, silent=(4000, 5200))
+        assert utterance_windows(utt, 400, hop).shape[0] > 32
+        assert_matches_loop(utt, init_params(cfg, 9, dtype=np.float64), hop)
+
+    def test_feature_input_uses_batches(self):
+        rng = np.random.default_rng(7)
+        feats = rng.normal(size=(45, 4))
+        utt = LabeledUtterance("f", SegmentAnnotation(((0, 45, "a"),)), features=feats)
+        cfg = NetworkConfig(9, 4, (StageConfig(3, 1, 6, 1),), hidden_units=10, num_classes=5)
+        assert not shares_first_stage(cfg, 1)
+        assert_matches_loop(utt, init_params(cfg, 7), 1)
+
+    @pytest.mark.parametrize("stages", [DEFAULT, ((160, 7, 3), (5, 1, 3))])
+    def test_zero_frame_utterance_still_fails_to_decode(self, stages):
+        cfg = raw_config(stages)
+        params = init_params(cfg, 8)
+        utt = raw_utterance(100, 8, silent=(0, 0))
+        assert compute_emissions(utt, params, HOP).shape == (0, 5)
+        for decoder in ("argmax", "crf", "hmm"):
+            with pytest.raises(ValueError):
+                _decode_utterance(utt, params, np.zeros((5, 5)), decoder, HOP, 3, list("abcde"))
+
+
+class TestFrameAccuracy:
+    def test_batched_accuracy_equals_per_frame(self):
+        cfg = raw_config(DEFAULT)
+        params = init_params(cfg, 9)
+        windows = np.concatenate([
+            utterance_windows(raw_utterance(6000, s), 1600, HOP) for s in (10, 11)
+        ])
+        labels = np.arange(len(windows)) % 5
+        loop = np.array([forward_pass(w, params)[0] for w in windows])
+        batched = score_windows(windows, params)
+        assert np.abs(batched - loop).max() <= TOL
+        expected = 100.0 * np.count_nonzero(loop.argmax(axis=1) == labels) / len(labels)
+        assert frame_accuracy_of(params, FrameDataset(windows, labels)) == expected
+
+    def test_window_shape_checked(self):
+        params = init_params(raw_config(DEFAULT), 0)
+        with pytest.raises(ValueError, match="window shape"):
+            score_windows(np.zeros((3, 1599, 1), dtype=np.float32), params)

@@ -6,12 +6,12 @@ from rawphone.net import (
     NetworkConfig,
     StageConfig,
     backward_pass,
-    conv_forward,
     forward_pass,
     init_params,
     maxpool_forward,
     param_count,
     softmax,
+    stage_forward,
 )
 from rawphone.training import loglik_score_gradient, sgd_step
 
@@ -36,41 +36,48 @@ def layer(weight, bias, kw, dw):
                            np.asarray(bias, dtype=np.float64), kw, dw)
 
 
+def conv_stage(x, lay):
+    """Stage output of one T x d sequence with pooling width 1: tanh(conv(x))."""
+    return stage_forward(np.asarray(x)[None], lay, 1)[0]
+
+
 class TestConvForward:
+    """The convolution inside stage_forward, seen through pool width 1."""
+
     def test_hand_example(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = conv_forward(x, layer([[1.0, 0.0, -1.0]], [0.0], 3, 1))
-        np.testing.assert_array_equal(out, [[-2.0], [-2.0]])
+        out = conv_stage(x, layer([[1.0, 0.0, -1.0]], [0.0], 3, 1))
+        np.testing.assert_array_equal(out, np.tanh([[-2.0], [-2.0]]))
 
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(7, 3))
-        out = conv_forward(x, layer(np.eye(3), np.zeros(3), 1, 1))
-        np.testing.assert_allclose(out, x)
+        out = conv_stage(x, layer(np.eye(3), np.zeros(3), 1, 1))
+        np.testing.assert_allclose(out, np.tanh(x))
 
     def test_output_frame_count(self):
         x = np.zeros((4320, 1))
-        out = conv_forward(x, layer(np.zeros((4, 10)), np.zeros(4), 10, 10))
+        out = conv_stage(x, layer(np.zeros((4, 10)), np.zeros(4), 10, 10))
         assert out.shape == (432, 4)
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ValueError):
-            conv_forward(np.zeros((2, 1)), layer(np.zeros((1, 3)), np.zeros(1), 3, 1))
+            conv_stage(np.zeros((2, 1)), layer(np.zeros((1, 3)), np.zeros(1), 3, 1))
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(1)
-        lay = layer(rng.normal(size=(4, 6)), np.zeros(4), 3, 2)
+        lay = layer(0.1 * rng.normal(size=(4, 6)), np.zeros(4), 3, 2)
         x = rng.normal(size=(11, 2))
         y = rng.normal(size=(11, 2))
-        lhs = conv_forward(2.5 * x - 0.5 * y, lay)
-        rhs = 2.5 * conv_forward(x, lay) - 0.5 * conv_forward(y, lay)
+        lhs = np.arctanh(conv_stage(0.25 * x - 0.05 * y, lay))
+        rhs = 0.25 * np.arctanh(conv_stage(x, lay)) - 0.05 * np.arctanh(conv_stage(y, lay))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_shift_equivariance_for_unit_shift(self):
         rng = np.random.default_rng(2)
         lay = layer(rng.normal(size=(3, 4)), rng.normal(size=3), 4, 1)
         x = rng.normal(size=(12, 1))
-        out = conv_forward(x, lay)
-        out_shifted = conv_forward(x[1:], lay)
+        out = conv_stage(x, lay)
+        out_shifted = conv_stage(x[1:], lay)
         np.testing.assert_array_equal(out[1:], out_shifted)
 
     def test_frame_major_window_layout(self):
@@ -78,8 +85,43 @@ class TestConvForward:
         w = np.zeros((1, 4))
         w[0, 2] = 1.0  # offset 1, dim 0 in a kW=2, d_in=2 window
         x = np.arange(8, dtype=np.float64).reshape(4, 2)
-        out = conv_forward(x, layer(w, [0.0], 2, 1))
-        np.testing.assert_array_equal(out[:, 0], x[1:, 0])
+        out = conv_stage(x, layer(w, [0.0], 2, 1))
+        np.testing.assert_array_equal(out[:, 0], np.tanh(x[1:, 0]))
+
+
+class TestStageForward:
+    def test_batch_rows_match_single_sequences(self):
+        rng = np.random.default_rng(6)
+        lay = layer(rng.normal(size=(5, 6)), rng.normal(size=5), 3, 2)
+        x = rng.normal(size=(4, 20, 2))
+        out = stage_forward(x, lay, 3)
+        assert out.shape == (4, 3, 5)
+        for i in range(4):
+            np.testing.assert_allclose(out[i], stage_forward(x[i : i + 1], lay, 3)[0], atol=1e-12)
+
+    def test_pooling_takes_block_maxima_before_tanh(self):
+        rng = np.random.default_rng(7)
+        lay = layer(rng.normal(size=(3, 2)), rng.normal(size=3), 1, 1)
+        x = rng.normal(size=(2, 9, 2))
+        conv = np.arctanh(stage_forward(x, lay, 1))
+        pooled = np.arctanh(stage_forward(x, lay, 3))
+        np.testing.assert_allclose(pooled, conv.reshape(2, 3, 3, 3).max(axis=2), atol=1e-9)
+
+    def test_cache_records_single_window_for_backward(self):
+        cfg = NetworkConfig(20, 1, (StageConfig(4, 2, 3, 2),), 5, 3)
+        params = init_params(cfg, 0, dtype=np.float64)
+        x = np.random.default_rng(8).normal(size=(1, 20, 1))
+        _, cache = forward_pass(x[0], params)
+        assert cache.stage_windows[0].shape == (9, 4)
+        assert cache.stage_conv_frames == [9]
+        assert cache.stage_pool_arg[0].shape == (4, 3)
+        np.testing.assert_array_equal(
+            cache.stage_tanh_out[0], stage_forward(x, params.conv[0], 2)[0]
+        )
+
+    def test_non_batch_input_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            stage_forward(np.zeros((5, 1)), layer(np.zeros((1, 3)), np.zeros(1), 3, 1), 1)
 
 
 class TestMaxPool:
@@ -117,6 +159,15 @@ class TestMaxPool:
         with pytest.raises(ValueError):
             maxpool_forward(np.zeros((2, 1)), 3)
 
+    def test_leading_batch_axis_pools_each_item(self):
+        x = np.random.default_rng(10).normal(size=(3, 7, 2))
+        pooled, arg = maxpool_forward(x, 3)
+        assert pooled.shape == arg.shape == (3, 2, 2)
+        for i in range(3):
+            p1, a1 = maxpool_forward(x[i], 3)
+            np.testing.assert_array_equal(pooled[i], p1)
+            np.testing.assert_array_equal(arg[i], a1)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -138,6 +189,13 @@ class TestSoftmax:
             assert abs(p.sum() - 1.0) < 1e-9
             assert (p > 0).all()
             np.testing.assert_allclose(softmax(f + 123.4), p, atol=1e-9)
+
+    def test_rows_bit_identical_to_vector_form(self):
+        rng = np.random.default_rng(11)
+        for k in (5, 39):
+            f = rng.normal(scale=5.0, size=(50, k))
+            rows = np.array([softmax(r) for r in f])
+            assert softmax(f).tobytes() == rows.tobytes()
 
 
 class TestForwardPass:
