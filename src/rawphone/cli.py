@@ -229,13 +229,23 @@ def _network_setup(cfg, train_utts, alphabet):
 
 
 def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage, seed):
+    """Train one network, printing one progress line per epoch to stderr."""
     train_set = build_frame_dataset(train_utts, net_config.input_frames, hop, alphabet, garbage)
     cv_set = build_frame_dataset(cv_utts, net_config.input_frames, hop, alphabet, garbage)
     tc = TrainConfig(
         learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
         patience=cfg["patience"], seed=seed, shuffle=cfg["shuffle"],
     )
-    return train_network(train_set, cv_set, net_config, tc)
+
+    def report(epoch, ll, cv_acc, seconds):
+        print(
+            f"epoch {epoch}/{tc.max_epochs}: train log-likelihood {ll:.6f}, "
+            f"cv frame accuracy {cv_acc:.3f}%, {seconds:.2f} s, "
+            f"{len(train_set) / seconds:.0f} frames/s",
+            file=sys.stderr,
+        )
+
+    return train_network(train_set, cv_set, net_config, tc, on_epoch=report)
 
 
 def cmd_train(args):
@@ -378,6 +388,9 @@ DECODE_DEFAULTS = {
 
 
 def _decode_utterance(utt, params, transitions, decoder, hop, min_duration, alphabet):
+    if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
+        length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
+        raise DataError(f"utterance of {length} samples is shorter than one hop ({hop} samples)")
     emissions = compute_emissions(utt, params, hop)
     if decoder == "argmax":
         path = emissions.argmax(axis=1)

@@ -82,16 +82,15 @@ def normalize_window(window):
 
     A constant window maps to all zeros instead of raising, so padded
     silence does not abort a run. Computation is float64 regardless of
-    the input dtype.
+    the input dtype; the statistics are those of row_stats.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("window must be a non-empty 1-D sequence")
-    centered = x - x.mean()
-    std = np.sqrt(np.mean(centered * centered))
-    if std == 0.0:
+    mean, std = row_stats(x[None], np.empty((1, x.size)))
+    if std[0, 0] == 0.0:
         return np.zeros_like(x)
-    return centered / std
+    return (x - mean[0, 0]) / std[0, 0]
 
 
 def grid_windows(waveform, grid):
@@ -120,16 +119,20 @@ def grid_windows(waveform, grid):
 def row_stats(rows, buf):
     """Row means and population standard deviations of `rows`, as (n, 1) columns.
 
-    Bit-identical to the statistics normalize_window computes for each
-    row: the same float64 reductions run over each contiguous row of
-    `buf` (shaped like `rows`, overwritten), so no temporary of the
-    rows' size is allocated.
+    The same float64 reductions run over each contiguous row of `buf`
+    (shaped like `rows`, overwritten), so no temporary of the rows' size
+    is allocated. A constant row (max == min) gets std 0, so it
+    normalizes to zeros: its mean may be off by an ulp, which would
+    otherwise leave a tiny nonzero std.
     """
     np.copyto(buf, rows)
+    constant = buf.max(axis=1) == buf.min(axis=1)
     mean = buf.mean(axis=1, keepdims=True)
     np.subtract(buf, mean, out=buf)
     np.square(buf, out=buf)
-    return mean, np.sqrt(buf.mean(axis=1, keepdims=True))
+    std = np.sqrt(buf.mean(axis=1, keepdims=True))
+    std[constant] = 0.0
+    return mean, std
 
 
 def extract_windows(waveform, grid):

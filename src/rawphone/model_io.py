@@ -13,9 +13,10 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .net import ConvLayerParams, NetworkConfig, NetworkParams
+from .net import ConvLayerParams, NetworkConfig, NetworkParams, tensor_shapes
 
 MAGIC = b"RCN1"
+HEADER_FIELDS = {"config": dict, "tensors": list, "alphabet": list, "metadata": dict}
 
 
 def save_model(path, params, alphabet, metadata=None, transitions=None):
@@ -46,51 +47,77 @@ def load_model(path):
     """Read a model file.
 
     Returns (params, alphabet, metadata, transitions) with transitions
-    None when the file carries no ``crf.A`` tensor.
+    None when the file carries no ``crf.A`` tensor. Every way a file can
+    disagree with its own config (truncation, missing keys or tensors,
+    tensor shapes, alphabet size, non-finite weights) is a DataError.
     """
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
         raise DataError(f"{path}: not a model file (bad magic {data[:4]!r})")
+    if len(data) < 8:
+        raise DataError(f"{path}: {len(data)} bytes, shorter than the 8-byte preamble")
     (hlen,) = struct.unpack("<I", data[4:8])
     try:
         header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt model header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: the model header is not a JSON object")
+    missing = [k for k in HEADER_FIELDS if k not in header]
+    if missing:
+        raise DataError(f"{path}: model header lacks {', '.join(missing)}")
+    for key, kind in HEADER_FIELDS.items():
+        if not isinstance(header[key], kind):
+            raise DataError(f"{path}: model header field {key} is not a JSON {kind.__name__}")
+    try:
+        config = NetworkConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: bad network config: {e!r}") from e
 
-    config = NetworkConfig.from_dict(header["config"])
     offset = 8 + hlen
     arrays = {}
     for desc in header["tensors"]:
-        n = int(np.prod(desc["shape"], dtype=np.int64)) if desc["shape"] else 1
-        end = offset + 4 * n
+        try:
+            name, shape = desc["name"], tuple(int(n) for n in desc["shape"])
+            if min(shape, default=0) < 0:
+                raise ValueError("negative dimension")
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: bad tensor descriptor {desc!r}") from e
+        end = offset + 4 * int(np.prod(shape, dtype=np.int64))
         if end > len(data):
-            raise DataError(f"{path}: truncated tensor {desc['name']}")
-        arrays[desc["name"]] = np.frombuffer(data[offset:end], dtype="<f4").reshape(
-            desc["shape"]
-        ).copy()
+            raise DataError(f"{path}: truncated tensor {name}")
+        arrays[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
         offset = end
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes after tensors")
 
-    conv = []
-    for i, stage in enumerate(config.stages):
-        try:
-            w = arrays[f"stage{i}.weight"]
-            b = arrays[f"stage{i}.bias"]
-        except KeyError as e:
-            raise DataError(f"{path}: missing tensor {e}") from e
-        conv.append(ConvLayerParams(w, b, stage.kernel_width, stage.shift))
-    try:
-        params = NetworkParams(
-            config,
-            conv,
-            arrays["hidden.weight"],
-            arrays["hidden.bias"],
-            arrays["output.weight"],
-            arrays["output.bias"],
-        )
-    except KeyError as e:
-        raise DataError(f"{path}: missing tensor {e}") from e
-    transitions = arrays.get("crf.A")
-    return params, list(header["alphabet"]), dict(header["metadata"]), transitions
+    k = config.num_classes
+    expected = tensor_shapes(config) + ([("crf.A", (k, k))] if "crf.A" in arrays else [])
+    for name, shape in expected:
+        if name not in arrays:
+            raise DataError(f"{path}: missing tensor '{name}'")
+        if arrays[name].shape != shape:
+            raise DataError(
+                f"{path}: tensor {name} has shape {arrays[name].shape}, the config needs {shape}"
+            )
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: tensor {name} holds non-finite values")
+    alphabet, metadata = header["alphabet"], header["metadata"]
+    if len(alphabet) != k:
+        raise DataError(f"{path}: alphabet of {len(alphabet)} labels for {k} classes")
+
+    conv = [
+        ConvLayerParams(arrays[f"stage{i}.weight"], arrays[f"stage{i}.bias"],
+                        stage.kernel_width, stage.shift)
+        for i, stage in enumerate(config.stages)
+    ]
+    params = NetworkParams(
+        config,
+        conv,
+        arrays["hidden.weight"],
+        arrays["hidden.bias"],
+        arrays["output.weight"],
+        arrays["output.bias"],
+    )
+    return params, alphabet, metadata, arrays.get("crf.A")

@@ -7,6 +7,7 @@ producing one score per class. Training runs in float32; gradient checks
 cast everything to float64 first.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,25 @@ class NetworkConfig:
         )
 
 
+def tensor_shapes(config):
+    """(name, shape) of every learned tensor, in the fixed serialization order."""
+    shapes = []
+    d_in = config.input_dim
+    for i, stage in enumerate(config.stages):
+        shapes.append((f"stage{i}.weight", (stage.out_dim, stage.kernel_width * d_in)))
+        shapes.append((f"stage{i}.bias", (stage.out_dim,)))
+        d_in = stage.out_dim
+    return shapes + [
+        ("hidden.weight", (config.hidden_units, config.flattened_size())),
+        ("hidden.bias", (config.hidden_units,)),
+        ("output.weight", (config.num_classes, config.hidden_units)),
+        ("output.bias", (config.num_classes,)),
+    ]
+
+
 def param_count(config):
     """Exact number of scalar parameters (weights and biases) in a config."""
-    total = 0
-    d_in = config.input_dim
-    for stage in config.stages:
-        total += stage.out_dim * (stage.kernel_width * d_in) + stage.out_dim
-        d_in = stage.out_dim
-    flat = config.flattened_size()
-    total += config.hidden_units * flat + config.hidden_units
-    total += config.num_classes * config.hidden_units + config.num_classes
-    return total
+    return sum(int(np.prod(shape)) for _name, shape in tensor_shapes(config))
 
 
 @dataclass
@@ -138,7 +147,8 @@ class NetworkParams:
     """All learned tensors of a network, tied to their NetworkConfig.
 
     `version` counts in-place updates so cached activations can detect
-    that they no longer match the parameters that produced them.
+    that they no longer match the parameters that produced them. `plan`
+    is the StepPlan of training steps, built by the first forward_pass.
     """
 
     def __init__(self, config, conv, hidden_weight, hidden_bias, output_weight, output_bias):
@@ -149,6 +159,7 @@ class NetworkParams:
         self.output_weight = output_weight
         self.output_bias = output_bias
         self.version = 0
+        self.plan = None
 
     def named_tensors(self):
         """(name, array) pairs in the fixed serialization order."""
@@ -267,17 +278,14 @@ def maxpool_forward(x, pool_width):
     return pooled, arg
 
 
-def stage_forward(x, layer, pool_width, cache=None):
+def stage_forward(x, layer, pool_width):
     """One filter stage over a batch: convolution, max-pooling, tanh.
 
     x is (N, T, d_in); returns (N, T'', d_out). The same linear map is
     applied to each kW-frame window, stepping by dW over fully valid
     positions only; the T' conv frames are max-pooled in non-overlapping
-    blocks of pool_width, then squashed. Given the ForwardCache of a
-    single window (N = 1, the training path), the stage records what
-    backward_pass needs: its conv windows, conv frame count, pool winner
-    offsets (via maxpool_forward) and output. Without one, inference
-    takes the block maxima only.
+    blocks of pool_width, then squashed. This is the inference path;
+    training steps run on a StepPlan.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -290,15 +298,7 @@ def stage_forward(x, layer, pool_width, cache=None):
     windows = _gather_windows(x, layer.kernel_width, layer.shift)
     conv = windows.reshape(-1, windows.shape[2]) @ layer.weight.T + layer.bias
     conv = conv.reshape(n, -1, layer.out_dim)
-    if cache is None:
-        return np.tanh(_pool_blocks(conv, pool_width).max(axis=-2))
-    pooled, arg = maxpool_forward(conv, pool_width)
-    out = np.tanh(pooled)
-    cache.stage_windows.append(windows[0])
-    cache.stage_conv_frames.append(conv.shape[1])
-    cache.stage_pool_arg.append(arg[0])
-    cache.stage_tanh_out.append(out[0])
-    return out
+    return np.tanh(_pool_blocks(conv, pool_width).max(axis=-2))
 
 
 def _head_forward(act, params, first_stage=0):
@@ -398,28 +398,171 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+class _StagePlan:
+    """Buffers and fixed views of one filter stage for a single window.
+
+    `src` is the stage input buffer (T, d_in). Its kW-frame windows at
+    each shift are one strided view, copied into `windows` per step.
+    Pool block q of the conv frames is the view conv[q::pool_width];
+    `winner_index[q]` holds the flat position in `conv` of every entry
+    of block q, so the forward pass records pool winners as flat
+    indices that the backward pass scatters to directly.
+    """
+
+    def __init__(self, src, stage, dtype):
+        t_in, d_in = src.shape
+        kw, shift, pw, d_out = stage.kernel_width, stage.shift, stage.pool_width, stage.out_dim
+        t_conv = (t_in - kw) // shift + 1
+        t_out = t_conv // pw
+        item = src.itemsize
+        self.src_windows = np.lib.stride_tricks.as_strided(
+            src, (t_conv, kw * d_in), (shift * d_in * item, item), writeable=False
+        )
+        self.windows = np.empty((t_conv, kw * d_in), dtype)
+        self.conv = np.empty((t_conv, d_out), dtype)
+        self.blocks = [self.conv[q : t_out * pw : pw] for q in range(pw)]
+        first = np.arange(t_out)[:, None] * (pw * d_out) + np.arange(d_out)
+        self.winner_index = [first + q * d_out for q in range(pw)]
+        self.winner = np.empty((t_out, d_out), np.intp)
+        self.mask = np.empty((t_out, d_out), bool)
+        self.out = np.empty((t_out, d_out), dtype)  # pooled, then tanh in place
+        # backward
+        self.dpool = np.empty((t_out, d_out), dtype)
+        self.dconv = np.empty((t_conv, d_out), dtype)
+        self.dconv_flat = self.dconv.reshape(-1)
+        self.dwin = np.empty((t_conv, kw * d_in), dtype)
+        self.din = np.empty((t_in, d_in), dtype)
+        dwin = self.dwin.reshape(t_conv, kw, d_in)
+        self.din_terms = [
+            (self.din[o : (t_conv - 1) * shift + o + 1 : shift], dwin[:, o, :]) for o in range(kw)
+        ]
+
+    def forward(self, layer):
+        np.copyto(self.windows, self.src_windows)
+        np.matmul(self.windows, layer.weight.T, out=self.conv)
+        np.add(self.conv, layer.bias, out=self.conv)
+        out, mask, winner = self.out, self.mask, self.winner
+        np.copyto(out, self.blocks[0])
+        np.copyto(winner, self.winner_index[0])
+        # first maximum wins, as argmax would pick it
+        for block, index in zip(self.blocks[1:], self.winner_index[1:]):
+            np.greater(block, out, out=mask)
+            np.maximum(out, block, out=out)
+            np.putmask(winner, mask, index)
+        np.tanh(out, out=out)
+
+    def backward(self, layer, dact, dweight, dbias, input_grad):
+        """Stage gradients into dweight/dbias; returns d loss / d stage input if input_grad."""
+        dpool = self.dpool
+        np.multiply(self.out, self.out, out=dpool)
+        np.subtract(1.0, dpool, out=dpool)
+        np.multiply(dact, dpool, out=dpool)
+        self.dconv.fill(0.0)
+        self.dconv_flat[self.winner] = dpool
+        np.matmul(self.dconv.T, self.windows, out=dweight)
+        np.add.reduce(self.dconv, axis=0, out=dbias)
+        if not input_grad:
+            return None
+        np.matmul(self.dconv, layer.weight, out=self.dwin)
+        self.din.fill(0.0)
+        for din, dwin in self.din_terms:
+            np.add(din, dwin, out=din)
+        return self.din
+
+
+class StepPlan:
+    """Preallocated buffers for per-example SGD steps of one (NetworkConfig, dtype).
+
+    forward_pass copies the window into `x` and runs every stage into
+    the plan's own buffers, so a step allocates only its scores and its
+    gradients. Gradients live in one flat array in serialization order
+    (`slots` gives each tensor's slice). Every matmul and reduction has
+    the operands, shapes and order of the plain array formulation, so
+    steps are bit-for-bit those of conv/argmax-pool/put-along-axis code.
+    `generation` counts forward passes; a cache from an earlier one is
+    stale, because its activations have been overwritten.
+    """
+
+    def __init__(self, config, dtype):
+        self.config = config
+        self.dtype = np.dtype(dtype)
+        self.generation = 0
+        self.x = np.empty((config.input_frames, config.input_dim), self.dtype)
+        self.stages = []
+        src = self.x
+        for stage in config.stages:
+            self.stages.append(_StagePlan(src, stage, self.dtype))
+            src = self.stages[-1].out
+        self.flat = src.reshape(-1)
+        self.hidden = np.empty(config.hidden_units, self.dtype)
+        self.dh = np.empty(config.hidden_units, self.dtype)
+        self.dflat = np.empty(self.flat.size, self.dtype)
+        self.dlast = self.dflat.reshape(src.shape)
+        self.slots = {}  # name -> (start, end, shape) in a flat gradient buffer
+        offset = 0
+        for name, shape in tensor_shapes(config):
+            end = offset + int(np.prod(shape))
+            self.slots[name] = (offset, end, shape)
+            offset = end
+        self.grad = np.empty(offset, self.dtype)  # written by backward_pass
+        self.grad_views = self.views(self.grad)
+        self.step = np.empty(offset, self.dtype)  # lr * gradient, in sgd_step
+        self.step_views = list(self.views(self.step).values())
+
+    def views(self, flat):
+        """Name -> view of the slot of each tensor in a flat buffer."""
+        return {name: flat[a:b].reshape(shape) for name, (a, b, shape) in self.slots.items()}
+
+
+class Gradients(Mapping):
+    """Tensor name -> gradient array, all views of one flat buffer `flat`.
+
+    Laid out as the plan's slots, i.e. in serialization order. Assigning
+    to a name copies into its slot.
+    """
+
+    __slots__ = ("plan", "flat")
+
+    def __init__(self, plan, flat):
+        self.plan = plan
+        self.flat = flat
+
+    def __getitem__(self, name):
+        a, b, shape = self.plan.slots[name]
+        return self.flat[a:b].reshape(shape)
+
+    def __setitem__(self, name, value):
+        self[name][...] = value
+
+    def __iter__(self):
+        return iter(self.plan.slots)
+
+    def __len__(self):
+        return len(self.plan.slots)
+
+
+def step_plan(params):
+    """The StepPlan of `params`, built on first use or when its dtype changed."""
+    dtype = params.hidden_weight.dtype
+    if params.plan is None or params.plan.dtype != dtype:
+        params.plan = StepPlan(params.config, dtype)
+    return params.plan
+
+
 class ForwardCache:
-    """Activations retained by forward_pass for the matching backward_pass."""
+    """Handle on the activations forward_pass left in its plan, for backward_pass."""
 
-    __slots__ = (
-        "params",
-        "params_version",
-        "x",
-        "stage_windows",
-        "stage_conv_frames",
-        "stage_pool_arg",
-        "stage_tanh_out",
-        "flat",
-        "hidden_out",
-    )
+    __slots__ = ("params", "params_version", "plan", "generation")
 
-    def __init__(self, params):
+    def __init__(self, params, plan):
         self.params = params
         self.params_version = params.version
-        self.stage_windows = []
-        self.stage_conv_frames = []
-        self.stage_pool_arg = []
-        self.stage_tanh_out = []
+        self.plan = plan
+        self.generation = plan.generation
+
+    @property
+    def hidden_out(self):
+        return self.plan.hidden
 
 
 def forward_pass(window, params):
@@ -427,6 +570,8 @@ def forward_pass(window, params):
 
     Returns (scores, cache); scores is a length-K vector of pre-softmax
     class scores. The computation dtype follows the parameter dtype.
+    Activations stay in the step plan of `params` until its next
+    forward_pass.
     """
     config = params.config
     x = np.asarray(window)
@@ -435,75 +580,60 @@ def forward_pass(window, params):
             f"window shape {x.shape} != expected "
             f"({config.input_frames}, {config.input_dim})"
         )
-    x = x.astype(params.hidden_weight.dtype, copy=False)
-
-    cache = ForwardCache(params)
-    cache.x = x
-    act = x[None]
-    for layer, stage in zip(params.conv, config.stages):
-        act = stage_forward(act, layer, stage.pool_width, cache)
-
-    flat = act.reshape(-1)
-    hidden = np.tanh(params.hidden_weight @ flat + params.hidden_bias)
+    plan = step_plan(params)
+    plan.generation += 1
+    np.copyto(plan.x, x, casting="unsafe")
+    for stage, layer in zip(plan.stages, params.conv):
+        stage.forward(layer)
+    hidden = plan.hidden
+    np.matmul(params.hidden_weight, plan.flat, out=hidden)
+    np.add(hidden, params.hidden_bias, out=hidden)
+    np.tanh(hidden, out=hidden)
     scores = params.output_weight @ hidden + params.output_bias
-    cache.flat = flat
-    cache.hidden_out = hidden
-    return scores, cache
+    return scores, ForwardCache(params, plan)
 
 
 def backward_pass(cache, params, dscores, compute_input_grad=True):
     """Exact gradients of a scalar loss given d loss / d scores.
 
     Returns (grads, d_input) where grads maps tensor names (as in
-    NetworkParams.named_tensors) to arrays of matching shape. Max-pooling
-    routes gradient only to the recorded argmax positions. Raises if the
-    cache does not belong to `params` at its current version.
+    NetworkParams.named_tensors) to arrays of matching shape, all views
+    of one flat buffer `grads.flat`. Max-pooling routes gradient only to
+    the recorded winner positions. Raises if the cache does not belong
+    to `params` at its current version, or if a later forward_pass on
+    `params` has overwritten the activations it refers to.
     """
-    if cache.params is not params or cache.params_version != params.version:
+    plan = cache.plan
+    if (
+        cache.params is not params
+        or cache.params_version != params.version
+        or cache.generation != plan.generation
+    ):
         raise ValueError("stale or mismatched forward cache for these parameters")
     config = params.config
-    ds = np.asarray(dscores, dtype=params.hidden_weight.dtype)
+    ds = np.asarray(dscores, dtype=plan.dtype)
     if ds.shape != (config.num_classes,):
         raise ValueError(f"dscores must have shape ({config.num_classes},)")
 
-    grads = {}
-    grads["output.weight"] = np.outer(ds, cache.hidden_out)
-    grads["output.bias"] = ds.copy()
-    dh = params.output_weight.T @ ds
-    dpre = dh * (1.0 - cache.hidden_out * cache.hidden_out)
-    grads["hidden.weight"] = np.outer(dpre, cache.flat)
-    grads["hidden.bias"] = dpre
-    dflat = params.hidden_weight.T @ dpre
+    grads = plan.grad_views
+    hidden, dh = plan.hidden, plan.dh
+    np.multiply(ds[:, None], hidden[None, :], out=grads["output.weight"])
+    np.copyto(grads["output.bias"], ds)
+    np.matmul(params.output_weight.T, ds, out=dh)
+    dpre = grads["hidden.bias"]
+    np.multiply(hidden, hidden, out=dpre)
+    np.subtract(1.0, dpre, out=dpre)
+    np.multiply(dh, dpre, out=dpre)
+    np.multiply(dpre[:, None], plan.flat[None, :], out=grads["hidden.weight"])
+    np.matmul(params.hidden_weight.T, dpre, out=plan.dflat)
 
-    if not params.conv:
-        d_input = dflat.reshape(config.input_frames, config.input_dim)
-        return grads, (d_input if compute_input_grad else None)
-
-    dact = dflat.reshape(cache.stage_tanh_out[-1].shape)
-    for i in range(len(params.conv) - 1, -1, -1):
-        layer = params.conv[i]
-        stage = config.stages[i]
-        tanh_out = cache.stage_tanh_out[i]
-        dpool = dact * (1.0 - tanh_out * tanh_out)
-
-        t_conv = cache.stage_conv_frames[i]
-        dconv = np.zeros((t_conv, layer.out_dim), dtype=dpool.dtype)
-        t_out = dpool.shape[0]
-        blocks = np.zeros((t_out, stage.pool_width, layer.out_dim), dtype=dpool.dtype)
-        np.put_along_axis(blocks, cache.stage_pool_arg[i][:, None, :], dpool[:, None, :], axis=1)
-        dconv[: t_out * stage.pool_width] = blocks.reshape(-1, layer.out_dim)
-
-        windows = cache.stage_windows[i]
-        grads[f"stage{i}.weight"] = dconv.T @ windows
-        grads[f"stage{i}.bias"] = dconv.sum(axis=0)
-
-        if i == 0 and not compute_input_grad:
-            return grads, None
-        dwin = (dconv @ layer.weight).reshape(t_conv, layer.kernel_width, layer.in_dim)
-        t_in = cache.x.shape[0] if i == 0 else cache.stage_tanh_out[i - 1].shape[0]
-        dact = np.zeros((t_in, layer.in_dim), dtype=dwin.dtype)
-        for o in range(layer.kernel_width):
-            stop = (t_conv - 1) * layer.shift + o + 1
-            dact[o:stop:layer.shift] += dwin[:, o, :]
-
-    return grads, dact
+    dact = plan.dlast
+    for i in range(len(plan.stages) - 1, -1, -1):
+        dact = plan.stages[i].backward(
+            params.conv[i], dact, grads[f"stage{i}.weight"], grads[f"stage{i}.bias"],
+            input_grad=i > 0 or compute_input_grad,
+        )
+    grads = Gradients(plan, plan.grad.copy())
+    if not compute_input_grad:
+        return grads, None
+    return grads, dact.reshape(config.input_frames, config.input_dim).copy()

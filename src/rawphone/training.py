@@ -6,12 +6,14 @@ the seed: frame order, init, and update order are all pinned.
 """
 
 import itertools
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 from .net import (
+    Gradients,
     NetworkConfig,
     StageConfig,
     backward_pass,
@@ -20,6 +22,7 @@ from .net import (
     param_count,
     score_windows,
     softmax,
+    step_plan,
 )
 
 
@@ -28,8 +31,9 @@ def logadd(values, axis=None):
     z = np.asarray(values, dtype=np.float64)
     if z.size == 0:
         raise ValueError("logadd of an empty vector")
-    m = np.max(z, axis=axis, keepdims=axis is not None)
-    out = m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=axis is not None))
+    keep = axis is not None
+    m = z.max(axis=axis, keepdims=keep)
+    out = m + np.log(np.exp(z - m).sum(axis=axis, keepdims=keep))
     if axis is None:
         return float(out)
     return np.squeeze(out, axis=axis)
@@ -55,12 +59,26 @@ def loglik_score_gradient(scores, target):
 
 
 def sgd_step(params, grads, lr):
-    """One in-place ascent step: every tensor moves by +lr * gradient."""
-    for name, tensor in params.named_tensors():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for {name}")
-        tensor += lr * g
+    """One in-place ascent step: every tensor moves by +lr * gradient.
+
+    `grads` maps tensor names to arrays. Gradients from backward_pass
+    share one flat buffer in serialization order, so finiteness is
+    checked and the step scaled once for all tensors; any other mapping
+    is copied into such a buffer first.
+    """
+    if not isinstance(grads, Gradients):
+        plan = step_plan(params)
+        packed = Gradients(plan, np.empty_like(plan.grad))
+        for name, _tensor in params.named_tensors():
+            packed[name] = grads[name]
+        grads = packed
+    plan, flat = grads.plan, grads.flat
+    if not np.isfinite(flat).all():
+        name = next(n for n in grads if not np.isfinite(grads[n]).all())
+        raise DivergenceError(f"non-finite gradient for {name}")
+    np.multiply(flat, lr, out=plan.step)
+    for (_name, tensor), step in zip(params.named_tensors(), plan.step_views):
+        tensor += step
     params.version += 1
     return params
 
@@ -114,7 +132,7 @@ def frame_accuracy_of(params, dataset):
     return 100.0 * int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 
 
-def train_network(train_set, cv_set, net_config, train_config, params=None):
+def train_network(train_set, cv_set, net_config, train_config, params=None, on_epoch=None):
     """Gradient-ascent training with patience-based early stopping.
 
     Visits training frames in a seeded-shuffled order, one sgd_step per
@@ -122,6 +140,8 @@ def train_network(train_set, cv_set, net_config, train_config, params=None):
     and returns the parameters of the best epoch plus the history as a
     list of (epoch, mean train log-likelihood, cv accuracy) rows. The
     whole run is a deterministic function of (data, config, seed).
+    `on_epoch(epoch, log_likelihood, cv_accuracy, seconds)`, if given,
+    is called after each epoch with its history row and wall seconds.
     """
     if len(train_set) == 0 or len(cv_set) == 0:
         raise ValueError("train and cv sets must be non-empty")
@@ -138,6 +158,7 @@ def train_network(train_set, cv_set, net_config, train_config, params=None):
     history = []
     n = len(train_set)
     for epoch in range(1, train_config.max_epochs + 1):
+        start = time.perf_counter()
         order = rng.permutation(n) if train_config.shuffle else np.arange(n)
         ll_sum = 0.0
         for step, i in enumerate(order):
@@ -157,6 +178,8 @@ def train_network(train_set, cv_set, net_config, train_config, params=None):
 
         cv_acc = frame_accuracy_of(params, cv_set)
         history.append((epoch, ll_sum / n, cv_acc))
+        if on_epoch is not None:
+            on_epoch(*history[-1], time.perf_counter() - start)
         if cv_acc > best_acc:
             best_acc = cv_acc
             best = params.copy()

@@ -1,14 +1,18 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately brute force (enumeration, finite
-differences, naive DFT) and shares no code with the library paths it
-checks.
+differences, naive DFT) or, for the SGD step, the plain per-call code the
+library's step plan must reproduce bit for bit; none of it shares code
+with the library paths it checks.
 """
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
+
+from rawphone.errors import DivergenceError
+from rawphone.training import frame_log_likelihood, loglik_score_gradient
 
 
 # --- network shapes ---------------------------------------------------------
@@ -33,6 +37,153 @@ def simulate_stage_frames(input_frames, stages):
         out.append((t_conv, t_pool))
         t = t_pool
     return out
+
+
+# --- per-example SGD step ---------------------------------------------------
+#
+# The per-call step the step plan replaced, kept verbatim: windows
+# gathered by sliding_window_view + transpose, pool winners by argmax,
+# the backward scatter by put_along_axis into zeroed blocks, and one
+# finiteness check and update per tensor.
+
+
+def _gather_windows(x, kernel_width, shift):
+    """Stack the kW-frame windows at each shift: (N, T, d) -> (N, T', kW*d), frame-major."""
+    view = np.lib.stride_tricks.sliding_window_view(x, kernel_width, axis=1)
+    view = view[:, ::shift]  # (N, T', d, kW)
+    n, t_out = view.shape[:2]
+    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(n, t_out, -1)
+
+
+def _pool_blocks(x, pool_width):
+    """View (..., T, d) as (..., T // pool_width, pool_width, d), dropping trailing frames."""
+    t, d = x.shape[-2:]
+    if t < pool_width:
+        raise ValueError(f"{t} frames < pool width {pool_width}")
+    t_out = t // pool_width
+    return x[..., : t_out * pool_width, :].reshape(*x.shape[:-2], t_out, pool_width, d)
+
+
+def maxpool_forward(x, pool_width):
+    blocks = _pool_blocks(np.asarray(x), pool_width)
+    arg = blocks.argmax(axis=-2)
+    pooled = np.take_along_axis(blocks, arg[..., None, :], axis=-2)[..., 0, :]
+    return pooled, arg
+
+
+class ForwardCache:
+    def __init__(self, params):
+        self.params = params
+        self.params_version = params.version
+        self.stage_windows = []
+        self.stage_conv_frames = []
+        self.stage_pool_arg = []
+        self.stage_tanh_out = []
+
+
+def stage_forward(x, layer, pool_width, cache):
+    x = np.asarray(x)
+    n, t, d = x.shape
+    windows = _gather_windows(x, layer.kernel_width, layer.shift)
+    conv = windows.reshape(-1, windows.shape[2]) @ layer.weight.T + layer.bias
+    conv = conv.reshape(n, -1, layer.out_dim)
+    pooled, arg = maxpool_forward(conv, pool_width)
+    out = np.tanh(pooled)
+    cache.stage_windows.append(windows[0])
+    cache.stage_conv_frames.append(conv.shape[1])
+    cache.stage_pool_arg.append(arg[0])
+    cache.stage_tanh_out.append(out[0])
+    return out
+
+
+def forward_pass(window, params):
+    config = params.config
+    x = np.asarray(window)
+    x = x.astype(params.hidden_weight.dtype, copy=False)
+
+    cache = ForwardCache(params)
+    cache.x = x
+    act = x[None]
+    for layer, stage in zip(params.conv, config.stages):
+        act = stage_forward(act, layer, stage.pool_width, cache)
+
+    flat = act.reshape(-1)
+    hidden = np.tanh(params.hidden_weight @ flat + params.hidden_bias)
+    scores = params.output_weight @ hidden + params.output_bias
+    cache.flat = flat
+    cache.hidden_out = hidden
+    return scores, cache
+
+
+def backward_pass(cache, params, dscores, compute_input_grad=True):
+    config = params.config
+    ds = np.asarray(dscores, dtype=params.hidden_weight.dtype)
+
+    grads = {}
+    grads["output.weight"] = np.outer(ds, cache.hidden_out)
+    grads["output.bias"] = ds.copy()
+    dh = params.output_weight.T @ ds
+    dpre = dh * (1.0 - cache.hidden_out * cache.hidden_out)
+    grads["hidden.weight"] = np.outer(dpre, cache.flat)
+    grads["hidden.bias"] = dpre
+    dflat = params.hidden_weight.T @ dpre
+
+    if not params.conv:
+        d_input = dflat.reshape(config.input_frames, config.input_dim)
+        return grads, (d_input if compute_input_grad else None)
+
+    dact = dflat.reshape(cache.stage_tanh_out[-1].shape)
+    for i in range(len(params.conv) - 1, -1, -1):
+        layer = params.conv[i]
+        stage = config.stages[i]
+        tanh_out = cache.stage_tanh_out[i]
+        dpool = dact * (1.0 - tanh_out * tanh_out)
+
+        t_conv = cache.stage_conv_frames[i]
+        dconv = np.zeros((t_conv, layer.out_dim), dtype=dpool.dtype)
+        t_out = dpool.shape[0]
+        blocks = np.zeros((t_out, stage.pool_width, layer.out_dim), dtype=dpool.dtype)
+        np.put_along_axis(blocks, cache.stage_pool_arg[i][:, None, :], dpool[:, None, :], axis=1)
+        dconv[: t_out * stage.pool_width] = blocks.reshape(-1, layer.out_dim)
+
+        windows = cache.stage_windows[i]
+        grads[f"stage{i}.weight"] = dconv.T @ windows
+        grads[f"stage{i}.bias"] = dconv.sum(axis=0)
+
+        if i == 0 and not compute_input_grad:
+            return grads, None
+        dwin = (dconv @ layer.weight).reshape(t_conv, layer.kernel_width, layer.in_dim)
+        t_in = cache.x.shape[0] if i == 0 else cache.stage_tanh_out[i - 1].shape[0]
+        dact = np.zeros((t_in, layer.in_dim), dtype=dwin.dtype)
+        for o in range(layer.kernel_width):
+            stop = (t_conv - 1) * layer.shift + o + 1
+            dact[o:stop:layer.shift] += dwin[:, o, :]
+
+    return grads, dact
+
+
+def sgd_step(params, grads, lr):
+    for name, tensor in params.named_tensors():
+        g = grads[name]
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient for {name}")
+        tensor += lr * g
+    params.version += 1
+    return params
+
+
+def reference_step(window, target, params, lr):
+    """One training step (forward, loss, backward, update) as the per-call code ran it.
+
+    Updates `params` in place; returns the step's frame log-likelihood.
+    """
+    scores, cache = forward_pass(window, params)
+    ll = frame_log_likelihood(scores, target)
+    grads, _ = backward_pass(
+        cache, params, loglik_score_gradient(scores, target), compute_input_grad=False
+    )
+    sgd_step(params, grads, lr)
+    return ll
 
 
 # --- finite differences -----------------------------------------------------

@@ -88,6 +88,26 @@ class TestTrain:
         assert (tmp_path / "model.rcn").read_bytes() == (trained / "model.rcn").read_bytes()
         assert (tmp_path / "history.csv").read_bytes() == (trained / "history.csv").read_bytes()
 
+    def test_one_progress_line_per_epoch_on_stderr(self, corpus, trained, tmp_path, capsys):
+        argv = ["train", "--train-manifest", corpus / "train.jsonl",
+                "--cv-manifest", corpus / "cv.jsonl", "--out", tmp_path,
+                *SMALL_NET, "--lr", "3e-4", "--epochs", "2", "--seed", "0"]
+        capsys.readouterr()
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(rows) == 2
+        for line, row in zip(lines, rows):
+            epoch, ll, acc = row.split(",")
+            assert line.startswith(f"epoch {epoch}/2: train log-likelihood {ll}, ")
+            assert f"cv frame accuracy {float(acc):.3f}%" in line
+            assert line.endswith(" frames/s")
+        assert "epoch" not in captured.out
+        # progress output leaves the artifacts as they were
+        assert (tmp_path / "model.rcn").read_bytes() == (trained / "model.rcn").read_bytes()
+        assert (tmp_path / "history.csv").read_bytes() == (trained / "history.csv").read_bytes()
+
     def test_config_file_flags_and_overrides(self, corpus, tmp_path):
         cfg_file = tmp_path / "base.json"
         cfg_file.write_text(json.dumps({"lr": 0.0, "epochs": 1, "crf_epochs": 0}))

@@ -21,6 +21,12 @@ class TestNormalizeWindow:
     def test_constant_window_maps_to_zeros(self):
         np.testing.assert_array_equal(normalize_window([5.0, 5.0, 5.0]), [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("length", [3, 160])
+    def test_constant_window_with_inexact_mean_maps_to_zeros(self, length):
+        x = np.full(length, 0.1)
+        assert x.mean() != 0.1  # the mean is off by an ulp
+        np.testing.assert_array_equal(normalize_window(x), np.zeros(length))
+
     def test_two_point_window(self):
         np.testing.assert_allclose(normalize_window([0.0, 1.0]), [-1.0, 1.0], atol=1e-12)
 
@@ -110,6 +116,13 @@ class TestExtractWindows:
                 start = grid.center(t)
                 expected = normalize_window(padded[start : start + window])
                 assert out[t].tobytes() == expected.tobytes(), (length, hop, window, t)
+
+    def test_constant_rows_with_inexact_mean_give_zeros(self):
+        w = Waveform(np.full(3000, 0.1), 16000)
+        grid = FrameGrid.for_length(3000, 160, 320)
+        out = extract_windows(w, grid)
+        assert out[0].any()  # frame 0's window takes in padding
+        np.testing.assert_array_equal(out[1:], np.zeros_like(out[1:]))
 
     def test_windows_are_normalized_after_padding(self):
         w = Waveform(np.ones(100), 16000)

@@ -5,6 +5,7 @@ import pytest
 
 from rawphone.cli import _decode_utterance, compute_emissions
 from rawphone.corpus import LabeledUtterance, utterance_windows
+from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
 from rawphone.net import (
     NetworkConfig,
@@ -67,6 +68,22 @@ class TestComputeEmissions:
         assert (~rows.any(axis=1)).sum() >= 5  # constant windows: std == 0
         assert_matches_loop(utt, init_params(raw_config(DEFAULT), 2), HOP)
 
+    def test_constant_float64_waveform_gives_bias(self):
+        cfg = raw_config(DEFAULT)
+        params = init_params(cfg, 3, dtype=np.float64)
+        assert np.full(1600, 0.3).mean() != 0.3  # the mean is off by an ulp
+        utt = LabeledUtterance("c", SegmentAnnotation(((0, 8000, "a"),)),
+                               waveform=Waveform(np.full(8000, 0.3), 16000))
+        rows = extract_windows(utt.waveform, FrameGrid.for_length(8000, HOP, 1600))
+        constant = ~rows.any(axis=1)
+        assert constant.sum() >= 30
+        got = compute_emissions(utt, params, HOP)
+        expected = score_windows(rows[:, :, None], params)
+        assert np.abs(got - expected).max() <= TOL
+        # every constant window scores like an all-zero window
+        zero = forward_pass(np.zeros((1600, 1)), params)[0]
+        assert np.abs(got[constant] - zero).max() <= TOL
+
     def test_offset_position_grid(self):
         # (hop // 2) % shift == 16: stage-0 positions sit off the sample-0 grid
         cfg = raw_config(((160, 32, 3), (5, 1, 3)))
@@ -110,8 +127,9 @@ class TestComputeEmissions:
         params = init_params(cfg, 8)
         utt = raw_utterance(100, 8, silent=(0, 0))
         assert compute_emissions(utt, params, HOP).shape == (0, 5)
+        message = r"^utterance of 100 samples is shorter than one hop \(160 samples\)$"
         for decoder in ("argmax", "crf", "hmm"):
-            with pytest.raises(ValueError):
+            with pytest.raises(DataError, match=message):
                 _decode_utterance(utt, params, np.zeros((5, 5)), decoder, HOP, 3, list("abcde"))
 
 

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from rawphone.cli import main
 from rawphone.errors import DataError
 from rawphone.model_io import MAGIC, load_model, save_model
 from rawphone.net import NetworkConfig, StageConfig, forward_pass, init_params
@@ -69,3 +73,81 @@ class TestModelRoundTrip:
     def test_file_starts_with_magic(self, tmp_path):
         save_model(tmp_path / "m.rcn", small_params(), list("abcd"))
         assert (tmp_path / "m.rcn").read_bytes()[:4] == MAGIC
+
+
+def write_raw(path, header, arrays):
+    """A model file with an arbitrary header and tensor payload."""
+    blob = json.dumps(header).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def saved_parts(tmp_path, transitions=None):
+    """Header and tensors of a valid saved model, to be tampered with."""
+    params = small_params()
+    save_model(tmp_path / "ok.rcn", params, list("abcd"), transitions=transitions)
+    data = (tmp_path / "ok.rcn").read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    arrays = [t for _n, t in params.named_tensors()]
+    if transitions is not None:
+        arrays.append(transitions)
+    return json.loads(data[8 : 8 + hlen]), arrays
+
+
+class TestMalformedModel:
+    def test_file_shorter_than_preamble(self, tmp_path):
+        (tmp_path / "m.rcn").write_bytes(MAGIC + b"\x01\x02")
+        with pytest.raises(DataError, match="preamble"):
+            load_model(tmp_path / "m.rcn")
+
+    @pytest.mark.parametrize("key", ["config", "tensors", "alphabet", "metadata"])
+    def test_header_key_missing(self, tmp_path, key):
+        header, arrays = saved_parts(tmp_path)
+        del header[key]
+        write_raw(tmp_path / "m.rcn", header, arrays if key != "tensors" else [])
+        with pytest.raises(DataError, match=f"lacks {key}"):
+            load_model(tmp_path / "m.rcn")
+
+    @pytest.mark.parametrize("key", ["config", "tensors", "alphabet", "metadata"])
+    def test_header_field_of_wrong_kind(self, tmp_path, key):
+        header, arrays = saved_parts(tmp_path)
+        header[key] = 7
+        write_raw(tmp_path / "m.rcn", header, arrays)
+        with pytest.raises(DataError, match=f"field {key} is not"):
+            load_model(tmp_path / "m.rcn")
+
+    def test_tensor_shape_disagrees_with_config(self, tmp_path):
+        header, arrays = saved_parts(tmp_path)
+        header["config"]["hidden_units"] = 3  # tensors were saved for 6
+        write_raw(tmp_path / "m.rcn", header, arrays)
+        with pytest.raises(DataError, match="hidden.weight has shape"):
+            load_model(tmp_path / "m.rcn")
+
+    def test_transitions_not_k_by_k(self, tmp_path):
+        header, arrays = saved_parts(tmp_path, transitions=np.zeros((4, 4), np.float32))
+        header["tensors"][-1]["shape"] = [2, 8]
+        write_raw(tmp_path / "m.rcn", header, arrays)
+        with pytest.raises(DataError, match="crf.A has shape"):
+            load_model(tmp_path / "m.rcn")
+
+    def test_alphabet_size_differs_from_num_classes(self, tmp_path):
+        header, arrays = saved_parts(tmp_path)
+        header["alphabet"] = ["a", "b", "c"]
+        write_raw(tmp_path / "m.rcn", header, arrays)
+        with pytest.raises(DataError, match="alphabet of 3 labels for 4 classes"):
+            load_model(tmp_path / "m.rcn")
+
+    def test_non_finite_weight(self, tmp_path):
+        params = small_params()
+        params.conv[1].weight[0, 0] = np.nan
+        save_model(tmp_path / "m.rcn", params, list("abcd"))
+        with pytest.raises(DataError, match="stage1.weight holds non-finite"):
+            load_model(tmp_path / "m.rcn")
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        (tmp_path / "m.rcn").write_bytes(MAGIC)
+        (tmp_path / "test.tsv").write_text("")
+        rc = main(["decode", "--manifest", str(tmp_path / "test.tsv"),
+                   "--model", str(tmp_path / "m.rcn"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "preamble" in capsys.readouterr().err

@@ -110,14 +110,17 @@ class TestStageForward:
     def test_cache_records_single_window_for_backward(self):
         cfg = NetworkConfig(20, 1, (StageConfig(4, 2, 3, 2),), 5, 3)
         params = init_params(cfg, 0, dtype=np.float64)
-        x = np.random.default_rng(8).normal(size=(1, 20, 1))
-        _, cache = forward_pass(x[0], params)
-        assert cache.stage_windows[0].shape == (9, 4)
-        assert cache.stage_conv_frames == [9]
-        assert cache.stage_pool_arg[0].shape == (4, 3)
-        np.testing.assert_array_equal(
-            cache.stage_tanh_out[0], stage_forward(x, params.conv[0], 2)[0]
-        )
+        # a silent window ties every pool block: the first maximum must win
+        for x in (np.random.default_rng(8).normal(size=(1, 20, 1)), np.zeros((1, 20, 1))):
+            _, cache = forward_pass(x[0], params)
+            stage = cache.plan.stages[0]
+            assert stage.windows.shape == (9, 4)
+            assert stage.conv.shape == (9, 3)
+            assert stage.winner.shape == (4, 3)
+            np.testing.assert_array_equal(stage.out, stage_forward(x, params.conv[0], 2)[0])
+            _, arg = maxpool_forward(stage.conv, 2)
+            expected = (np.arange(4)[:, None] * 2 + arg) * 3 + np.arange(3)
+            np.testing.assert_array_equal(stage.winner, expected)
 
     def test_non_batch_input_rejected(self):
         with pytest.raises(ValueError, match="batch"):
