@@ -271,14 +271,24 @@ def cmd_train(args):
         garbage_index = label_to_index[garbage] if garbage else None
         crf_data = []
         for utt in train_utts:
+            if utterance_grid(utt, net_config.input_frames, hop).num_frames == 0:
+                continue  # shorter than one hop: no frames, no transitions
             emissions = compute_emissions(utt, best, hop)
             labels = utterance_frame_labels(
                 utt, net_config.input_frames, hop, label_to_index, garbage_index
             )
             crf_data.append((emissions, labels))
+
+        def report(epoch, ll, seconds):
+            print(
+                f"crf epoch {epoch}/{cfg['crf_epochs']}: log-likelihood {ll:.6f}, "
+                f"{seconds:.2f} s",
+                file=sys.stderr,
+            )
+
         transitions = train_transitions(
-            crf_data, len(alphabet),
-            lr=cfg["crf_lr"], epochs=cfg["crf_epochs"], seed=cfg["seed"],
+            crf_data, len(alphabet), lr=cfg["crf_lr"], epochs=cfg["crf_epochs"],
+            seed=cfg["seed"], on_epoch=report,
         ).transitions
 
     out.mkdir(parents=True, exist_ok=True)

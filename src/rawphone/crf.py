@@ -1,25 +1,22 @@
 """Linear-chain CRF over network emission scores.
 
-Emissions are raw pre-softmax scores; the softmax lives over whole label
-paths. A path's score is the sum of its per-frame emissions plus a
-transition score A[i, j] for each move from label j to label i; the t=1
-frame contributes no transition term (no start-state vector). All
-dynamic programs run in log space, float64.
-
-Viterbi and path_score accumulate in the same order, so the decoded
-path's reported score equals the exhaustive-enumeration maximum exactly,
-not merely within rounding.
+A path's score is its per-frame emissions (raw pre-softmax scores) plus
+A[i, j] for each move from label j to label i, none at t=1 (no start-state
+vector); the softmax is over whole paths. Viterbi works in log space and
+adds in path_score's order, so its score is the enumeration maximum
+exactly; the sum-product quantities come from one scaled forward-backward.
+All float64.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .training import logadd
 
 
-def _check(emissions, transitions):
+def _check(emissions, transitions, path=None):
     e = np.asarray(emissions, dtype=np.float64)
     a = np.asarray(transitions, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] < 1:
@@ -27,17 +24,40 @@ def _check(emissions, transitions):
     k = e.shape[1]
     if a.shape != (k, k):
         raise ValueError(f"transition matrix must be {k} x {k}, got {a.shape}")
-    return e, a
+    if path is None:
+        return e, a
+    y = np.asarray(path, dtype=np.int64)
+    if y.shape != (e.shape[0],) or y.min() < 0 or y.max() >= k:
+        raise ValueError(f"path must be {e.shape[0]} labels in [0, {k}), got {y.shape}")
+    return e, a, y
+
+
+def _sum_product(e, a, where=""):
+    """(alpha, beta, w, q, log Z) by forward-backward on p = exp(e - rowmax e)
+    and q = exp(A - max A), alpha_t scaled to sum 1 by c_t; a zero or NaN c_t or
+    non-finite w (non-finite or underflowing scores) is a DivergenceError. Node
+    marginals: alpha * beta; pairwise at t: q * outer(w[t-1], alpha[t-1])."""
+    top, a_top = e.max(axis=1), a.max()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = np.exp(e - top[:, None])
+        q = np.exp(a - a_top)
+        alpha, c = p.copy(), np.empty(len(p))
+        for t, row in enumerate(alpha):
+            row *= q @ alpha[t - 1] if t else 1.0
+            c[t] = s = np.add.reduce(row)
+            row /= s
+        pc, beta, qt = p / c[:, None], np.ones_like(p), q.T.copy()
+        for t in range(len(p) - 1, 0, -1):  # beta_t = ((p_t+1 * beta_t+1) @ q) / c_t+1
+            beta[t - 1] = qt @ (pc[t] * beta[t])
+        w = pc[1:] * beta[1:]
+    if not (c.min() > 0.0 and np.isfinite(w).all()):
+        raise DivergenceError(f"zero or non-finite forward-backward normaliser{where}")
+    return alpha, beta, w, q, float(np.log(c).sum() + top.sum() + (len(p) - 1) * a_top)
 
 
 def path_score(emissions, transitions, path):
     """Score of one label path: emissions plus transition terms from t=2 on."""
-    e, a = _check(emissions, transitions)
-    y = np.asarray(path, dtype=np.int64)
-    if y.shape != (e.shape[0],):
-        raise ValueError(f"path length {y.shape} != sequence length {e.shape[0]}")
-    if y.min() < 0 or y.max() >= e.shape[1]:
-        raise ValueError("path label out of range")
+    e, a, y = _check(emissions, transitions, path)
     s = e[0, y[0]]
     for t in range(1, len(y)):
         s = s + a[y[t], y[t - 1]]
@@ -46,12 +66,8 @@ def path_score(emissions, transitions, path):
 
 
 def log_partition(emissions, transitions):
-    """logadd of path_score over all K^T paths, by the forward recursion."""
-    e, a = _check(emissions, transitions)
-    alpha = e[0].copy()
-    for t in range(1, e.shape[0]):
-        alpha = e[t] + logadd(alpha[None, :] + a, axis=1)
-    return logadd(alpha)
+    """log of the summed exp(path_score) over all K^T paths, by the forward recursion."""
+    return _sum_product(*_check(emissions, transitions))[-1]
 
 
 def crf_log_likelihood(emissions, transitions, path):
@@ -81,45 +97,24 @@ def viterbi(emissions, transitions):
 
 
 def forward_backward(emissions, transitions):
-    """Exact posteriors under the path softmax.
-
-    Returns (node, pairwise): node is T x K with rows summing to 1;
-    pairwise is (T-1) x K x K where pairwise[t-1][i, j] is the posterior
-    probability of label j at t-1 followed by label i at t.
-    """
-    e, a = _check(emissions, transitions)
-    t_len, k = e.shape
-    log_alpha = np.zeros((t_len, k))
-    log_alpha[0] = e[0]
-    for t in range(1, t_len):
-        log_alpha[t] = e[t] + logadd(log_alpha[t - 1][None, :] + a, axis=1)
-    log_beta = np.zeros((t_len, k))
-    for t in range(t_len - 2, -1, -1):
-        log_beta[t] = logadd(log_beta[t + 1][:, None] + a + e[t + 1][:, None], axis=0)
-    log_z = logadd(log_alpha[-1])
-
-    node = np.exp(log_alpha + log_beta - log_z)
-    pairwise = np.empty((t_len - 1, k, k))
-    for t in range(1, t_len):
-        pairwise[t - 1] = np.exp(
-            log_alpha[t - 1][None, :] + a + (e[t] + log_beta[t])[:, None] - log_z
-        )
-    return node, pairwise
+    """Exact posteriors under the path softmax: node (T x K) and pairwise, where
+    pairwise[t-1][i, j] is the probability of label j at t-1 followed by i at t."""
+    alpha, beta, w, q, _log_z = _sum_product(*_check(emissions, transitions))
+    return alpha * beta, q * (w[:, :, None] * alpha[:-1, None, :])
 
 
 def transition_counts(path, num_classes):
     """counts[i, j] = number of j -> i moves in the path."""
     y = np.asarray(path, dtype=np.int64)
-    counts = np.zeros((num_classes, num_classes))
-    np.add.at(counts, (y[1:], y[:-1]), 1.0)
-    return counts
+    flat = np.bincount(y[1:] * num_classes + y[:-1], minlength=num_classes * num_classes)
+    return flat.reshape(num_classes, num_classes).astype(np.float64)
 
 
 def transition_gradient(emissions, transitions, path):
     """d crf_log_likelihood / d A: observed minus expected transition counts."""
-    e, a = _check(emissions, transitions)
-    _node, pairwise = forward_backward(e, a)
-    return transition_counts(path, e.shape[1]) - pairwise.sum(axis=0)
+    e, a, y = _check(emissions, transitions, path)
+    alpha, _beta, w, q, _log_z = _sum_product(e, a)
+    return transition_counts(y, e.shape[1]) - q * (w.T @ alpha[:-1])
 
 
 @dataclass
@@ -128,27 +123,33 @@ class TransitionTrainResult:
     history: list  # (epoch, mean log-likelihood)
 
 
-def train_transitions(dataset, num_classes, lr=0.1, epochs=10, seed=0, shuffle=True):
+def train_transitions(dataset, num_classes, lr=0.1, epochs=10, seed=0, shuffle=True,
+                      on_epoch=None):
     """Gradient ascent on the path log-likelihood, network frozen.
 
     `dataset` is a sequence of (emissions, path) pairs with emissions
     precomputed. A starts at zeros, so an untrained CRF decodes exactly
-    like frame-independent argmax. Deterministic given the seed.
-    """
+    like frame-independent argmax. Deterministic given the seed. History rows
+    take each utterance's log-likelihood under the A its gradient came from,
+    before the update, as train_network's history does; `on_epoch(epoch,
+    log_likelihood, seconds)` is called after each epoch."""
     if len(dataset) == 0:
         raise ValueError("empty transition-training dataset")
     a = np.zeros((num_classes, num_classes))
     rng = np.random.Generator(np.random.PCG64(seed))
     history = []
     for epoch in range(1, epochs + 1):
+        start = time.perf_counter()
         order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
         ll_sum = 0.0
         for u in order:
-            emissions, path = dataset[u]
-            grad = transition_gradient(emissions, a, path)
-            if not np.isfinite(grad).all():
-                raise DivergenceError(f"non-finite transition gradient at utterance {u}")
+            e, _, y = _check(dataset[u][0], a, dataset[u][1])
+            alpha, _beta, w, q, log_z = _sum_product(e, a, f" at utterance {u}")
+            observed = transition_counts(y, num_classes)
+            grad = observed - q * (w.T @ alpha[:-1])
+            ll_sum += e[np.arange(len(y)), y].sum() + (observed * a).sum() - log_z
             a += lr * grad
-            ll_sum += crf_log_likelihood(emissions, a, path)
         history.append((epoch, ll_sum / len(dataset)))
+        if on_epoch is not None:
+            on_epoch(epoch, history[-1][1], time.perf_counter() - start)
     return TransitionTrainResult(a, history)

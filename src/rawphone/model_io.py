@@ -8,6 +8,7 @@ byte-identical files; a save/load/save round trip is bitwise exact.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -43,6 +44,19 @@ def save_model(path, params, alphabet, metadata=None, transitions=None):
             f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers_only(node):
+    """True when every leaf of a JSON tree is an integer (not a bool or float)."""
+    if isinstance(node, dict):
+        return all(_integers_only(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_integers_only(v) for v in node)
+    return _is_int(node)
+
+
 def load_model(path):
     """Read a model file.
 
@@ -71,6 +85,8 @@ def load_model(path):
         if not isinstance(header[key], kind):
             raise DataError(f"{path}: model header field {key} is not a JSON {kind.__name__}")
     try:
+        if not _integers_only(header["config"]):
+            raise ValueError("config values must be integers")
         config = NetworkConfig.from_dict(header["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: bad network config: {e!r}") from e
@@ -79,12 +95,12 @@ def load_model(path):
     arrays = {}
     for desc in header["tensors"]:
         try:
-            name, shape = desc["name"], tuple(int(n) for n in desc["shape"])
-            if min(shape, default=0) < 0:
-                raise ValueError("negative dimension")
+            name, shape = desc["name"], tuple(desc["shape"])
+            if not isinstance(name, str) or not all(_is_int(n) and n >= 0 for n in shape):
+                raise ValueError("a tensor needs a string name and non-negative integer dimensions")
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: bad tensor descriptor {desc!r}") from e
-        end = offset + 4 * int(np.prod(shape, dtype=np.int64))
+        end = offset + 4 * math.prod(shape)
         if end > len(data):
             raise DataError(f"{path}: truncated tensor {name}")
         arrays[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
@@ -106,6 +122,8 @@ def load_model(path):
     alphabet, metadata = header["alphabet"], header["metadata"]
     if len(alphabet) != k:
         raise DataError(f"{path}: alphabet of {len(alphabet)} labels for {k} classes")
+    if not all(isinstance(label, str) for label in alphabet):
+        raise DataError(f"{path}: alphabet labels must be strings")
 
     conv = [
         ConvLayerParams(arrays[f"stage{i}.weight"], arrays[f"stage{i}.bias"],

@@ -1,9 +1,11 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately brute force (enumeration, finite
-differences, naive DFT) or, for the SGD step, the plain per-call code the
-library's step plan must reproduce bit for bit; none of it shares code
-with the library paths it checks.
+differences, naive DFT), or the plainer code a faster library path
+replaced: the per-call SGD step the step plan must reproduce bit for
+bit, and the log-space CRF sum-product the scaled forward-backward must
+match within rounding. None of it shares code with the library paths it
+checks.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from rawphone.errors import DivergenceError
-from rawphone.training import frame_log_likelihood, loglik_score_gradient
+from rawphone.training import frame_log_likelihood, logadd, loglik_score_gradient
 
 
 # --- network shapes ---------------------------------------------------------
@@ -263,6 +265,83 @@ def crf_enum_marginals(emissions, transitions):
         for t in range(1, t_len):
             pairwise[t - 1, p[t], p[t - 1]] += w
     return node, pairwise
+
+
+# --- log-space CRF sum-product ---------------------------------------------
+#
+# The log-space recursions the scaled forward-backward replaced, kept
+# verbatim (renamed): logadd over a K x K matrix per frame, the full
+# (T-1) x K x K pairwise tensor summed over t, and training whose history
+# re-runs the forward DP after each update.
+
+
+def reference_log_partition(emissions, transitions):
+    e = np.asarray(emissions, dtype=np.float64)
+    a = np.asarray(transitions, dtype=np.float64)
+    alpha = e[0].copy()
+    for t in range(1, e.shape[0]):
+        alpha = e[t] + logadd(alpha[None, :] + a, axis=1)
+    return logadd(alpha)
+
+
+def reference_forward_backward(emissions, transitions):
+    e = np.asarray(emissions, dtype=np.float64)
+    a = np.asarray(transitions, dtype=np.float64)
+    t_len, k = e.shape
+    log_alpha = np.zeros((t_len, k))
+    log_alpha[0] = e[0]
+    for t in range(1, t_len):
+        log_alpha[t] = e[t] + logadd(log_alpha[t - 1][None, :] + a, axis=1)
+    log_beta = np.zeros((t_len, k))
+    for t in range(t_len - 2, -1, -1):
+        log_beta[t] = logadd(log_beta[t + 1][:, None] + a + e[t + 1][:, None], axis=0)
+    log_z = logadd(log_alpha[-1])
+
+    node = np.exp(log_alpha + log_beta - log_z)
+    pairwise = np.empty((t_len - 1, k, k))
+    for t in range(1, t_len):
+        pairwise[t - 1] = np.exp(
+            log_alpha[t - 1][None, :] + a + (e[t] + log_beta[t])[:, None] - log_z
+        )
+    return node, pairwise
+
+
+def reference_transition_counts(path, num_classes):
+    y = np.asarray(path, dtype=np.int64)
+    counts = np.zeros((num_classes, num_classes))
+    np.add.at(counts, (y[1:], y[:-1]), 1.0)
+    return counts
+
+
+def reference_transition_gradient(emissions, transitions, path):
+    e = np.asarray(emissions, dtype=np.float64)
+    _node, pairwise = reference_forward_backward(e, transitions)
+    return reference_transition_counts(path, e.shape[1]) - pairwise.sum(axis=0)
+
+
+def reference_crf_log_likelihood(emissions, transitions, path):
+    return crf_path_score_seq(emissions, transitions, path) - reference_log_partition(
+        emissions, transitions
+    )
+
+
+def reference_train_transitions(dataset, num_classes, lr=0.1, epochs=10, seed=0, shuffle=True):
+    """(A, history); history rows take each utterance after its own update."""
+    a = np.zeros((num_classes, num_classes))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    history = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
+        ll_sum = 0.0
+        for u in order:
+            emissions, path = dataset[u]
+            grad = reference_transition_gradient(emissions, a, path)
+            if not np.isfinite(grad).all():
+                raise DivergenceError(f"non-finite transition gradient at utterance {u}")
+            a += lr * grad
+            ll_sum += reference_crf_log_likelihood(emissions, a, path)
+        history.append((epoch, ll_sum / len(dataset)))
+    return a, history
 
 
 # --- minimum-duration decoding ----------------------------------------------

@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -95,7 +98,7 @@ class TestTrain:
         capsys.readouterr()
         assert run(argv) == 0
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
+        lines = [line for line in captured.err.splitlines() if line.startswith("epoch ")]
         rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
         assert len(lines) == len(rows) == 2
         for line, row in zip(lines, rows):
@@ -107,6 +110,46 @@ class TestTrain:
         # progress output leaves the artifacts as they were
         assert (tmp_path / "model.rcn").read_bytes() == (trained / "model.rcn").read_bytes()
         assert (tmp_path / "history.csv").read_bytes() == (trained / "history.csv").read_bytes()
+
+    def test_one_crf_progress_line_per_crf_epoch(self, corpus, tmp_path, capsys):
+        argv = ["train", "--train-manifest", corpus / "train.jsonl",
+                "--cv-manifest", corpus / "cv.jsonl", *SMALL_NET,
+                "--lr", "3e-4", "--epochs", "1", "--crf-epochs", "3", "--seed", "0"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stderr(devnull):
+            assert run([*argv, "--out", tmp_path / "quiet"]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--out", tmp_path / "loud"]) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.startswith("crf ")]
+        assert len(lines) == 3
+        for epoch, line in enumerate(lines, 1):
+            assert re.fullmatch(
+                rf"crf epoch {epoch}/3: log-likelihood -\d+\.\d{{6}}, \d+\.\d\d s", line
+            ), line
+        assert "crf epoch" not in captured.out
+        for name in ("model.rcn", "history.csv"):
+            assert (tmp_path / "loud" / name).read_bytes() == (
+                tmp_path / "quiet" / name
+            ).read_bytes(), name
+
+    def test_utterance_shorter_than_one_hop_is_skipped(self, corpus, tmp_path):
+        # 100 samples at the default 160-sample hop: no frames, no transitions
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        write_wav(data / "wav" / "short.wav", Waveform(np.zeros(100), 16000))
+        write_labels(data / "labels" / "short.txt", SegmentAnnotation(((0, 100, "c0"),)))
+        with open(data / "train.jsonl", "a", encoding="utf-8") as f:
+            f.write(json.dumps({"id": "short", "wav": "wav/short.wav",
+                                "labels": "labels/short.txt"}) + "\n")
+        assert run(["train", "--train-manifest", data / "train.jsonl",
+                    "--cv-manifest", data / "cv.jsonl", "--out", tmp_path / "r",
+                    *SMALL_NET, "--lr", "3e-4", "--epochs", "1", "--crf-epochs", "2",
+                    "--seed", "0"]) == 0
+        _params, alphabet, _metadata, transitions = load_model(tmp_path / "r" / "model.rcn")
+        assert transitions.shape == (len(alphabet), len(alphabet))
+        assert np.abs(transitions).max() > 0.0
 
     def test_config_file_flags_and_overrides(self, corpus, tmp_path):
         cfg_file = tmp_path / "base.json"

@@ -11,6 +11,7 @@ from rawphone.crf import (
     transition_gradient,
     viterbi,
 )
+from rawphone.errors import DivergenceError
 
 from oracles import (
     crf_enum_marginals,
@@ -18,6 +19,10 @@ from oracles import (
     crf_enum_viterbi,
     max_rel_error,
     numeric_gradient_inplace,
+    reference_forward_backward,
+    reference_log_partition,
+    reference_train_transitions,
+    reference_transition_gradient,
 )
 
 # worked two-frame instance used across several tests
@@ -277,3 +282,83 @@ class TestTrainTransitions:
         a1 = train_transitions(data, 3, lr=0.05, epochs=4, seed=7).transitions
         a2 = train_transitions(data, 3, lr=0.05, epochs=4, seed=7).transitions
         assert a1.tobytes() == a2.tobytes()
+
+
+def k39_dataset(seed=39, utterances=12):
+    """K = 39 utterances of 100-400 frames with scale-5 emissions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = []
+    for _ in range(utterances):
+        t = int(rng.integers(100, 401))
+        data.append((rng.normal(scale=5.0, size=(t, 39)), rng.integers(39, size=t)))
+    return data
+
+
+class TestScaledRecursionAgainstLogSpace:
+    """The scaled forward-backward against the log-space reference code."""
+
+    def test_trained_transitions_match_reference(self):
+        data = k39_dataset()
+        result = train_transitions(data, 39, lr=0.05, epochs=3, seed=0)
+        reference, _history = reference_train_transitions(data, 39, lr=0.05, epochs=3, seed=0)
+        assert np.abs(result.transitions - reference).max() <= 1e-9
+
+    def test_wide_range_partition_and_marginals(self):
+        # A spans 60 nats and emissions have scale 20: path scores run into
+        # the thousands, far outside exp's range without the rescaling
+        rng = np.random.Generator(np.random.PCG64(30))
+        for k in (5, 39):
+            e = rng.normal(scale=20.0, size=(200, k))
+            a = rng.uniform(-30.0, 30.0, size=(k, k))
+            ref_z = reference_log_partition(e, a)
+            assert log_partition(e, a) == pytest.approx(ref_z, rel=1e-8)
+            node, pairwise = forward_backward(e, a)
+            ref_node, ref_pair = reference_forward_backward(e, a)
+            np.testing.assert_allclose(node, ref_node, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(pairwise, ref_pair, rtol=1e-8, atol=0)
+            y = rng.integers(k, size=200)
+            np.testing.assert_allclose(
+                transition_gradient(e, a, y), reference_transition_gradient(e, a, y),
+                rtol=1e-8, atol=1e-9,
+            )
+
+    def test_history_is_pre_update_mean_log_likelihood(self):
+        data = k39_dataset(seed=40, utterances=5)
+        result = train_transitions(data, 39, lr=0.05, epochs=3, seed=2)
+        # replay the same visiting order with the reference gradient,
+        # taking each utterance's likelihood before its update
+        rng = np.random.Generator(np.random.PCG64(2))
+        a = np.zeros((39, 39))
+        for epoch, ll in result.history:
+            lls = []
+            for u in rng.permutation(len(data)):
+                e, y = data[u]
+                lls.append(crf_log_likelihood(e, a, y))
+                a += 0.05 * reference_transition_gradient(e, a, y)
+            assert ll == pytest.approx(np.mean(lls), abs=1e-9), f"epoch {epoch}"
+
+    def test_on_epoch_reports_each_history_row(self):
+        data = k39_dataset(seed=41, utterances=2)
+        seen = []
+        result = train_transitions(
+            data, 39, lr=0.05, epochs=3, on_epoch=lambda *row: seen.append(row)
+        )
+        assert [(e, ll) for e, ll, _s in seen] == result.history
+        assert all(s >= 0.0 for _e, _ll, s in seen)
+
+    def test_nan_emissions_raise_divergence(self):
+        data = k39_dataset(seed=42, utterances=3)
+        data[1][0][7, 3] = np.nan
+        with pytest.raises(DivergenceError, match="utterance 1"):
+            train_transitions(data, 39, lr=0.05, epochs=1, shuffle=False)
+        with pytest.raises(DivergenceError):
+            log_partition(data[1][0], np.zeros((39, 39)))
+
+    def test_underflowing_transition_range_raises_divergence(self):
+        # every move out of label 0 or 1 costs e^-2000 against the best
+        # entry: each normaliser underflows to zero
+        e = np.array([[0.0, -np.inf, -np.inf], [-np.inf, 0.0, -np.inf]])
+        a = np.full((3, 3), -2000.0)
+        a[2, 2] = 0.0
+        with pytest.raises(DivergenceError):
+            forward_backward(e, a)

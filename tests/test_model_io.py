@@ -151,3 +151,93 @@ class TestMalformedModel:
                    "--model", str(tmp_path / "m.rcn"), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "preamble" in capsys.readouterr().err
+
+
+NASTY_VALUES = [-1, 0, 1, 3, 2**40, 10**30, 1e300, 24.0, 2.5, "4", "", None, True, False,
+                [], {}, [2, 2], [-1], [2**33, 2**33], float("nan"), float("inf")]
+
+
+def _json_paths(node, prefix=()):
+    """Every (path, value) of a JSON tree, containers included."""
+    yield prefix, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _edit_header(header, rng):
+    """A copy of `header` with one value replaced, one key dropped or one key added."""
+    header = json.loads(json.dumps(header))
+    paths = [p for p, _v in _json_paths(header) if p]
+    path = paths[int(rng.integers(len(paths)))]
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    action = int(rng.integers(3))
+    if action == 0:
+        parent[path[-1]] = NASTY_VALUES[int(rng.integers(len(NASTY_VALUES)))]
+    elif action == 1 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["extra"] = NASTY_VALUES[int(rng.integers(len(NASTY_VALUES)))]
+    else:
+        parent.append(NASTY_VALUES[int(rng.integers(len(NASTY_VALUES)))])
+    return header, f"header edit {action} at {path}"
+
+
+def _mutate(data, header, payload, rng):
+    """One seeded mutation of a valid model file: (bytes, description)."""
+    kind = int(rng.integers(5))
+    n = len(data)
+    if kind == 0:
+        # flip a bit, in the preamble and header half of the time
+        limit = 8 + len(json.dumps(header)) if rng.random() < 0.5 else n
+        pos, bit = int(rng.integers(limit)), int(rng.integers(8))
+        out = bytearray(data)
+        out[pos] ^= 1 << bit
+        return bytes(out), f"bit {bit} of byte {pos} flipped"
+    if kind == 1:
+        cut = int(rng.integers(n))
+        return data[:cut], f"truncated to {cut} bytes"
+    if kind == 2:
+        pos, extra = int(rng.integers(n + 1)), rng.bytes(int(rng.integers(1, 9)))
+        return data[:pos] + extra + data[pos:], f"{extra!r} inserted at {pos}"
+    if kind == 3:
+        pos = int(rng.integers(n))
+        span = int(rng.integers(1, 9))
+        return data[:pos] + data[pos + span:], f"{span} bytes deleted at {pos}"
+    edited, what = _edit_header(header, rng)
+    blob = json.dumps(edited).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload, what
+
+
+class TestModelFuzz:
+    def test_mutated_files_load_and_run_or_raise_data_error(self, tmp_path):
+        params = small_params(11)
+        transitions = np.random.default_rng(3).normal(size=(4, 4)).astype(np.float32)
+        save_model(tmp_path / "ok.rcn", params, list("abcd"), {"sample_rate": 16000},
+                   transitions)
+        data = (tmp_path / "ok.rcn").read_bytes()
+        (hlen,) = struct.unpack("<I", data[4:8])
+        header, payload = json.loads(data[8 : 8 + hlen]), data[8 + hlen :]
+        rng = np.random.Generator(np.random.PCG64(2024))
+        loaded_count = 0
+        for i in range(400):
+            mutated, what = _mutate(data, header, payload, rng)
+            path = tmp_path / f"m{i % 4}.rcn"
+            path.write_bytes(mutated)
+            try:
+                loaded, _alphabet, _metadata, _a = load_model(path)
+            except DataError:
+                continue
+            except Exception as e:  # noqa: BLE001 - any other type is the failure
+                pytest.fail(f"mutation {i} ({what}): {type(e).__name__}: {e}")
+            config = loaded.config
+            try:
+                forward_pass(np.zeros((config.input_frames, config.input_dim), np.float32), loaded)
+            except Exception as e:  # noqa: BLE001
+                pytest.fail(f"mutation {i} ({what}) loaded but forward_pass failed: {e!r}")
+            loaded_count += 1
+        # both outcomes occur: the mutations reach past the first check
+        assert 0 < loaded_count < 400
