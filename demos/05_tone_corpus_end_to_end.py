@@ -17,7 +17,6 @@ from rawphone.corpus import (
     build_frame_dataset,
     collect_alphabet,
     cycle_bias,
-    reference_sequence,
     synth_corpus,
     utterance_frame_labels,
 )
@@ -70,7 +69,7 @@ graph = build_duration_graph(len(alphabet), min_duration=3)
 totals = {"argmax": [0, 0], "hmm": [0, 0], "crf": [0, 0]}
 for utt in test_utts:
     e = compute_emissions(utt, best, HOP)
-    ref = [label_to_index[l] for l in reference_sequence(utt)]
+    ref = collapse_path([label_to_index[l] for l in utt.annotation.labels()])
     hyps = {"argmax": collapse_path(list(e.argmax(axis=1)))}
     hyps["hmm"] = hmm_decode(softmax(e), graph).phonemes
     hyps["crf"] = collapse_path(list(viterbi(e, transitions)[0]))

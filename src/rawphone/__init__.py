@@ -43,9 +43,7 @@ from .net import (
     stage_forward,
 )
 from .scoring import (
-    LabelAlphabet,
     collapse_path,
-    frame_accuracy,
     levenshtein,
     map_labels,
     phoneme_accuracy,

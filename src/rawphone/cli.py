@@ -1,8 +1,12 @@
 """Operator surface: subcommands wiring the library into full experiments.
 
 Subcommands: synth, train, grid, decode, eval, filters, ablate-pool,
-check-grad. Common flags: --seed, --config <json>, --out <dir>. Flags
-beat config-file values; the fully resolved configuration is echoed to
+check-grad. Common flags: --config <json>, --out <dir>. Every other
+option is a key of the subcommand's defaults table: its flag is `--`
+plus the key with `_` as `-`, its type is the default's type, and a bool
+defaulting to True is turned off by `--no-<key>` (False: on by
+`--<key>`). Flags beat config-file values, which are checked against the
+same table; the fully resolved configuration is echoed to
 <out>/resolved.json. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numeric/divergence error. Identical invocations produce byte-identical
 outputs.
@@ -23,7 +27,7 @@ from .corpus import (
     cycle_bias,
     load_manifest,
     load_utterance,
-    reference_sequence,
+    read_labels,
     synth_corpus,
     utterance_frame_labels,
     utterance_grid,
@@ -50,6 +54,7 @@ from .scoring import collapse_path, levenshtein, map_labels, read_mapping
 from .training import (
     GridSpec,
     TrainConfig,
+    frame_log_likelihood,
     grid_search,
     history_csv_lines,
     loglik_score_gradient,
@@ -57,6 +62,16 @@ from .training import (
 )
 
 DEFAULT_STAGES = "160:10:3,5:1:3,9:1:3"
+
+CHOICES = {"decoder": ("argmax", "crf", "hmm")}
+
+HELP = {
+    "stages": "per-stage kernel:shift:pool, comma separated",
+    "cycle_bias": "favor class (k+1) mod K by this factor, forbid self",
+    "mapping": "label mapping file: `source target` lines",
+    "configs": "number of random configurations",
+    "corrupt": "test hook: perturb this analytic tensor",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,21 +102,38 @@ def _float_list(text):
 def _resolve(args, defaults):
     """Merge defaults, --config file values, and explicit flags (flags win)."""
     merged = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as f:
             try:
                 file_values = json.load(f)
             except json.JSONDecodeError as e:
                 raise DataError(f"{args.config}: bad JSON: {e}") from e
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        _check_config(args.config, file_values, defaults)
         merged.update(file_values)
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _check_config(path, values, defaults):
+    """Config-file values must have their default's type: a usage error if not.
+
+    A float option also takes an int, kept as given.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: config must be a JSON object, got {json.dumps(values)}")
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in values.items():
+        kind = type(defaults[key])
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ValueError(f"{path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ValueError(f"{path}: {key} must be one of {list(CHOICES[key])}, got {value!r}")
 
 
 def _echo_resolved(out_dir, subcommand, resolved):
@@ -119,16 +151,41 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _load_split(manifest, feature_dim=None, raw_sample_rate=None):
-    refs = load_manifest(manifest)
-    return [load_utterance(r, feature_dim, raw_sample_rate) for r in refs]
-
-
 def _corpus_sample_rate(utterances):
     rates = {u.waveform.sample_rate for u in utterances if u.waveform is not None}
     if len(rates) > 1:
         raise DataError(f"mixed sample rates in corpus: {sorted(rates)}")
     return rates.pop() if rates else None
+
+
+def _load_data(cfg, *manifests):
+    """Load the splits a training subcommand needs.
+
+    Returns (splits, alphabet, garbage, sample_rate, hop). `raw_sample_rate`
+    applies where the subcommand has that option. The alphabet covers all
+    given splits plus the garbage label.
+    """
+    feature_dim = cfg["feature_dim"] or None
+    raw_rate = cfg.get("raw_sample_rate") or None
+    splits = []
+    for manifest in manifests:
+        refs = load_manifest(manifest)
+        if not refs:
+            raise DataError(f"{manifest}: no utterances")
+        splits.append([load_utterance(r, feature_dim, raw_rate) for r in refs])
+    utterances = [u for split in splits for u in split]
+    garbage = cfg["garbage"] or None
+    alphabet = collect_alphabet(utterances)
+    if garbage is not None and garbage not in alphabet:
+        alphabet = sorted(alphabet + [garbage])
+    sample_rate = _corpus_sample_rate(utterances)
+    if feature_dim is not None:
+        hop = 1
+    elif sample_rate is None:
+        raise DataError("raw input needs waveform utterances")
+    else:
+        hop = max(1, int(round(cfg["hop_ms"] * sample_rate / 1000.0)))
+    return splits, alphabet, garbage, sample_rate, hop
 
 
 def compute_emissions(utt, params, hop_samples):
@@ -143,6 +200,47 @@ def compute_emissions(utt, params, hop_samples):
         grid = utterance_grid(utt, config.input_frames, hop_samples)
         return score_waveform(utt.waveform, grid, params)
     return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
+
+
+def _decoder(name, alphabet, transitions, min_duration):
+    """The function from a T x K emission matrix to phoneme labels."""
+    if name == "hmm":
+        graph = build_duration_graph(len(alphabet), min_duration)
+
+    def decode(emissions):
+        if name == "hmm":
+            return [alphabet[i] for i in hmm_decode(softmax(emissions), graph).phonemes]
+        path = viterbi(emissions, transitions)[0] if name == "crf" else emissions.argmax(axis=1)
+        return collapse_path([alphabet[i] for i in path])
+
+    return decode
+
+
+def _decode_utterance(utt, params, hop, decode):
+    if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
+        length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
+        raise DataError(f"utterance of {length} samples is shorter than one hop ({hop} samples)")
+    return decode(compute_emissions(utt, params, hop))
+
+
+def _score(sequences):
+    """Report rows for (id, reference, hypothesis) triples plus the OVERALL row.
+
+    Returns the rows and the corpus-pooled phoneme accuracy.
+    """
+    rows = []
+    total_n = total_e = 0
+    for uid, ref_seq, hyp_seq in sequences:
+        n = len(ref_seq)
+        if n == 0:
+            raise DataError(f"utterance {uid}: empty reference after stripping")
+        dist, (subs, dels, ins) = levenshtein(ref_seq, hyp_seq)
+        rows.append([uid, n, dist, f"{100.0 * (n - dist) / n:.6f}", subs, dels, ins])
+        total_n += n
+        total_e += dist
+    overall = 100.0 * (total_n - total_e) / total_n if total_n else 0.0
+    rows.append(["OVERALL", total_n, total_e, f"{overall:.6f}", "", "", ""])
+    return rows, overall
 
 
 # ---------------------------------------------------------------------------
@@ -200,42 +298,36 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _network_setup(cfg, train_utts, alphabet):
-    """Window/hop geometry plus the NetworkConfig for a resolved train config."""
-    feature_dim = cfg["feature_dim"] or None
-    sample_rate = _corpus_sample_rate(train_utts)
-    if feature_dim is None:
-        if sample_rate is None:
-            raise DataError("raw training needs waveform utterances")
-        input_frames = cfg["window_frames"] or int(
-            round(cfg["window_ms"] * sample_rate / 1000.0)
-        )
-        hop = max(1, int(round(cfg["hop_ms"] * sample_rate / 1000.0)))
-        input_dim = 1
-    else:
+def _network_config(cfg, sample_rate, num_classes):
+    """The NetworkConfig of a resolved train or ablate-pool config."""
+    if cfg["feature_dim"]:
         if not cfg["window_frames"]:
             raise ValueError("feature input needs --window-frames")
-        input_frames = cfg["window_frames"]
-        hop = 1
-        input_dim = feature_dim
-    net_config = NetworkConfig(
+        input_frames, input_dim = cfg["window_frames"], cfg["feature_dim"]
+    else:
+        input_frames = cfg["window_frames"] or int(round(cfg["window_ms"] * sample_rate / 1000.0))
+        input_dim = 1
+    return NetworkConfig(
         input_frames=input_frames,
         input_dim=input_dim,
         stages=_parse_stages(cfg["stages"], cfg["filters"]),
         hidden_units=cfg["hidden"],
-        num_classes=len(alphabet),
+        num_classes=num_classes,
     )
-    return net_config, hop, sample_rate
 
 
-def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage, seed):
+def _train_config(cfg):
+    return TrainConfig(
+        learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
+        patience=cfg["patience"], seed=cfg["seed"], shuffle=cfg["shuffle"],
+    )
+
+
+def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage):
     """Train one network, printing one progress line per epoch to stderr."""
     train_set = build_frame_dataset(train_utts, net_config.input_frames, hop, alphabet, garbage)
     cv_set = build_frame_dataset(cv_utts, net_config.input_frames, hop, alphabet, garbage)
-    tc = TrainConfig(
-        learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
-        patience=cfg["patience"], seed=seed, shuffle=cfg["shuffle"],
-    )
+    tc = _train_config(cfg)
 
     def report(epoch, ll, cv_acc, seconds):
         print(
@@ -251,19 +343,12 @@ def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage, se
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
     out = Path(args.out)
-    feature_dim = cfg["feature_dim"] or None
-    raw_rate = cfg["raw_sample_rate"] or None
-    train_utts = _load_split(args.train_manifest, feature_dim, raw_rate)
-    cv_utts = _load_split(args.cv_manifest, feature_dim, raw_rate)
-    garbage = cfg["garbage"] or None
-    alphabet = collect_alphabet(train_utts + cv_utts)
-    if garbage is not None and garbage not in alphabet:
-        alphabet = sorted(alphabet + [garbage])
-    net_config, hop, sample_rate = _network_setup(cfg, train_utts, alphabet)
-
-    best, history = _train_once(
-        cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage, cfg["seed"]
+    (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
+        cfg, args.train_manifest, args.cv_manifest
     )
+    net_config = _network_config(cfg, sample_rate, len(alphabet))
+
+    best, history = _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage)
 
     transitions = np.zeros((len(alphabet), len(alphabet)))
     if cfg["crf_epochs"] > 0:
@@ -293,7 +378,7 @@ def cmd_train(args):
 
     out.mkdir(parents=True, exist_ok=True)
     metadata = {
-        "input_kind": "feature" if feature_dim else "raw",
+        "input_kind": "feature" if cfg["feature_dim"] else "raw",
         "sample_rate": sample_rate,
         "hop_samples": hop,
         "garbage": garbage,
@@ -322,15 +407,9 @@ GRID_DEFAULTS = {
 def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
     out = Path(args.out)
-    feature_dim = cfg["feature_dim"] or None
-    train_utts = _load_split(args.train_manifest, feature_dim)
-    cv_utts = _load_split(args.cv_manifest, feature_dim)
-    garbage = cfg["garbage"] or None
-    alphabet = collect_alphabet(train_utts + cv_utts)
-    sample_rate = _corpus_sample_rate(train_utts)
-    if feature_dim is None and sample_rate is None:
-        raise DataError("raw grid search needs waveform utterances")
-
+    (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
+        cfg, args.train_manifest, args.cv_manifest
+    )
     spec = GridSpec(
         window_ms=_float_list(cfg["window_ms_list"]),
         kernel_width=_int_list(cfg["kernel_list"]),
@@ -339,12 +418,9 @@ def cmd_grid(args):
         pool_width=_int_list(cfg["pool_list"]),
         num_stages=cfg["stages_count"],
     )
-    configs = spec.configs(
-        sample_rate or 1000, feature_dim or 1, len(alphabet)
-    )
+    configs = spec.configs(sample_rate or 1000, cfg["feature_dim"] or 1, len(alphabet))
     if not configs:
         raise ValueError("grid is empty after dropping infeasible configurations")
-    hop = 1 if feature_dim else max(1, int(round(cfg["hop_ms"] * sample_rate / 1000.0)))
 
     dataset_cache = {}
 
@@ -357,11 +433,9 @@ def cmd_grid(args):
             )
         return dataset_cache[key]
 
-    tc = TrainConfig(
-        learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
-        patience=cfg["patience"], seed=cfg["seed"], shuffle=cfg["shuffle"],
+    results = grid_search(
+        dataset_for, configs, _train_config(cfg), max_configs=cfg["max_configs"] or None
     )
-    results = grid_search(dataset_for, configs, tc, max_configs=cfg["max_configs"] or None)
 
     rows = []
     for r in results:
@@ -397,30 +471,13 @@ DECODE_DEFAULTS = {
 }
 
 
-def _decode_utterance(utt, params, transitions, decoder, hop, min_duration, alphabet):
-    if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
-        length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
-        raise DataError(f"utterance of {length} samples is shorter than one hop ({hop} samples)")
-    emissions = compute_emissions(utt, params, hop)
-    if decoder == "argmax":
-        path = emissions.argmax(axis=1)
-        return collapse_path([alphabet[i] for i in path])
-    if decoder == "crf":
-        path, _score = viterbi(emissions, transitions)
-        return collapse_path([alphabet[i] for i in path])
-    if decoder == "hmm":
-        graph = build_duration_graph(len(alphabet), min_duration)
-        result = hmm_decode(softmax(emissions), graph)
-        return [alphabet[i] for i in result.phonemes]
-    raise ValueError(f"unknown decoder {decoder!r}")
-
-
 def cmd_decode(args):
     cfg = _resolve(args, DECODE_DEFAULTS)
     out = Path(args.out)
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
         transitions = np.zeros((len(alphabet), len(alphabet)))
+    decode = _decoder(cfg["decoder"], alphabet, transitions, cfg["min_duration"])
     hop = metadata.get("hop_samples") or 1
     if metadata.get("input_kind") == "feature" or params.config.input_dim > 1:
         feature_dim = params.config.input_dim
@@ -435,17 +492,16 @@ def cmd_decode(args):
     for ref in refs:
         try:
             utt = load_utterance(ref, feature_dim, cfg["raw_sample_rate"] or None)
+            if utt.waveform is not None and feature_dim is not None:
+                raise DataError("waveform utterance for a feature-input model")
             if utt.waveform is not None and model_rate and utt.waveform.sample_rate != model_rate:
                 raise DataError(
                     f"sample rate {utt.waveform.sample_rate} Hz != model's {model_rate} Hz"
                 )
-            phonemes = _decode_utterance(
-                utt, params, transitions, cfg["decoder"], hop,
-                cfg["min_duration"], alphabet,
-            )
+            phonemes = _decode_utterance(utt, params, hop, decode)
             (hyp_dir / f"{ref.id}.txt").write_text(" ".join(phonemes) + "\n")
             log_rows.append([ref.id, "ok", ""])
-        except (DataError, NoLegalPathError, ValueError) as e:
+        except (DataError, NoLegalPathError) as e:
             log_rows.append([ref.id, "error", str(e).replace(",", ";")])
     _write_csv(out / "decode_log.csv", ["id", "status", "message"], log_rows)
     _echo_resolved(out, "decode", cfg)
@@ -471,13 +527,8 @@ def cmd_eval(args):
     table = read_mapping(cfg["mapping"]) if cfg["mapping"] else None
     strip = cfg["garbage"] if (cfg["strip_garbage"] and cfg["garbage"]) else None
 
-    from .corpus import read_labels
-
-    rows = []
-    total_n = total_e = 0
-    for ref in refs:
-        annotation = read_labels(ref.labels_path)
-        ref_seq = collapse_path([l for _s, _e, l in annotation.segments], strip=strip)
+    def sequences(ref):
+        ref_seq = collapse_path(read_labels(ref.labels_path).labels(), strip=strip)
         hyp_file = Path(args.hyp_dir) / f"{ref.id}.txt"
         hyp_seq = hyp_file.read_text().split() if hyp_file.exists() else []
         if table is not None:
@@ -485,16 +536,9 @@ def cmd_eval(args):
             hyp_seq = map_labels(hyp_seq, table)
         if hyp_seq and strip is not None:
             hyp_seq = collapse_path(hyp_seq, strip=strip)
-        n = len(ref_seq)
-        if n == 0:
-            raise DataError(f"utterance {ref.id}: empty reference after stripping")
-        dist, (subs, dels, ins) = levenshtein(ref_seq, hyp_seq)
-        acc = 100.0 * (n - dist) / n
-        rows.append([ref.id, n, dist, f"{acc:.6f}", subs, dels, ins])
-        total_n += n
-        total_e += dist
-    overall = 100.0 * (total_n - total_e) / total_n if total_n else 0.0
-    rows.append(["OVERALL", total_n, total_e, f"{overall:.6f}", "", "", ""])
+        return ref.id, ref_seq, hyp_seq
+
+    rows, overall = _score(sequences(ref) for ref in refs)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "report.csv",
@@ -567,34 +611,24 @@ def _with_retained_pools(base, retained):
 def cmd_ablate_pool(args):
     cfg = _resolve(args, ABLATE_DEFAULTS)
     out = Path(args.out)
-    feature_dim = cfg["feature_dim"] or None
-    train_utts = _load_split(args.train_manifest, feature_dim)
-    cv_utts = _load_split(args.cv_manifest, feature_dim)
-    test_utts = _load_split(args.test_manifest, feature_dim)
-    garbage = cfg["garbage"] or None
-    alphabet = collect_alphabet(train_utts + cv_utts + test_utts)
-    base_config, hop, _sr = _network_setup(cfg, train_utts, alphabet)
+    (train_utts, cv_utts, test_utts), alphabet, garbage, sample_rate, hop = _load_data(
+        cfg, args.train_manifest, args.cv_manifest, args.test_manifest
+    )
+    base_config = _network_config(cfg, sample_rate, len(alphabet))
     if len(base_config.stages) != 3:
         raise ValueError("pooling ablation needs a 3-stage base configuration")
 
-    label_to_index = {l: i for i, l in enumerate(alphabet)}
-    graph = build_duration_graph(len(alphabet), cfg["min_duration"])
+    decode = _decoder("hmm", alphabet, None, cfg["min_duration"])
     rows = []
     for retained in (0, 1, 2, 3):
         try:
             config = _with_retained_pools(base_config, retained)
-            best, _history = _train_once(
-                cfg, train_utts, cv_utts, config, hop, alphabet, garbage, cfg["seed"]
+            best, _history = _train_once(cfg, train_utts, cv_utts, config, hop, alphabet, garbage)
+            _report, acc = _score(
+                (u.id, collapse_path(u.annotation.labels()),
+                 _decode_utterance(u, best, hop, decode))
+                for u in test_utts
             )
-            total_n = total_e = 0
-            for utt in test_utts:
-                posteriors = softmax(compute_emissions(utt, best, hop))
-                hyp = hmm_decode(posteriors, graph).phonemes
-                ref = [label_to_index[l] for l in reference_sequence(utt)]
-                dist, _ = levenshtein(ref, hyp)
-                total_n += len(ref)
-                total_e += dist
-            acc = 100.0 * (total_n - total_e) / total_n
             rows.append([retained, param_count(config), f"{acc:.6f}", ""])
         except (ValueError, DataError, NoLegalPathError, DivergenceError) as e:
             rows.append([retained, "", "", str(e).replace(",", ";")])
@@ -621,8 +655,6 @@ CHECKGRAD_DEFAULTS = {
 
 def cmd_check_grad(args):
     cfg = _resolve(args, CHECKGRAD_DEFAULTS)
-    from .training import frame_log_likelihood
-
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     all_pass = True
     report = []
@@ -704,129 +736,48 @@ def _numeric_gradient(tensor, loss_fn, eps):
 # argument wiring
 
 
+SUBCOMMANDS = (  # name, handler, help, option table, required path flags
+    ("synth", cmd_synth, "generate a synthetic tone corpus", SYNTH_DEFAULTS, ()),
+    ("train", cmd_train, "train the network (and CRF transitions)", TRAIN_DEFAULTS,
+     ("train_manifest", "cv_manifest")),
+    ("grid", cmd_grid, "hyperparameter grid search", GRID_DEFAULTS,
+     ("train_manifest", "cv_manifest")),
+    ("decode", cmd_decode, "decode a manifest with a trained model", DECODE_DEFAULTS,
+     ("manifest", "model")),
+    ("eval", cmd_eval, "score hypotheses against reference labels", EVAL_DEFAULTS,
+     ("ref_manifest", "hyp_dir")),
+    ("filters", cmd_filters, "export first-layer filter spectra", FILTERS_DEFAULTS, ("model",)),
+    ("ablate-pool", cmd_ablate_pool, "retrain with 0-3 pooling layers", ABLATE_DEFAULTS,
+     ("train_manifest", "cv_manifest", "test_manifest")),
+    ("check-grad", cmd_check_grad, "finite-difference gradient check", CHECKGRAD_DEFAULTS, ()),
+)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def build_parser():
     parser = _Parser(prog="rawphone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, out_required=True):
-        p.add_argument("--seed", type=int)
+    for name, func, help_text, defaults, paths in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--out", required=out_required, help="output directory")
-
-    p = sub.add_parser("synth", help="generate a synthetic tone corpus")
-    add_common(p)
-    p.add_argument("--train", type=int)
-    p.add_argument("--cv", type=int)
-    p.add_argument("--test", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--base-freq", dest="base_freq", type=float)
-    p.add_argument("--freq-step", dest="freq_step", type=float)
-    p.add_argument("--harmonic-gain", dest="harmonic_gain", type=float)
-    p.add_argument("--tone-amplitude", dest="tone_amplitude", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--min-duration-ms", dest="min_duration_ms", type=float)
-    p.add_argument("--max-duration-ms", dest="max_duration_ms", type=float)
-    p.add_argument("--min-segments", dest="min_segments", type=int)
-    p.add_argument("--max-segments", dest="max_segments", type=int)
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    p.add_argument("--cycle-bias", dest="cycle_bias", type=float,
-                   help="favor class (k+1) mod K by this factor, forbid self")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train the network (and CRF transitions)")
-    add_common(p)
-    p.add_argument("--train-manifest", required=True)
-    p.add_argument("--cv-manifest", required=True)
-    _add_net_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--crf-lr", dest="crf_lr", type=float)
-    p.add_argument("--crf-epochs", dest="crf_epochs", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("grid", help="hyperparameter grid search")
-    add_common(p)
-    p.add_argument("--train-manifest", required=True)
-    p.add_argument("--cv-manifest", required=True)
-    p.add_argument("--window-ms-list", dest="window_ms_list")
-    p.add_argument("--kernel-list", dest="kernel_list")
-    p.add_argument("--filters-list", dest="filters_list")
-    p.add_argument("--hidden-list", dest="hidden_list")
-    p.add_argument("--pool-list", dest="pool_list")
-    p.add_argument("--stages-count", dest="stages_count", type=int)
-    p.add_argument("--max-configs", dest="max_configs", type=int)
-    p.add_argument("--hop-ms", dest="hop_ms", type=float)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--garbage")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("decode", help="decode a manifest with a trained model")
-    add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--decoder", choices=["argmax", "crf", "hmm"])
-    p.add_argument("--min-duration", dest="min_duration", type=int)
-    p.add_argument("--raw-sample-rate", dest="raw_sample_rate", type=int)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("eval", help="score hypotheses against reference labels")
-    add_common(p)
-    p.add_argument("--ref-manifest", required=True)
-    p.add_argument("--hyp-dir", required=True)
-    p.add_argument("--mapping", help="label mapping file: `source target` lines")
-    p.add_argument("--strip-garbage", dest="strip_garbage", action="store_true", default=None)
-    p.add_argument("--garbage")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("filters", help="export first-layer filter spectra")
-    add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--n-fft", dest="n_fft", type=int)
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    p.set_defaults(func=cmd_filters)
-
-    p = sub.add_parser("ablate-pool", help="retrain with 0-3 pooling layers")
-    add_common(p)
-    p.add_argument("--train-manifest", required=True)
-    p.add_argument("--cv-manifest", required=True)
-    p.add_argument("--test-manifest", required=True)
-    _add_net_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--min-duration", dest="min_duration", type=int)
-    p.set_defaults(func=cmd_ablate_pool)
-
-    p = sub.add_parser("check-grad", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", help="optional output directory for gradcheck.csv")
-    p.add_argument("--configs", type=int, help="number of random configurations")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--corrupt", help="test hook: perturb this analytic tensor")
-    p.set_defaults(func=cmd_check_grad)
-
+        p.add_argument("--out", required=name != "check-grad", help="output directory")
+        for key in paths:
+            p.add_argument(_flag(key), required=True)
+        for key, default in defaults.items():
+            if isinstance(default, bool):
+                p.add_argument(
+                    _flag(("no_" if default else "") + key), dest=key, default=None,
+                    action="store_false" if default else "store_true", help=HELP.get(key),
+                )
+            else:
+                p.add_argument(
+                    _flag(key), type=type(default), choices=CHOICES.get(key), help=HELP.get(key)
+                )
     return parser
-
-
-def _add_net_flags(p):
-    p.add_argument("--window-ms", dest="window_ms", type=float)
-    p.add_argument("--window-frames", dest="window_frames", type=int)
-    p.add_argument("--stages", help="per-stage kernel:shift:pool, comma separated")
-    p.add_argument("--filters", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--hop-ms", dest="hop_ms", type=float)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--garbage")
-    p.add_argument("--raw-sample-rate", dest="raw_sample_rate", type=int)
-
-
-def _add_train_flags(p):
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
 
 
 def main(argv=None):

@@ -399,12 +399,3 @@ def build_frame_dataset(utterances, input_frames, hop_samples, alphabet, garbage
         )
     return FrameDataset(np.concatenate(windows), np.concatenate(labels))
 
-
-def reference_sequence(utt):
-    """Collapsed segment-label sequence of one utterance."""
-    seq = [l for _s, _e, l in utt.annotation.segments]
-    out = [seq[0]]
-    for x in seq[1:]:
-        if x != out[-1]:
-            out.append(x)
-    return out

@@ -1,4 +1,4 @@
-"""Sequence scoring: frame accuracy and Levenshtein phoneme accuracy.
+"""Sequence scoring: label mapping, path collapsing and Levenshtein phoneme accuracy.
 
 Phoneme accuracy is 100 * (N - E) / N with N the reference length and E
 the minimal edit distance under unit substitution/deletion/insertion
@@ -7,48 +7,9 @@ from one deterministic minimal alignment (preference match > sub > del >
 ins during backtrace) since the split itself need not be unique.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class LabelAlphabet:
-    """Ordered label strings with an optional garbage label."""
-
-    labels: tuple
-    garbage: str = None
-
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("alphabet labels must be unique")
-        if self.garbage is not None and self.garbage not in self.labels:
-            raise ValueError(f"garbage label {self.garbage!r} not in alphabet")
-
-    def __len__(self):
-        return len(self.labels)
-
-    @property
-    def index_of(self):
-        return {l: i for i, l in enumerate(self.labels)}
-
-    @property
-    def garbage_index(self):
-        return None if self.garbage is None else self.index_of[self.garbage]
-
-    def to_indices(self, labels):
-        table = self.index_of
-        out = []
-        for l in labels:
-            if l not in table:
-                raise DataError(f"label {l!r} not in alphabet")
-            out.append(table[l])
-        return out
-
-    def to_labels(self, indices):
-        return [self.labels[i] for i in indices]
 
 
 def read_mapping(path):
@@ -139,13 +100,3 @@ def phoneme_accuracy(ref, hyp):
     dist, _ = levenshtein(ref, list(hyp))
     return 100.0 * (len(ref) - dist) / len(ref)
 
-
-def frame_accuracy(ref_frames, hyp_frames):
-    """Percent of equal positions between two equal-length sequences."""
-    ref = np.asarray(ref_frames)
-    hyp = np.asarray(hyp_frames)
-    if ref.shape != hyp.shape:
-        raise ValueError(f"length mismatch: {ref.shape} vs {hyp.shape}")
-    if ref.size == 0:
-        raise ValueError("empty sequences")
-    return 100.0 * float(np.mean(ref == hyp))

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from rawphone.cli import main
-from rawphone.corpus import write_wav, write_labels
+from rawphone.cli import SUBCOMMANDS, build_parser, main
+from rawphone.corpus import read_wav, write_labels, write_wav
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.model_io import load_model, save_model
 from rawphone.net import NetworkConfig, StageConfig, init_params
@@ -23,6 +23,16 @@ SMALL_NET = ["--window-ms", "50", "--stages", "80:10:3,5:1:3,3:1:2",
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def split_args(corpus, *splits):
+    return [a for split in splits
+            for a in (f"--{split}-manifest", corpus / f"{split}.jsonl")]
+
+
+def write_config(path, values):
+    path.write_text(json.dumps(values))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +179,25 @@ class TestTrain:
                   "--config", cfg_file])
         assert rc == 1
 
+    @pytest.mark.parametrize("values, key", [
+        ({"epochs": "2"}, "epochs"),
+        ({"hidden": 8.5}, "hidden"),
+        ({"epochs": True}, "epochs"),
+        ({"shuffle": 0}, "shuffle"),
+        ({"stages": 3}, "stages"),
+        (5, "JSON object"),
+        (["lr"], "JSON object"),
+    ])
+    def test_wrong_typed_config_value_is_usage_error(self, corpus, tmp_path, capsys,
+                                                     values, key):
+        cfg_file = write_config(tmp_path / "typed.json", values)
+        rc = run(["train", *split_args(corpus, "train", "cv"), "--out", tmp_path / "o",
+                  "--config", cfg_file])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and key in err
+        assert not (tmp_path / "o").exists()
+
     def test_history_csv_schema(self, trained):
         lines = (trained / "history.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,train_log_likelihood,cv_frame_accuracy"
@@ -283,6 +312,34 @@ class TestDecode:
         assert "every utterance failed" in capsys.readouterr().err
         rows = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").open()))
         assert [r["status"] for r in rows] == ["error"]
+
+    def test_min_duration_zero_is_usage_error_before_any_hypothesis(
+            self, corpus, trained, tmp_path, capsys):
+        rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                  trained / "model.rcn", "--decoder", "hmm", "--min-duration", "0",
+                  "--out", tmp_path / "d"])
+        assert rc == 1
+        assert "min_duration" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_unknown_decoder_in_config_is_usage_error(self, corpus, trained, tmp_path, capsys):
+        cfg_file = write_config(tmp_path / "beam.json", {"decoder": "beam"})
+        rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                  trained / "model.rcn", "--config", cfg_file, "--out", tmp_path / "d"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "decoder" in err and "beam" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_waveform_for_feature_model_is_logged_data_error(self, corpus, tmp_path):
+        cfg = NetworkConfig(9, 13, (StageConfig(3, 1, 4, 1),), 4, 2)
+        save_model(tmp_path / "m.rcn", init_params(cfg, 0), ["a", "b"],
+                   metadata={"input_kind": "feature", "hop_samples": 1})
+        assert run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                    tmp_path / "m.rcn", "--decoder", "argmax", "--out", tmp_path / "d"]) == 2
+        rows = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").open()))
+        assert len(rows) == 2
+        assert all(r["status"] == "error" and "feature-input" in r["message"] for r in rows)
 
     def test_missing_model_exits_nonzero(self, corpus, tmp_path):
         rc = run(["decode", "--manifest", corpus / "test.jsonl",
@@ -413,6 +470,25 @@ class TestFilters:
         assert rc == 2
 
 
+def write_raw_float_corpus(corpus, root):
+    """The corpus with every WAV rewritten as a headerless float32 stream."""
+    root.mkdir()
+    for split in ("train", "cv", "test"):
+        rows = []
+        for line in (corpus / f"{split}.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            waveform = read_wav(corpus / rec["wav"])
+            (root / f"{rec['id']}.f32").write_bytes(waveform.samples.astype("<f4").tobytes())
+            rec["wav"] = f"{rec['id']}.f32"
+            rec["labels"] = str(corpus / rec["labels"])
+            rows.append(json.dumps(rec))
+        (root / f"{split}.jsonl").write_text("\n".join(rows) + "\n")
+    return root
+
+
+ABLATE_ARGS = [*SMALL_NET, "--lr", "3e-4", "--epochs", "1", "--seed", "0"]
+
+
 class TestAblatePool:
     def test_four_rows_param_counts_strictly_decreasing(self, corpus, tmp_path):
         argv = ["ablate-pool", "--train-manifest", corpus / "train.jsonl",
@@ -441,6 +517,56 @@ class TestAblatePool:
         base = NetworkConfig(800, 1, _parse_stages("80:10:3,5:1:3,3:1:2", 8), 16, 5)
         assert int(rows[3]["param_count"]) == param_count(base)
 
+    def test_unused_garbage_label_runs(self, corpus, tmp_path):
+        assert run(["ablate-pool", *split_args(corpus, "train", "cv", "test"),
+                    "--out", tmp_path, *ABLATE_ARGS, "--garbage", "sil"]) == 0
+        rows = list(csv.DictReader((tmp_path / "ablation.csv").open()))
+        assert len(rows) == 4
+        assert all(r["error"] == "" for r in rows)
+
+    def test_empty_test_manifest_is_data_error(self, corpus, tmp_path):
+        (tmp_path / "empty.jsonl").write_text("")
+        assert run(["ablate-pool", *split_args(corpus, "train", "cv"),
+                    "--test-manifest", tmp_path / "empty.jsonl",
+                    "--out", tmp_path / "o", *ABLATE_ARGS]) == 2
+
+    def test_raw_float_input_with_raw_sample_rate(self, corpus, tmp_path):
+        raw = write_raw_float_corpus(corpus, tmp_path / "raw")
+        assert run(["ablate-pool", *split_args(raw, "train", "cv", "test"),
+                    "--out", tmp_path / "f32", *ABLATE_ARGS,
+                    "--raw-sample-rate", "16000"]) == 0
+        assert run(["ablate-pool", *split_args(corpus, "train", "cv", "test"),
+                    "--out", tmp_path / "wav", *ABLATE_ARGS]) == 0
+        # int16 / 32768 is exact in float32: the two inputs are the same signal
+        assert (tmp_path / "f32" / "ablation.csv").read_bytes() == (
+            tmp_path / "wav" / "ablation.csv"
+        ).read_bytes()
+
+
+TINY_GRID = ["--window-ms-list", "50", "--kernel-list", "5", "--filters-list", "4",
+             "--hidden-list", "8", "--pool-list", "2", "--epochs", "1", "--seed", "0"]
+
+
+class TestGrid:
+    def test_unused_garbage_label_trains_every_config(self, corpus, tmp_path):
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path,
+                    *TINY_GRID, "--garbage", "sil"]) == 0
+        rows = list(csv.DictReader((tmp_path / "grid.csv").open()))
+        assert rows
+        assert all(r["error"] == "" and r["cv_accuracy"] for r in rows)
+
+    def test_no_shuffle_flag_equals_config_key(self, corpus, tmp_path):
+        cfg_file = write_config(tmp_path / "noshuffle.json", {"shuffle": False})
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path / "flag",
+                    *TINY_GRID, "--no-shuffle"]) == 0
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path / "file",
+                    *TINY_GRID, "--config", cfg_file]) == 0
+        for name in ("grid.csv", "resolved.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (
+                tmp_path / "file" / name
+            ).read_bytes(), name
+        assert json.loads((tmp_path / "flag" / "resolved.json").read_text())["shuffle"] is False
+
 
 class TestCheckGrad:
     def test_fresh_net_passes(self, tmp_path):
@@ -448,6 +574,12 @@ class TestCheckGrad:
                     "--out", tmp_path]) == 0
         rows = list(csv.DictReader((tmp_path / "gradcheck.csv").open()))
         assert rows and all(r["status"] == "pass" for r in rows)
+
+    def test_float_option_takes_int_from_config_as_given(self, tmp_path):
+        cfg_file = write_config(tmp_path / "c.json", {"tolerance": 1, "configs": 1})
+        assert run(["check-grad", "--seed", "5", "--config", cfg_file,
+                    "--out", tmp_path / "o"]) == 0
+        assert '"tolerance": 1\n' in (tmp_path / "o" / "resolved.json").read_text()
 
     def test_corrupted_gradient_fails(self, capsys):
         rc = run(["check-grad", "--seed", "5", "--configs", "1",
@@ -521,6 +653,25 @@ class TestExitCodes:
         rc = run(["train", "--train-manifest", tmp_path / "none.jsonl",
                   "--cv-manifest", tmp_path / "none.jsonl", "--out", tmp_path])
         assert rc == 2
+
+
+class TestOptionTables:
+    def test_every_table_key_has_exactly_one_flag(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        for name, _func, _help, defaults, paths in SUBCOMMANDS:
+            dests = [a.dest for a in subparsers[name]._actions]
+            assert sorted(dests) == sorted(["help", "config", "out", *paths, *defaults]), name
+
+    def test_bool_flags_follow_their_default(self):
+        ns = build_parser().parse_args(["eval", "--ref-manifest", "m", "--hyp-dir", "h",
+                                        "--out", "o", "--strip-garbage"])
+        assert ns.strip_garbage is True
+        grid = ["grid", "--train-manifest", "t", "--cv-manifest", "c", "--out", "o"]
+        assert build_parser().parse_args(grid).shuffle is None
+        assert build_parser().parse_args([*grid, "--no-shuffle"]).shuffle is False
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*grid, "--shuffle"])
 
 
 class TestConsoleEntryPoint:

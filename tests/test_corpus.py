@@ -14,7 +14,6 @@ from rawphone.corpus import (
     read_labels,
     read_raw_float,
     read_wav,
-    reference_sequence,
     synth_corpus,
     utterance_windows,
     write_corpus,
@@ -23,6 +22,7 @@ from rawphone.corpus import (
 )
 from rawphone.errors import DataError
 from rawphone.framing import SegmentAnnotation, Waveform
+from rawphone.scoring import collapse_path
 
 
 class TestWavIO:
@@ -284,5 +284,4 @@ class TestFrameDatasetAssembly:
 
     def test_reference_sequence_collapses_segments(self):
         ann = SegmentAnnotation(((0, 10, "a"), (10, 20, "a"), (20, 30, "b")))
-        utt_like = type("U", (), {"annotation": ann})()
-        assert reference_sequence(utt_like) == ["a", "b"]
+        assert collapse_path(ann.labels()) == ["a", "b"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rawphone.cli import _decode_utterance, compute_emissions
+from rawphone.cli import _decode_utterance, _decoder, compute_emissions
 from rawphone.corpus import LabeledUtterance, utterance_windows
 from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
@@ -130,7 +130,8 @@ class TestComputeEmissions:
         message = r"^utterance of 100 samples is shorter than one hop \(160 samples\)$"
         for decoder in ("argmax", "crf", "hmm"):
             with pytest.raises(DataError, match=message):
-                _decode_utterance(utt, params, np.zeros((5, 5)), decoder, HOP, 3, list("abcde"))
+                decode = _decoder(decoder, list("abcde"), np.zeros((5, 5)), 3)
+                _decode_utterance(utt, params, HOP, decode)
 
 
 class TestFrameAccuracy:

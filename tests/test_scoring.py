@@ -3,31 +3,13 @@ import pytest
 
 from rawphone.errors import DataError
 from rawphone.scoring import (
-    LabelAlphabet,
     collapse_path,
-    frame_accuracy,
     levenshtein,
     map_labels,
     phoneme_accuracy,
 )
 
 from oracles import levenshtein_recursive, levenshtein_two_rows
-
-
-class TestLabelAlphabet:
-    def test_round_trip(self):
-        alpha = LabelAlphabet(("a", "b", "g"), garbage="g")
-        assert alpha.to_indices(["b", "g", "a"]) == [1, 2, 0]
-        assert alpha.to_labels([0, 2]) == ["a", "g"]
-        assert alpha.garbage_index == 2
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            LabelAlphabet(("a", "a"))
-
-    def test_unknown_label_is_data_error(self):
-        with pytest.raises(DataError):
-            LabelAlphabet(("a",)).to_indices(["zz"])
 
 
 class TestMapLabels:
@@ -121,17 +103,3 @@ class TestPhonemeAccuracy:
             mapped = phoneme_accuracy([renamed[s] for s in ref], [renamed[s] for s in hyp])
             assert base == mapped
 
-
-class TestFrameAccuracy:
-    def test_identical(self):
-        assert frame_accuracy([1, 2, 3], [1, 2, 3]) == 100.0
-
-    def test_disjoint(self):
-        assert frame_accuracy([1, 1], [2, 2]) == 0.0
-
-    def test_half(self):
-        assert frame_accuracy([1, 2], [1, 3]) == 50.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            frame_accuracy([1], [1, 2])
