@@ -16,6 +16,7 @@ from .crf import (
     train_transitions,
     transition_gradient,
     viterbi,
+    viterbi_batch,
 )
 from .errors import DataError, DivergenceError, NoLegalPathError, RawphoneError
 from .framing import (
@@ -27,7 +28,14 @@ from .framing import (
     frame_labels,
     normalize_window,
 )
-from .hmm import DurationGraph, build_duration_graph, decode_scores, hmm_decode
+from .hmm import (
+    DurationGraph,
+    build_duration_graph,
+    decode_batch,
+    decode_scores,
+    hmm_decode,
+    log_posteriors,
+)
 from .model_io import load_model, save_model
 from .net import (
     ConvLayerParams,

@@ -34,9 +34,9 @@ from .corpus import (
     utterance_windows,
     write_corpus,
 )
-from .crf import train_transitions, viterbi
+from .crf import train_transitions, viterbi_batch
 from .errors import DataError, DivergenceError, NoLegalPathError
-from .hmm import build_duration_graph, hmm_decode
+from .hmm import build_duration_graph, decode_batch, log_posteriors
 from .model_io import load_model, save_model
 from .net import (
     NetworkConfig,
@@ -161,12 +161,11 @@ def _corpus_sample_rate(utterances):
 def _load_data(cfg, *manifests):
     """Load the splits a training subcommand needs.
 
-    Returns (splits, alphabet, garbage, sample_rate, hop). `raw_sample_rate`
-    applies where the subcommand has that option. The alphabet covers all
-    given splits plus the garbage label.
+    Returns (splits, alphabet, garbage, sample_rate, hop). The alphabet
+    covers all given splits plus the garbage label.
     """
     feature_dim = cfg["feature_dim"] or None
-    raw_rate = cfg.get("raw_sample_rate") or None
+    raw_rate = cfg["raw_sample_rate"] or None
     splits = []
     for manifest in manifests:
         refs = load_manifest(manifest)
@@ -202,25 +201,79 @@ def compute_emissions(utt, params, hop_samples):
     return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
 
 
+# Decoding runs on consecutive groups of utterances padded to the longest
+# one, so a group's memory is about N x T_max x K floats. A group stays
+# within this many padded frames, each utterance counted at least K frames
+# long because the CRF's candidate scores take N x K x K per step; an
+# utterance above it is decoded alone.
+DECODE_GROUP_FRAMES = 32768
+
+
+def _padded(matrices):
+    """(N, T_max, K) zero-padded batch of T x K matrices, and their lengths."""
+    lengths = [len(m) for m in matrices]
+    batch = np.zeros((len(matrices), max(lengths), matrices[0].shape[1]))
+    for row, m in zip(batch, matrices):
+        row[: len(m)] = m
+    return batch, lengths
+
+
 def _decoder(name, alphabet, transitions, min_duration):
-    """The function from a T x K emission matrix to phoneme labels."""
+    """The function from a group of T x K emission matrices to each one's
+    phoneme labels, or the NoLegalPathError it decodes to."""
     if name == "hmm":
         graph = build_duration_graph(len(alphabet), min_duration)
 
-    def decode(emissions):
+    def decode(group):
         if name == "hmm":
-            return [alphabet[i] for i in hmm_decode(softmax(emissions), graph).phonemes]
-        path = viterbi(emissions, transitions)[0] if name == "crf" else emissions.argmax(axis=1)
-        return collapse_path([alphabet[i] for i in path])
+            results = decode_batch(*_padded([log_posteriors(softmax(e)) for e in group]), graph)
+            return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
+                    for r in results]
+        if name == "crf":
+            paths = [path for path, _score in viterbi_batch(*_padded(group), transitions)]
+        else:
+            paths = [e.argmax(axis=1) for e in group]
+        return [collapse_path([alphabet[i] for i in path]) for path in paths]
 
     return decode
 
 
-def _decode_utterance(utt, params, hop, decode):
-    if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
-        length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
-        raise DataError(f"utterance of {length} samples is shorter than one hop ({hop} samples)")
-    return decode(compute_emissions(utt, params, hop))
+def _decode_utterances(utts, params, hop, decode):
+    """Yield each utterance's phoneme labels in order, or the DataError or
+    NoLegalPathError it fails with; an item that is already a DataError
+    passes through.
+
+    Emissions are scored one utterance at a time and decoded in consecutive
+    groups of at most DECODE_GROUP_FRAMES padded frames.
+    """
+    outcomes, group = [], []  # outcomes: None where the group holds the emissions
+    width = 0  # the group's longest utterance, counted at least K frames
+
+    def flush():
+        decoded = iter(decode(group) if group else ())
+        done = [next(decoded) if o is None else o for o in outcomes]
+        outcomes.clear()
+        group.clear()
+        return done
+
+    for utt in utts:
+        if isinstance(utt, DataError):
+            outcomes.append(utt)
+            continue
+        if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
+            length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
+            outcomes.append(DataError(
+                f"utterance of {length} samples is shorter than one hop ({hop} samples)"
+            ))
+            continue
+        emissions = compute_emissions(utt, params, hop)
+        if group and (len(group) + 1) * max(width, *emissions.shape) > DECODE_GROUP_FRAMES:
+            yield from flush()
+            width = 0
+        width = max(width, *emissions.shape)
+        outcomes.append(None)
+        group.append(emissions)
+    yield from flush()
 
 
 def _score(sequences):
@@ -399,7 +452,7 @@ GRID_DEFAULTS = {
     "window_ms_list": "100,300,500,700", "kernel_list": "1,5,9",
     "filters_list": "10,50,90", "hidden_list": "100,800,1500",
     "pool_list": "3", "stages_count": 3, "max_configs": 0,
-    "hop_ms": 10.0, "feature_dim": 0, "garbage": "",
+    "hop_ms": 10.0, "feature_dim": 0, "garbage": "", "raw_sample_rate": 0,
     "lr": 1e-4, "epochs": 5, "patience": 5, "seed": 0, "shuffle": True,
 }
 
@@ -485,11 +538,10 @@ def cmd_decode(args):
         feature_dim = None
     refs = load_manifest(args.manifest)
 
-    hyp_dir = out / "hyp"
-    hyp_dir.mkdir(parents=True, exist_ok=True)
-    log_rows = []
     model_rate = metadata.get("sample_rate")
-    for ref in refs:
+
+    def checked(ref):
+        """The loaded utterance, or the DataError that makes it undecodable."""
         try:
             utt = load_utterance(ref, feature_dim, cfg["raw_sample_rate"] or None)
             if utt.waveform is not None and feature_dim is not None:
@@ -498,11 +550,20 @@ def cmd_decode(args):
                 raise DataError(
                     f"sample rate {utt.waveform.sample_rate} Hz != model's {model_rate} Hz"
                 )
-            phonemes = _decode_utterance(utt, params, hop, decode)
-            (hyp_dir / f"{ref.id}.txt").write_text(" ".join(phonemes) + "\n")
+            return utt
+        except DataError as e:
+            return e
+
+    hyp_dir = out / "hyp"
+    hyp_dir.mkdir(parents=True, exist_ok=True)
+    log_rows = []
+    outcomes = _decode_utterances((checked(ref) for ref in refs), params, hop, decode)
+    for ref, outcome in zip(refs, outcomes):
+        if isinstance(outcome, Exception):
+            log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
+        else:
+            (hyp_dir / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
             log_rows.append([ref.id, "ok", ""])
-        except (DataError, NoLegalPathError) as e:
-            log_rows.append([ref.id, "error", str(e).replace(",", ";")])
     _write_csv(out / "decode_log.csv", ["id", "status", "message"], log_rows)
     _echo_resolved(out, "decode", cfg)
     failed = sum(1 for r in log_rows if r[1] != "ok")
@@ -528,7 +589,10 @@ def cmd_eval(args):
     strip = cfg["garbage"] if (cfg["strip_garbage"] and cfg["garbage"]) else None
 
     def sequences(ref):
-        ref_seq = collapse_path(read_labels(ref.labels_path).labels(), strip=strip)
+        labels = read_labels(ref.labels_path).labels()
+        if not labels:
+            raise DataError(f"utterance {ref.id}: {ref.labels_path} has no segments")
+        ref_seq = collapse_path(labels, strip=strip)
         hyp_file = Path(args.hyp_dir) / f"{ref.id}.txt"
         hyp_seq = hyp_file.read_text().split() if hyp_file.exists() else []
         if table is not None:
@@ -596,6 +660,13 @@ ABLATE_DEFAULTS = {
 ABLATE_DEFAULTS.update({"min_duration": 3})
 
 
+def _raised(outcome):
+    """A decode outcome's labels; its error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _with_retained_pools(base, retained):
     """Last stages beyond `retained` lose pooling; the input window is kept."""
     stages = list(base.stages)
@@ -625,9 +696,8 @@ def cmd_ablate_pool(args):
             config = _with_retained_pools(base_config, retained)
             best, _history = _train_once(cfg, train_utts, cv_utts, config, hop, alphabet, garbage)
             _report, acc = _score(
-                (u.id, collapse_path(u.annotation.labels()),
-                 _decode_utterance(u, best, hop, decode))
-                for u in test_utts
+                (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
+                for u, hyp in zip(test_utts, _decode_utterances(test_utts, best, hop, decode))
             )
             rows.append([retained, param_count(config), f"{acc:.6f}", ""])
         except (ValueError, DataError, NoLegalPathError, DivergenceError) as e:

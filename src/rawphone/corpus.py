@@ -45,8 +45,8 @@ def read_wav(path):
                 )
             rate = w.getframerate()
             raw = w.readframes(w.getnframes())
-    except wave.Error as e:
-        raise DataError(f"{path}: not a PCM WAV file: {e}") from e
+    except (wave.Error, EOFError, RuntimeError) as e:  # EOFError, RuntimeError: bad chunk sizes
+        raise DataError(f"{path}: not a PCM WAV file: {e or type(e).__name__}") from e
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size < 1:
         raise DataError(f"{path}: empty waveform")
@@ -167,6 +167,9 @@ def load_manifest(path):
                 raise DataError(
                     f"{path}:{lineno}: record needs exactly one of `wav` or `feat`"
                 )
+            for key in ("labels", "wav", "feat"):
+                if key in rec and not isinstance(rec[key], str):
+                    raise DataError(f"{path}:{lineno}: `{key}` must be a path string")
             refs.append(
                 UtteranceRef(
                     id=str(rec["id"]),

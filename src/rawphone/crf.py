@@ -4,8 +4,8 @@ A path's score is its per-frame emissions (raw pre-softmax scores) plus
 A[i, j] for each move from label j to label i, none at t=1 (no start-state
 vector); the softmax is over whole paths. Viterbi works in log space and
 adds in path_score's order, so its score is the enumeration maximum
-exactly; the sum-product quantities come from one scaled forward-backward.
-All float64.
+exactly; it runs over a padded batch of utterances. The sum-product
+quantities come from one scaled forward-backward. All float64.
 """
 
 import time
@@ -79,21 +79,60 @@ def viterbi(emissions, transitions):
     """Highest-scoring label path and its score.
 
     Ties break toward the smaller label index at the latest differing
-    position (first-occurrence argmax in the backtrace).
+    position (first-occurrence argmax in the backtrace). The batch of one
+    of `viterbi_batch`.
     """
     e, a = _check(emissions, transitions)
-    t_len, k = e.shape
-    back = np.zeros((t_len, k), dtype=np.int64)
-    alpha = e[0].copy()
-    for t in range(1, t_len):
-        cand = alpha[None, :] + a  # cand[i, j]: arrive at i from j
-        back[t] = np.argmax(cand, axis=1)
-        alpha = cand[np.arange(k), back[t]] + e[t]
-    path = np.zeros(t_len, dtype=np.int64)
-    path[-1] = int(np.argmax(alpha))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, float(alpha[path[-1]])
+    return viterbi_batch(e[None], [len(e)], a)[0]
+
+
+def viterbi_batch(emissions, lengths, transitions):
+    """`viterbi` for a padded (N, T_max, K) batch; row n holds lengths[n] >= 1 frames.
+
+    Returns one (path, score) per utterance, each equal to `viterbi` on
+    that utterance alone: cand = alpha + A takes the same adds and its
+    first-occurrence argmax the same ties. The forward pass and the
+    backtrace each take one Python step per frame of the longest
+    utterance; back-pointers are stored in the smallest integer type
+    that holds K labels.
+    """
+    e = np.asarray(emissions, dtype=np.float64)
+    a = np.asarray(transitions, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if e.ndim != 3 or lengths.shape != e.shape[:1]:
+        raise ValueError("emissions must be an N x T x K batch with N lengths")
+    n, t_max, k = e.shape
+    if a.shape != (k, k):
+        raise ValueError(f"transition matrix must be {k} x {k}, got {a.shape}")
+    if n == 0:
+        return []
+    if lengths.min() < 1 or lengths.max() > t_max:
+        raise ValueError(f"lengths must lie in [1, {t_max}]")
+    rows = np.arange(n)
+    ends_at = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
+    back = np.zeros((n, t_max, k), dtype=np.min_scalar_type(k - 1))
+    final = np.empty((n, k))
+    cand = np.empty((n, k, k))  # cand[n, i, j]: arrive at i from j
+    row_starts = np.arange(n * k) * k
+    alpha = e[:, 0]
+    for t in range(t_max):
+        if t:
+            np.add(alpha[:, None, :], a, out=cand)
+            best = cand.argmax(axis=2)
+            back[:, t] = best
+            alpha = cand.reshape(-1)[row_starts + best.reshape(-1)].reshape(n, k) + e[:, t]
+        final[ends_at[t]] = alpha[ends_at[t]]
+
+    paths = np.zeros((n, t_max), dtype=np.int64)
+    label = np.zeros(n, dtype=back.dtype)
+    last = final.argmax(axis=1)
+    for t in range(t_max - 1, -1, -1):
+        label[ends_at[t]] = last[ends_at[t]]
+        paths[:, t] = label
+        if t:
+            label = back[rows, t, label]
+    return [(path[:t_len].copy(), float(final[u, path[t_len - 1]]))
+            for u, (path, t_len) in enumerate(zip(paths, lengths.tolist()))]
 
 
 def forward_backward(emissions, transitions):

@@ -47,68 +47,106 @@ def decode_scores(log_emissions, graph):
 
     Ties break toward the smaller state index (phoneme-major ordering).
     Raises NoLegalPathError when the sequence is shorter than the
-    minimum duration.
+    minimum duration. The batch of one of `decode_batch`.
     """
     e = np.asarray(log_emissions, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError("log_emissions must be a T x K matrix")
-    t_len, k = e.shape
+    result = decode_batch(e[None], [len(e)], graph)[0]
+    if isinstance(result, NoLegalPathError):
+        raise result
+    return result
+
+
+def decode_batch(log_emissions, lengths, graph):
+    """`decode_scores` for a padded (N, T_max, K) batch; row n holds lengths[n] frames.
+
+    Returns one entry per utterance: its HmmDecodeResult, or the
+    NoLegalPathError `decode_scores` would raise for it. Every utterance
+    gets the same adds and tie rules as alone: the entering state takes
+    the first best completed phoneme, and the last state of a chain
+    prefers arriving (`come >= stay`) over its self-loop. One Python step
+    per frame of the longest utterance; the back-pointers are the
+    entering argmax per (utterance, frame) and the come-or-stay choice per
+    (utterance, frame, phoneme), as the middle states have one
+    predecessor.
+    """
+    e = np.asarray(log_emissions, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if e.ndim != 3 or lengths.shape != e.shape[:1]:
+        raise ValueError("log_emissions must be an N x T x K batch with N lengths")
+    n, t_max, k = e.shape
     if k != graph.num_classes:
         raise ValueError(f"emissions have {k} classes, graph has {graph.num_classes}")
+    if n and (lengths.min() < 0 or lengths.max() > t_max):
+        raise ValueError(f"lengths must lie in [0, {t_max}]")
     d = graph.min_duration
-    if t_len < d:
-        raise NoLegalPathError(
-            f"sequence of {t_len} frames admits no path with minimum duration {d}"
-        )
+    results = [
+        NoLegalPathError(f"sequence of {t} frames admits no path with minimum duration {d}")
+        for t in lengths.tolist()
+    ]
+    live = np.flatnonzero(lengths >= d)
+    if len(live) == 0:
+        return results
+    if len(live) < n:
+        e, lengths = e[live], lengths[live]
+    n, t_max = len(live), int(lengths.max())
+    rows = np.arange(n)
+    ends_at = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
 
-    neg_inf = -np.inf
-    state_idx = np.arange(k) * d
-    alpha = np.full((k, d), neg_inf)
-    alpha[:, 0] = e[0]
-    back = np.zeros((t_len, k, d), dtype=np.int64)
-    for t in range(1, t_len):
-        new_alpha = np.full((k, d), neg_inf)
-        new_back = np.zeros((k, d), dtype=np.int64)
-        # enter a phoneme: from the best completed phoneme (smallest on ties)
-        last = alpha[:, d - 1]
-        j = int(np.argmax(last))
-        new_alpha[:, 0] = last[j]
-        new_back[:, 0] = j * d + (d - 1)
-        if d >= 2:
-            for s in range(1, d - 1):
-                new_alpha[:, s] = alpha[:, s - 1]
-                new_back[:, s] = state_idx + (s - 1)
-            stay = alpha[:, d - 1]
-            come = alpha[:, d - 2]
-            use_come = come >= stay
-            new_alpha[:, d - 1] = np.where(use_come, come, stay)
-            new_back[:, d - 1] = np.where(
-                use_come, state_idx + (d - 2), state_idx + (d - 1)
-            )
-        new_alpha += e[t][:, None]
-        alpha = new_alpha
-        back[t] = new_back
+    # alpha[:, s, :] holds state s of every phoneme chain
+    alpha = np.full((n, d, k), -np.inf)
+    alpha[:, 0] = e[:, 0]
+    final = np.empty((n, k))
+    enter = np.zeros((n, t_max), dtype=np.min_scalar_type(k - 1))
+    come = np.zeros((n, t_max, k), dtype=bool)
+    for t in range(t_max):
+        if t:
+            last = alpha[:, d - 1]
+            new_alpha = np.empty_like(alpha)
+            j = last.argmax(axis=1)
+            enter[:, t] = j
+            new_alpha[:, 0] = last[rows, j][:, None]
+            new_alpha[:, 1 : d - 1] = alpha[:, : d - 2]
+            if d >= 2:
+                use_come = np.greater_equal(alpha[:, d - 2], last, out=come[:, t])
+                new_alpha[:, d - 1] = np.where(use_come, alpha[:, d - 2], last)
+            new_alpha += e[:, t, None, :]
+            alpha = new_alpha
+        final[ends_at[t]] = alpha[ends_at[t], d - 1]
 
-    final = alpha[:, d - 1]
-    best_k = int(np.argmax(final))
-    score = final[best_k]
-    if not np.isfinite(score):
-        raise NoLegalPathError("no finite-score legal path")
+    best_k = final.argmax(axis=1)
+    score = final[rows, best_k]
+    labels = np.zeros((n, t_max), dtype=np.int64)
+    state_k = np.zeros(n, dtype=np.int64)
+    state_s = np.zeros(n, dtype=np.int64)
+    for t in range(t_max - 1, -1, -1):
+        starts = ends_at[t]
+        state_k[starts] = best_k[starts]
+        state_s[starts] = d - 1
+        labels[:, t] = state_k
+        if t == 0:
+            break
+        entering = state_s == 0
+        stays = (state_s == d - 1) & ~come[rows, t, state_k]
+        state_k = np.where(entering, enter[:, t], state_k)
+        state_s = np.where(entering | stays, d - 1, state_s - 1)
 
-    states = np.zeros(t_len, dtype=np.int64)
-    states[-1] = best_k * d + (d - 1)
-    for t in range(t_len - 1, 0, -1):
-        states[t - 1] = back[t, states[t] // d, states[t] % d]
-    frame_labels = states // d
-    phonemes = [int(frame_labels[0])]
-    for lbl in frame_labels[1:]:
-        if lbl != phonemes[-1]:
-            phonemes.append(int(lbl))
-    return HmmDecodeResult(phonemes, frame_labels, float(score))
+    for u, t_len, frame_labels, best in zip(live.tolist(), lengths.tolist(), labels, score):
+        if not np.isfinite(best):
+            results[u] = NoLegalPathError("no finite-score legal path")
+            continue
+        frame_labels = frame_labels[:t_len].copy()
+        phonemes = [int(frame_labels[0])]
+        for lbl in frame_labels[1:]:
+            if lbl != phonemes[-1]:
+                phonemes.append(int(lbl))
+        results[u] = HmmDecodeResult(phonemes, frame_labels, float(best))
+    return results
 
 
-def hmm_decode(posteriors, graph, row_sum_tol=1e-6):
-    """Decode a T x K posterior matrix (rows on the probability simplex)."""
+def log_posteriors(posteriors, row_sum_tol=1e-6):
+    """log of a T x K posterior matrix, after checking its rows lie on the simplex."""
     p = np.asarray(posteriors, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("posteriors must be a T x K matrix")
@@ -119,5 +157,9 @@ def hmm_decode(posteriors, graph, row_sum_tol=1e-6):
         worst = int(np.abs(sums - 1.0).argmax())
         raise ValueError(f"posterior row {worst} sums to {sums[worst]:.8f}, not 1")
     with np.errstate(divide="ignore"):
-        log_e = np.log(p)
-    return decode_scores(log_e, graph)
+        return np.log(p)
+
+
+def hmm_decode(posteriors, graph, row_sum_tol=1e-6):
+    """Decode a T x K posterior matrix (rows on the probability simplex)."""
+    return decode_scores(log_posteriors(posteriors, row_sum_tol), graph)

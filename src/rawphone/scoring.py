@@ -60,36 +60,42 @@ def levenshtein(ref, hyp):
 
     The distance is unique; the breakdown follows the deterministic
     backtrace preference match > substitution > deletion > insertion.
+    Each DP row takes three array operations: X[0] = i and
+    X[k] = min(D[i-1, k-1] + cost, D[i-1, k] + 1) cover substitution and
+    deletion, and the running minimum D[i, j] = j + min_{k<=j} (X[k] - k)
+    adds the insertion chains, all in exact integers.
     """
-    ref = list(ref)
-    hyp = list(hyp)
-    n, m = len(ref), len(hyp)
+    codes = {}
+    r = [codes.setdefault(x, len(codes)) for x in ref]
+    h = [codes.setdefault(x, len(codes)) for x in hyp]
+    n, m = len(r), len(h)
+    h_codes = np.array(h, dtype=np.int64)
     d = np.zeros((n + 1, m + 1), dtype=np.int64)
-    d[:, 0] = np.arange(n + 1)
-    d[0, :] = np.arange(m + 1)
+    k = np.arange(m + 1)
+    d[0] = k
+    x = np.empty(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            d[i, j] = min(
-                d[i - 1, j - 1] + (0 if same else 1),
-                d[i - 1, j] + 1,
-                d[i, j - 1] + 1,
-            )
+        x[0] = i
+        np.minimum(d[i - 1, :-1] + (h_codes != r[i - 1]), d[i - 1, 1:] + 1, out=x[1:])
+        x -= k
+        np.minimum.accumulate(x, out=d[i])
+        d[i] += k
+    d = d.tolist()
     subs = dels = ins = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and d[i, j] == d[i - 1, j - 1]:
+        if i > 0 and j > 0 and r[i - 1] == h[j - 1] and d[i][j] == d[i - 1][j - 1]:
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + 1:
+        elif i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + 1:
             subs += 1
             i, j = i - 1, j - 1
-        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:
             ins += 1
             j -= 1
-    return int(d[n, m]), (subs, dels, ins)
+    return d[n][m], (subs, dels, ins)
 
 
 def phoneme_accuracy(ref, hyp):

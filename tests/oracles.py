@@ -3,9 +3,10 @@
 Everything here is deliberately brute force (enumeration, finite
 differences, naive DFT), or the plainer code a faster library path
 replaced: the per-call SGD step the step plan must reproduce bit for
-bit, and the log-space CRF sum-product the scaled forward-backward must
-match within rounding. None of it shares code with the library paths it
-checks.
+bit, the log-space CRF sum-product the scaled forward-backward must
+match within rounding, and the per-utterance Viterbi and edit-distance
+loops the batched and row-vectorized programs must match exactly. None
+of it shares code with the library paths it checks.
 """
 
 import itertools
@@ -250,6 +251,25 @@ def crf_enum_viterbi(emissions, transitions):
     return np.array(best), best_score
 
 
+def reference_viterbi(emissions, transitions):
+    """The per-utterance CRF Viterbi `crf.viterbi_batch` replaced: one (K, K)
+    candidate matrix and one backtrace step per frame."""
+    e = np.asarray(emissions, dtype=np.float64)
+    a = np.asarray(transitions, dtype=np.float64)
+    t_len, k = e.shape
+    back = np.zeros((t_len, k), dtype=np.int64)
+    alpha = e[0].copy()
+    for t in range(1, t_len):
+        cand = alpha[None, :] + a  # cand[i, j]: arrive at i from j
+        back[t] = np.argmax(cand, axis=1)
+        alpha = cand[np.arange(k), back[t]] + e[t]
+    path = np.zeros(t_len, dtype=np.int64)
+    path[-1] = int(np.argmax(alpha))
+    for t in range(t_len - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path, float(alpha[path[-1]])
+
+
 def crf_enum_marginals(emissions, transitions):
     e = np.asarray(emissions)
     t_len, k = e.shape
@@ -378,7 +398,82 @@ def hmm_enum_best_score(log_emissions, k, d):
     return best
 
 
+def reference_decode_scores(log_emissions, k, d):
+    """The per-utterance duration-HMM Viterbi `hmm.decode_batch` replaced, with
+    a full (T, K, D) back-pointer tensor. Returns (frame labels, score), or
+    None where `hmm.decode_scores` raises NoLegalPathError."""
+    e = np.asarray(log_emissions, dtype=np.float64)
+    t_len = e.shape[0]
+    if t_len < d:
+        return None
+    state_idx = np.arange(k) * d
+    alpha = np.full((k, d), -np.inf)
+    alpha[:, 0] = e[0]
+    back = np.zeros((t_len, k, d), dtype=np.int64)
+    for t in range(1, t_len):
+        new_alpha = np.full((k, d), -np.inf)
+        new_back = np.zeros((k, d), dtype=np.int64)
+        last = alpha[:, d - 1]
+        j = int(np.argmax(last))
+        new_alpha[:, 0] = last[j]
+        new_back[:, 0] = j * d + (d - 1)
+        if d >= 2:
+            for s in range(1, d - 1):
+                new_alpha[:, s] = alpha[:, s - 1]
+                new_back[:, s] = state_idx + (s - 1)
+            stay = alpha[:, d - 1]
+            come = alpha[:, d - 2]
+            use_come = come >= stay
+            new_alpha[:, d - 1] = np.where(use_come, come, stay)
+            new_back[:, d - 1] = np.where(use_come, state_idx + (d - 2), state_idx + (d - 1))
+        new_alpha += e[t][:, None]
+        alpha = new_alpha
+        back[t] = new_back
+    final = alpha[:, d - 1]
+    best_k = int(np.argmax(final))
+    if not np.isfinite(final[best_k]):
+        return None
+    states = np.zeros(t_len, dtype=np.int64)
+    states[-1] = best_k * d + (d - 1)
+    for t in range(t_len - 1, 0, -1):
+        states[t - 1] = back[t, states[t] // d, states[t] % d]
+    return states // d, float(final[best_k])
+
+
 # --- edit distance ----------------------------------------------------------
+
+
+def reference_levenshtein(ref, hyp):
+    """The cell-by-cell DP and backtrace the row-vectorized `levenshtein` replaced."""
+    ref = list(ref)
+    hyp = list(hyp)
+    n, m = len(ref), len(hyp)
+    d = np.zeros((n + 1, m + 1), dtype=np.int64)
+    d[:, 0] = np.arange(n + 1)
+    d[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            d[i, j] = min(
+                d[i - 1, j - 1] + (0 if same else 1),
+                d[i - 1, j] + 1,
+                d[i, j - 1] + 1,
+            )
+    subs = dels = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and d[i, j] == d[i - 1, j - 1]:
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + 1:
+            subs += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return int(d[n, m]), (subs, dels, ins)
 
 
 def levenshtein_two_rows(ref, hyp):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from rawphone import cli as cli_module
 from rawphone.cli import SUBCOMMANDS, build_parser, main
 from rawphone.corpus import read_wav, write_labels, write_wav
 from rawphone.framing import SegmentAnnotation, Waveform
@@ -346,6 +347,47 @@ class TestDecode:
                   "--model", tmp_path / "no_such.rcn", "--out", tmp_path / "d"])
         assert rc == 2
 
+    @pytest.mark.parametrize("decoder", ["argmax", "crf", "hmm"])
+    @pytest.mark.parametrize("group_frames", [None, 1])
+    def test_mixed_manifest_decodes_as_each_utterance_alone(
+            self, corpus, trained, tmp_path, monkeypatch, decoder, group_frames):
+        if group_frames is not None:  # every utterance in a group of its own
+            monkeypatch.setattr(cli_module, "DECODE_GROUP_FRAMES", group_frames)
+        data = tmp_path / "data"
+        data.mkdir()
+        tone = np.sin(np.arange(4000) * (2 * np.pi * 700 / 16000))
+        for name, samples, rate in (("sub_hop", tone[:100], 16000),  # 0 frames
+                                    ("two_frames", tone[:320], 16000),  # < hmm min duration
+                                    ("narrow", tone, 8000)):
+            write_wav(data / f"{name}.wav", Waveform(samples, rate))
+            write_labels(data / f"{name}.txt", SegmentAnnotation(((0, len(samples), "c0"),)))
+        rows = [json.loads(line) for line in (corpus / "test.jsonl").read_text().splitlines()]
+        good = [json.dumps({"id": r["id"], "wav": str(corpus / r["wav"]),
+                            "labels": str(corpus / r["labels"])}) for r in rows]
+        odd = [json.dumps({"id": n, "wav": f"{n}.wav", "labels": f"{n}.txt"})
+               for n in ("sub_hop", "two_frames", "narrow")]
+        lines = [good[0], odd[0], odd[1], good[1], odd[2]]
+        (data / "all.jsonl").write_text("\n".join(lines) + "\n")
+
+        def decode(manifest, out):
+            assert run(["decode", "--manifest", manifest, "--model", trained / "model.rcn",
+                        "--decoder", decoder, "--out", out]) in (0, 2)
+            log = (out / "decode_log.csv").read_text().splitlines()
+            hyps = {p.name: p.read_bytes() for p in (out / "hyp").iterdir()}
+            return log, hyps
+
+        log, hyps = decode(data / "all.jsonl", tmp_path / "all")
+        alone_log, alone_hyps = [log[0]], {}
+        for i, line in enumerate(lines):
+            (data / f"one{i}.jsonl").write_text(line + "\n")
+            one_log, one_hyps = decode(data / f"one{i}.jsonl", tmp_path / f"one{i}")
+            alone_log += one_log[1:]
+            alone_hyps.update(one_hyps)
+        assert log == alone_log
+        assert hyps == alone_hyps
+        status = [row.split(",")[1] for row in log[1:]]
+        assert status == ["ok", "error", "error" if decoder == "hmm" else "ok", "ok", "error"]
+
     def test_repeat_decode_byte_identical(self, corpus, trained, tmp_path):
         for out in ("r1", "r2"):
             assert run(["decode", "--manifest", corpus / "test.jsonl",
@@ -566,6 +608,18 @@ class TestGrid:
                 tmp_path / "file" / name
             ).read_bytes(), name
         assert json.loads((tmp_path / "flag" / "resolved.json").read_text())["shuffle"] is False
+
+
+    def test_raw_float_input_with_raw_sample_rate(self, corpus, tmp_path):
+        raw = write_raw_float_corpus(corpus, tmp_path / "raw")
+        assert run(["grid", *split_args(raw, "train", "cv"), "--out", tmp_path / "f32",
+                    *TINY_GRID, "--raw-sample-rate", "16000"]) == 0
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path / "wav",
+                    *TINY_GRID]) == 0
+        # int16 / 32768 is exact in float32: the two inputs are the same signal
+        assert (tmp_path / "f32" / "grid.csv").read_bytes() == (
+            tmp_path / "wav" / "grid.csv"
+        ).read_bytes()
 
 
 class TestCheckGrad:

@@ -10,6 +10,7 @@ from rawphone.crf import (
     transition_counts,
     transition_gradient,
     viterbi,
+    viterbi_batch,
 )
 from rawphone.errors import DivergenceError
 
@@ -23,6 +24,7 @@ from oracles import (
     reference_log_partition,
     reference_train_transitions,
     reference_transition_gradient,
+    reference_viterbi,
 )
 
 # worked two-frame instance used across several tests
@@ -177,6 +179,45 @@ class TestViterbi:
         path2, score2 = viterbi(shifted, a)
         np.testing.assert_array_equal(path, path2)
         assert score2 == pytest.approx(score + 7.5, abs=1e-9)
+
+
+class TestViterbiBatch:
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    def test_bit_identical_to_per_utterance_reference(self, k):
+        rng = np.random.Generator(np.random.PCG64(200 + k))
+        for trial in range(12):
+            lengths = [1, 2, 3, *rng.integers(1, 30, size=int(rng.integers(1, 6)))]
+            rng.shuffle(lengths)
+            integer = trial % 2 == 0  # integer scores force ties
+            utts = [rng.integers(-2, 1, size=(t, k)).astype(float) if integer
+                    else rng.normal(size=(t, k)) for t in lengths]
+            if trial % 3 == 0:
+                for x in utts:
+                    x[rng.random(x.shape) < 0.3] = -np.inf
+            a = rng.integers(-1, 2, size=(k, k)).astype(float) if integer else rng.normal(size=(k, k))
+            batch = np.zeros((len(utts), max(lengths), k))
+            for row, x in zip(batch, utts):
+                row[: len(x)] = x
+            for x, (path, score) in zip(utts, viterbi_batch(batch, lengths, a)):
+                ref_path, ref_score = reference_viterbi(x, a)
+                assert path.dtype == ref_path.dtype
+                np.testing.assert_array_equal(path, ref_path)
+                assert score == ref_score or (np.isnan(score) and np.isnan(ref_score))
+                assert type(score) is float
+                single_path, single_score = viterbi(x, a)
+                np.testing.assert_array_equal(single_path, path)
+
+    def test_labels_above_255_survive_compact_back_pointers(self):
+        e = np.random.default_rng(3).normal(size=(2, 5, 300))
+        paths = viterbi_batch(e, [5, 4], np.zeros((300, 300)))
+        for (path, _), x, t in zip(paths, e, (5, 4)):
+            np.testing.assert_array_equal(path, x[:t].argmax(axis=1))
+
+    def test_bad_lengths_rejected(self):
+        with pytest.raises(ValueError, match="lengths"):
+            viterbi_batch(np.zeros((2, 3, 2)), [3, 0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="lengths"):
+            viterbi_batch(np.zeros((1, 3, 2)), [4], np.zeros((2, 2)))
 
 
 class TestEmissionShiftInvariance:

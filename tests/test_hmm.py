@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rawphone.errors import NoLegalPathError
-from rawphone.hmm import build_duration_graph, decode_scores, hmm_decode
+from rawphone.hmm import build_duration_graph, decode_batch, decode_scores, hmm_decode
 
-from oracles import hmm_enum_best_score, min_duration_sequences
+from oracles import hmm_enum_best_score, min_duration_sequences, reference_decode_scores
 
 
 def run_lengths(frame_labels):
@@ -99,6 +101,86 @@ class TestDecodeScores:
                 if x != collapsed[-1]:
                     collapsed.append(x)
             assert result.phonemes == [int(x) for x in collapsed]
+
+
+def ragged_batch(rng, k, lengths, integer=False, neg_inf=0.0):
+    """Zero-padded (N, T_max, K) batch of seeded emissions, and its utterances.
+
+    Integer-valued scores force ties; `neg_inf` is the share of -inf entries
+    (zero posteriors)."""
+    utts = []
+    for t in lengths:
+        x = rng.integers(-2, 1, size=(t, k)).astype(float) if integer else rng.normal(size=(t, k))
+        x[rng.random(x.shape) < neg_inf] = -np.inf
+        utts.append(x)
+    batch = np.zeros((len(lengths), max(lengths), k))
+    for row, x in zip(batch, utts):
+        row[: len(x)] = x
+    return batch, utts
+
+
+class TestDecodeBatch:
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_per_utterance_reference(self, k, d):
+        rng = np.random.Generator(np.random.PCG64(100 * k + d))
+        graph = build_duration_graph(k, d)
+        checked = 0
+        for trial in range(12):
+            lengths = [1, d, *rng.integers(1, 30, size=int(rng.integers(1, 6)))]
+            rng.shuffle(lengths)
+            batch, utts = ragged_batch(rng, k, lengths, integer=trial % 2 == 0,
+                                       neg_inf=0.3 if trial % 3 == 0 else 0.0)
+            for x, got in zip(utts, decode_batch(batch, lengths, graph)):
+                expected = reference_decode_scores(x, k, d)
+                if expected is None:
+                    assert isinstance(got, NoLegalPathError)
+                    continue
+                labels, score = expected
+                assert got.frame_labels.dtype == labels.dtype
+                np.testing.assert_array_equal(got.frame_labels, labels)
+                assert got.score == score and type(got.score) is float
+                single = decode_scores(x, graph)
+                assert single.phonemes == got.phonemes and single.score == got.score
+                checked += 1
+        assert checked > 0
+
+    def test_errors_stay_with_their_utterance(self):
+        graph = build_duration_graph(2, 3)
+        dead = np.full((4, 2), -np.inf)  # no finite path
+        good = np.log(np.array([[0.9, 0.1]] * 3 + [[0.1, 0.9]] * 3))
+        batch = np.zeros((4, 6, 2))
+        batch[0, :2] = good[:2]
+        batch[1] = good
+        batch[2, :4] = dead
+        batch[3, :3] = good[:3]
+        results = decode_batch(batch, [2, 6, 4, 3], graph)
+        assert str(results[0]) == "sequence of 2 frames admits no path with minimum duration 3"
+        assert results[1].phonemes == [0, 1]
+        assert str(results[2]) == "no finite-score legal path"
+        assert results[3].phonemes == [0]
+        with pytest.raises(NoLegalPathError, match="no finite-score"):
+            decode_scores(dead, graph)
+
+    def test_back_pointers_are_compact(self):
+        # far below the (N, T_max, K, D) int64 back-pointer tensor of the plain loop
+        graph = build_duration_graph(39, 3)
+        batch = np.random.default_rng(0).normal(size=(8, 200, 39))
+        tracemalloc.start()
+        try:
+            results = decode_batch(batch, [200] * 8, graph)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 8
+        assert peak < 8 * 200 * 39 * 3 * 8 / 4
+
+    def test_bad_lengths_rejected(self):
+        graph = build_duration_graph(2, 1)
+        with pytest.raises(ValueError, match="lengths"):
+            decode_batch(np.zeros((2, 3, 2)), [3, 4], graph)
+        with pytest.raises(ValueError, match="lengths"):
+            decode_batch(np.zeros((2, 3, 2)), [3], graph)
 
 
 class TestHmmDecode:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rawphone.cli import _decode_utterance, _decoder, compute_emissions
+from rawphone.cli import _decode_utterances, _decoder, compute_emissions
 from rawphone.corpus import LabeledUtterance, utterance_windows
 from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
@@ -129,9 +129,10 @@ class TestComputeEmissions:
         assert compute_emissions(utt, params, HOP).shape == (0, 5)
         message = r"^utterance of 100 samples is shorter than one hop \(160 samples\)$"
         for decoder in ("argmax", "crf", "hmm"):
+            decode = _decoder(decoder, list("abcde"), np.zeros((5, 5)), 3)
+            [outcome] = _decode_utterances([utt], params, HOP, decode)
             with pytest.raises(DataError, match=message):
-                decode = _decoder(decoder, list("abcde"), np.zeros((5, 5)), 3)
-                _decode_utterance(utt, params, HOP, decode)
+                raise outcome
 
 
 class TestFrameAccuracy:

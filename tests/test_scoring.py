@@ -9,7 +9,7 @@ from rawphone.scoring import (
     phoneme_accuracy,
 )
 
-from oracles import levenshtein_recursive, levenshtein_two_rows
+from oracles import levenshtein_recursive, levenshtein_two_rows, reference_levenshtein
 
 
 class TestMapLabels:
@@ -70,6 +70,15 @@ class TestLevenshtein:
             dist, _ = levenshtein(ref, hyp)
             assert dist == levenshtein_two_rows(ref, hyp)
             assert dist == levenshtein_recursive(ref, hyp)
+
+
+    def test_identical_to_cell_by_cell_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            symbols = int(rng.integers(1, 6))
+            ref = [f"p{x}" for x in rng.integers(0, symbols, size=rng.integers(0, 16))]
+            hyp = [f"p{x}" for x in rng.integers(0, symbols, size=rng.integers(0, 16))]
+            assert levenshtein(ref, hyp) == reference_levenshtein(ref, hyp), (ref, hyp)
 
 
 class TestPhonemeAccuracy:
