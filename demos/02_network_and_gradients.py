@@ -17,7 +17,7 @@ from rawphone.net import (
     init_params,
     param_count,
 )
-from rawphone.training import frame_log_likelihood, loglik_score_gradient
+from rawphone.training import frame_loss
 
 print("== reference raw-input architecture ==")
 config = NetworkConfig(
@@ -53,7 +53,7 @@ window = rng.normal(size=(32, 1))
 target = 2
 
 scores, cache = forward_pass(window, params)
-analytic, _ = backward_pass(cache, params, loglik_score_gradient(scores, target))
+analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
 
 eps = 1e-4
 for name, tensor in params.named_tensors():
@@ -62,9 +62,9 @@ for name, tensor in params.named_tensors():
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + eps
-        up = frame_log_likelihood(forward_pass(window, params)[0], target)
+        up, _ = frame_loss(forward_pass(window, params)[0], target)
         flat[j] = orig - eps
-        down = frame_log_likelihood(forward_pass(window, params)[0], target)
+        down, _ = frame_loss(forward_pass(window, params)[0], target)
         flat[j] = orig
         nflat[j] = (up - down) / (2 * eps)
     denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1e-6)

@@ -21,8 +21,8 @@ from rawphone.corpus import (
     utterance_frame_labels,
 )
 from rawphone.crf import train_transitions, viterbi
-from rawphone.hmm import build_duration_graph, hmm_decode
-from rawphone.net import NetworkConfig, StageConfig, param_count, softmax
+from rawphone.hmm import build_duration_graph, decode_scores
+from rawphone.net import NetworkConfig, StageConfig, log_softmax, param_count
 from rawphone.scoring import collapse_path, levenshtein
 from rawphone.training import TrainConfig, train_network
 
@@ -71,7 +71,7 @@ for utt in test_utts:
     e = compute_emissions(utt, best, HOP)
     ref = collapse_path([label_to_index[l] for l in utt.annotation.labels()])
     hyps = {"argmax": collapse_path(list(e.argmax(axis=1)))}
-    hyps["hmm"] = hmm_decode(softmax(e), graph).phonemes
+    hyps["hmm"] = decode_scores(log_softmax(e), graph).phonemes
     hyps["crf"] = collapse_path(list(viterbi(e, transitions)[0]))
     for name, hyp in hyps.items():
         dist, _ = levenshtein(ref, hyp)

@@ -34,7 +34,6 @@ from .hmm import (
     decode_batch,
     decode_scores,
     hmm_decode,
-    log_posteriors,
 )
 from .model_io import load_model, save_model
 from .net import (
@@ -45,6 +44,7 @@ from .net import (
     backward_pass,
     forward_pass,
     init_params,
+    log_softmax,
     maxpool_forward,
     param_count,
     softmax,
@@ -54,15 +54,13 @@ from .scoring import (
     collapse_path,
     levenshtein,
     map_labels,
-    phoneme_accuracy,
 )
 from .training import (
     FrameDataset,
     GridSpec,
     TrainConfig,
-    frame_log_likelihood,
+    frame_loss,
     grid_search,
-    logadd,
     sgd_step,
     train_network,
 )

@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .crf import train_transitions, viterbi_batch
 from .errors import DataError, DivergenceError, NoLegalPathError
-from .hmm import build_duration_graph, decode_batch, log_posteriors
+from .hmm import build_duration_graph, decode_batch
 from .model_io import load_model, save_model
 from .net import (
     NetworkConfig,
@@ -44,20 +44,19 @@ from .net import (
     backward_pass,
     forward_pass,
     init_params,
+    log_softmax,
     param_count,
     score_waveform,
     score_windows,
     shares_first_stage,
-    softmax,
 )
 from .scoring import collapse_path, levenshtein, map_labels, read_mapping
 from .training import (
     GridSpec,
     TrainConfig,
-    frame_log_likelihood,
+    frame_loss,
     grid_search,
     history_csv_lines,
-    loglik_score_gradient,
     train_network,
 )
 
@@ -226,7 +225,9 @@ def _decoder(name, alphabet, transitions, min_duration):
 
     def decode(group):
         if name == "hmm":
-            results = decode_batch(*_padded([log_posteriors(softmax(e)) for e in group]), graph)
+            # log_softmax per utterance, then pad: on the padded batch, its large
+            # temporaries and the padding rows cost about 2.5x as much at K = 39
+            results = decode_batch(*_padded([log_softmax(e) for e in group]), graph)
             return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
                     for r in results]
         if name == "crf":
@@ -734,7 +735,7 @@ def cmd_check_grad(args):
         window = rng.normal(size=(config.input_frames, config.input_dim))
         target = int(rng.integers(config.num_classes))
         scores, cache = forward_pass(window, params)
-        analytic, _ = backward_pass(cache, params, loglik_score_gradient(scores, target))
+        analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
         if cfg["corrupt"]:
             if cfg["corrupt"] not in analytic:
                 raise ValueError(f"no tensor named {cfg['corrupt']!r} to corrupt")
@@ -742,7 +743,7 @@ def cmd_check_grad(args):
 
         for name, tensor in params.named_tensors():
             numeric = _numeric_gradient(
-                tensor, lambda: frame_log_likelihood(forward_pass(window, params)[0], target),
+                tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0],
                 cfg["eps"],
             )
             a = analytic[name]

@@ -68,6 +68,8 @@ def read_raw_float(path, sample_rate):
     samples = np.fromfile(str(path), dtype="<f4").astype(np.float64)
     if samples.size < 1:
         raise DataError(f"{path}: empty waveform")
+    if not np.isfinite(samples).all():
+        raise DataError(f"{path}: waveform contains non-finite samples")
     return Waveform(samples, sample_rate)
 
 

@@ -145,21 +145,24 @@ def decode_batch(log_emissions, lengths, graph):
     return results
 
 
-def log_posteriors(posteriors, row_sum_tol=1e-6):
-    """log of a T x K posterior matrix, after checking its rows lie on the simplex."""
+# Largest |row sum - 1| that hmm_decode accepts in a posterior matrix.
+ROW_SUM_TOL = 1e-6
+
+
+def hmm_decode(posteriors, graph):
+    """Decode a T x K posterior matrix (rows on the probability simplex).
+
+    The rows are checked to lie on the simplex, then decoded by their log.
+    """
     p = np.asarray(posteriors, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("posteriors must be a T x K matrix")
     if p.min() < 0:
         raise ValueError("posteriors must be non-negative")
     sums = p.sum(axis=1)
-    if np.abs(sums - 1.0).max() > row_sum_tol:
+    if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
         worst = int(np.abs(sums - 1.0).argmax())
         raise ValueError(f"posterior row {worst} sums to {sums[worst]:.8f}, not 1")
     with np.errstate(divide="ignore"):
-        return np.log(p)
-
-
-def hmm_decode(posteriors, graph, row_sum_tol=1e-6):
-    """Decode a T x K posterior matrix (rows on the probability simplex)."""
-    return decode_scores(log_posteriors(posteriors, row_sum_tol), graph)
+        log_p = np.log(p)
+    return decode_scores(log_p, graph)

@@ -174,20 +174,11 @@ class NetworkParams:
         return out
 
     def copy(self):
-        return NetworkParams(
-            self.config,
-            [
-                ConvLayerParams(l.weight.copy(), l.bias.copy(), l.kernel_width, l.shift)
-                for l in self.conv
-            ],
-            self.hidden_weight.copy(),
-            self.hidden_bias.copy(),
-            self.output_weight.copy(),
-            self.output_bias.copy(),
-        )
+        return self.astype(self.hidden_weight.dtype)
 
     def astype(self, dtype):
-        p = NetworkParams(
+        """A copy of every tensor, cast to `dtype`; the step plan is not shared."""
+        return NetworkParams(
             self.config,
             [
                 ConvLayerParams(
@@ -200,7 +191,6 @@ class NetworkParams:
             self.output_weight.astype(dtype),
             self.output_bias.astype(dtype),
         )
-        return p
 
 
 def init_params(config, seed, dtype=np.float32):
@@ -390,12 +380,31 @@ def score_waveform(waveform, grid, params):
     return scores
 
 
-def softmax(scores):
-    """Stable softmax over the last axis: exp(f - max) normalized per row."""
+def softmax_terms(scores):
+    """(f - max, exp(f - max), row sum of the exponentials) over the last axis.
+
+    The one place scores are shifted and exponentiated: softmax,
+    log_softmax and the training loss are all built from these terms.
+    """
     f = np.asarray(scores)
     shifted = f - f.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(scores):
+    """Stable softmax over the last axis: exp(f - max) normalized per row."""
+    _, e, total = softmax_terms(scores)
+    return e / total
+
+
+def log_softmax(scores):
+    """Stable log-softmax over the last axis: (f - max) - log(sum exp(f - max)) per row.
+
+    Finite wherever the scores are, even where softmax underflows to 0.
+    """
+    shifted, _, total = softmax_terms(scores)
+    return shifted - np.log(total)
 
 
 class _StagePlan:

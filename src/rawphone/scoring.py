@@ -1,4 +1,4 @@
-"""Sequence scoring: label mapping, path collapsing and Levenshtein phoneme accuracy.
+"""Sequence scoring: label mapping, path collapsing and Levenshtein edit distance.
 
 Phoneme accuracy is 100 * (N - E) / N with N the reference length and E
 the minimal edit distance under unit substitution/deletion/insertion
@@ -96,13 +96,3 @@ def levenshtein(ref, hyp):
             ins += 1
             j -= 1
     return d[n][m], (subs, dels, ins)
-
-
-def phoneme_accuracy(ref, hyp):
-    """100 * (N - E) / N; negative under heavy insertion."""
-    ref = list(ref)
-    if not ref:
-        raise ValueError("reference sequence must be non-empty")
-    dist, _ = levenshtein(ref, list(hyp))
-    return 100.0 * (len(ref) - dist) / len(ref)
-

@@ -6,6 +6,7 @@ the seed: frame order, init, and update order are all pinned.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -21,41 +22,26 @@ from .net import (
     init_params,
     param_count,
     score_windows,
-    softmax,
+    softmax_terms,
     step_plan,
 )
 
 
-def logadd(values, axis=None):
-    """log(sum(exp(values))), computed via max subtraction so it never overflows."""
-    z = np.asarray(values, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("logadd of an empty vector")
-    keep = axis is not None
-    m = z.max(axis=axis, keepdims=keep)
-    out = m + np.log(np.exp(z - m).sum(axis=axis, keepdims=keep))
-    if axis is None:
-        return float(out)
-    return np.squeeze(out, axis=axis)
+def frame_loss(scores, target):
+    """Log-probability of `target` under the per-frame score softmax, and its gradient.
 
-
-def frame_log_likelihood(scores, target):
-    """Log-probability of `target` under the per-frame score softmax.
-
-    Always <= 0; the gradient with respect to the scores is
-    one_hot(target) - softmax(scores).
+    Returns (log_likelihood, dscores). The log-likelihood is <= 0, a
+    float computed in float64, and not finite when the scores are not.
+    dscores = one_hot(target) - softmax(scores), in the scores' dtype;
+    both come from one exponentiation of the shifted scores.
     """
     f = np.asarray(scores)
     if not 0 <= target < f.shape[0]:
         raise ValueError(f"target {target} out of range for {f.shape[0]} classes")
-    return float(f[target]) - logadd(f)
-
-
-def loglik_score_gradient(scores, target):
-    """d frame_log_likelihood / d scores, in the scores' dtype."""
-    g = -softmax(scores)
-    g[target] += 1.0
-    return g
+    shifted, e, total = softmax_terms(f)
+    dscores = -(e / total)
+    dscores[target] += 1.0
+    return float(shifted[target]) - math.log(total[0]), dscores
 
 
 def sgd_step(params, grads, lr):
@@ -117,14 +103,6 @@ class FrameDataset:
     def __len__(self):
         return self.windows.shape[0]
 
-    @classmethod
-    def concatenate(cls, parts):
-        parts = list(parts)
-        return cls(
-            np.concatenate([p.windows for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-        )
-
 
 def frame_accuracy_of(params, dataset):
     """Percent of dataset frames whose argmax score matches the label."""
@@ -132,7 +110,7 @@ def frame_accuracy_of(params, dataset):
     return 100.0 * int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
 
 
-def train_network(train_set, cv_set, net_config, train_config, params=None, on_epoch=None):
+def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
     """Gradient-ascent training with patience-based early stopping.
 
     Visits training frames in a seeded-shuffled order, one sgd_step per
@@ -148,8 +126,7 @@ def train_network(train_set, cv_set, net_config, train_config, params=None, on_e
     k = net_config.num_classes
     if train_set.labels.max() >= k or cv_set.labels.max() >= k:
         raise ValueError("label index out of range for num_classes")
-    if params is None:
-        params = init_params(net_config, train_config.seed)
+    params = init_params(net_config, train_config.seed)
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
 
     best = params.copy()
@@ -163,14 +140,11 @@ def train_network(train_set, cv_set, net_config, train_config, params=None, on_e
         ll_sum = 0.0
         for step, i in enumerate(order):
             scores, cache = forward_pass(train_set.windows[i], params)
-            ll = frame_log_likelihood(scores, int(train_set.labels[i]))
+            ll, dscores = frame_loss(scores, int(train_set.labels[i]))
             if not np.isfinite(ll):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, frame {step}")
             ll_sum += ll
-            grads, _ = backward_pass(
-                cache, params, loglik_score_gradient(scores, int(train_set.labels[i])),
-                compute_input_grad=False,
-            )
+            grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
             try:
                 sgd_step(params, grads, train_config.learning_rate)
             except DivergenceError as e:
@@ -213,7 +187,7 @@ class GridSpec:
             if not getattr(self, name):
                 raise ValueError(f"{name} candidates must be non-empty")
 
-    def configs(self, sample_rate, input_dim, num_classes, first_shift=None):
+    def configs(self, sample_rate, input_dim, num_classes):
         """Materialize the Cartesian product as NetworkConfig values."""
         out = []
         for window_ms, kw, filters, hidden, pool in itertools.product(
@@ -223,7 +197,7 @@ class GridSpec:
             frames = int(round(window_ms * sample_rate / 1000.0)) if input_dim == 1 else int(window_ms)
             stages = []
             for s in range(self.num_stages):
-                shift = (first_shift or kw) if s == 0 else 1
+                shift = kw if s == 0 else 1
                 stages.append(StageConfig(kw, shift, filters, pool))
             try:
                 cfg = NetworkConfig(frames, input_dim, tuple(stages), hidden, num_classes)

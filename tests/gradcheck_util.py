@@ -3,7 +3,7 @@
 import numpy as np
 
 from rawphone.net import NetworkConfig, StageConfig, backward_pass, forward_pass, init_params
-from rawphone.training import frame_log_likelihood, loglik_score_gradient
+from rawphone.training import frame_loss
 
 from oracles import max_rel_error, numeric_gradient_inplace
 
@@ -51,11 +51,11 @@ def check_config_gradients(config, seed, eps=1e-4, floor=1e-6):
     target = int(rng.integers(config.num_classes))
 
     scores, cache = forward_pass(window, params)
-    analytic, _ = backward_pass(cache, params, loglik_score_gradient(scores, target))
+    analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
 
     def loss():
         s, _ = forward_pass(window, params)
-        return frame_log_likelihood(s, target)
+        return frame_loss(s, target)[0]
 
     errors = {}
     for name, tensor in params.named_tensors():

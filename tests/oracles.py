@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from rawphone.errors import DivergenceError
-from rawphone.training import frame_log_likelihood, logadd, loglik_score_gradient
+from rawphone.training import frame_loss
 
 
 # --- network shapes ---------------------------------------------------------
@@ -181,10 +181,8 @@ def reference_step(window, target, params, lr):
     Updates `params` in place; returns the step's frame log-likelihood.
     """
     scores, cache = forward_pass(window, params)
-    ll = frame_log_likelihood(scores, target)
-    grads, _ = backward_pass(
-        cache, params, loglik_score_gradient(scores, target), compute_input_grad=False
-    )
+    ll, dscores = frame_loss(scores, target)
+    grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
     sgd_step(params, grads, lr)
     return ll
 
@@ -293,6 +291,19 @@ def crf_enum_marginals(emissions, transitions):
 # verbatim (renamed): logadd over a K x K matrix per frame, the full
 # (T-1) x K x K pairwise tensor summed over t, and training whose history
 # re-runs the forward DP after each update.
+
+
+def logadd(values, axis=None):
+    """log(sum(exp(values))), computed via max subtraction so it never overflows."""
+    z = np.asarray(values, dtype=np.float64)
+    if z.size == 0:
+        raise ValueError("logadd of an empty vector")
+    keep = axis is not None
+    m = z.max(axis=axis, keepdims=keep)
+    out = m + np.log(np.exp(z - m).sum(axis=axis, keepdims=keep))
+    if axis is None:
+        return float(out)
+    return np.squeeze(out, axis=axis)
 
 
 def reference_log_partition(emissions, transitions):

@@ -12,6 +12,7 @@ import pytest
 from rawphone import cli as cli_module
 from rawphone.cli import SUBCOMMANDS, build_parser, main
 from rawphone.corpus import read_wav, write_labels, write_wav
+from rawphone.errors import NoLegalPathError
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.model_io import load_model, save_model
 from rawphone.net import NetworkConfig, StageConfig, init_params
@@ -279,6 +280,17 @@ class TestDecode:
         assert by_id == {"short": "error", "long": "ok"}
         assert (tmp_path / "d" / "hyp" / "long.txt").exists()
         assert not (tmp_path / "d" / "hyp" / "short.txt").exists()
+
+    def test_hmm_decodes_scores_whose_softmax_underflows(self):
+        decode = cli_module._decoder("hmm", ["a", "b"], None, 3)
+        confident = np.array([[800.0, 0.0], [800.0, 0.0], [0.0, 800.0], [0.0, 800.0]])
+        nan = np.full((4, 2), np.nan)
+        assert decode([confident])[0] == ["a"]
+        with np.errstate(invalid="ignore"):
+            unscorable, decoded = decode([nan, confident])
+        assert isinstance(unscorable, NoLegalPathError)
+        assert "no finite-score legal path" in str(unscorable)
+        assert decoded == ["a"]
 
     def test_sample_rate_mismatch_recorded_as_error(self, trained, tmp_path):
         wav_dir = tmp_path / "data"

@@ -8,6 +8,7 @@ end in exit 0, 2 (data error) or 3 (numeric error); an exception escaping
 """
 
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -152,6 +153,27 @@ def mutate_floats(path, rng):
     else:
         path.write_bytes(_flip_bytes(data, rng))
     return f"float data edit {kind}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("decoder", ["argmax", "hmm", "crf"])
+def test_non_finite_f32_samples_are_logged_data_errors(corpora, tmp_path, decoder):
+    corpus = tmp_path / "c"
+    shutil.copytree(corpora / "f32", corpus)
+    rows = [json.loads(line) for line in (corpus / "test.jsonl").read_text().splitlines()]
+    all_nan, one_inf = corpus / rows[0]["wav"], corpus / rows[1]["wav"]
+    all_nan.write_bytes(np.full(all_nan.stat().st_size // 4, np.nan, dtype="<f4").tobytes())
+    samples = np.fromfile(one_inf, dtype="<f4")
+    samples[len(samples) // 2] = np.inf
+    one_inf.write_bytes(samples.tobytes())
+    assert run_quiet(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                      corpora / "raw.rcn", "--decoder", decoder, "--out", tmp_path / "d",
+                      "--raw-sample-rate", "16000"]) == 0
+    log = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").read_text().splitlines()))
+    assert [r["status"] for r in log] == ["error", "error", "ok"]
+    for row, path in zip(log, (all_nan, one_inf)):
+        assert path.name in row["message"] and "non-finite" in row["message"]
+        assert not (tmp_path / "d" / "hyp" / f"{row['id']}.txt").exists()
 
 
 CASES = [  # corpus, model, extra decode flags

@@ -8,12 +8,13 @@ from rawphone.net import (
     backward_pass,
     forward_pass,
     init_params,
+    log_softmax,
     maxpool_forward,
     param_count,
     softmax,
     stage_forward,
 )
-from rawphone.training import loglik_score_gradient, sgd_step
+from rawphone.training import frame_loss, sgd_step
 
 from gradcheck_util import check_config_gradients, random_small_config
 from oracles import simulate_stage_frames
@@ -195,10 +196,24 @@ class TestSoftmax:
 
     def test_rows_bit_identical_to_vector_form(self):
         rng = np.random.default_rng(11)
-        for k in (5, 39):
-            f = rng.normal(scale=5.0, size=(50, k))
-            rows = np.array([softmax(r) for r in f])
-            assert softmax(f).tobytes() == rows.tobytes()
+        for fn in (softmax, log_softmax):
+            for k in (5, 39):
+                f = rng.normal(scale=5.0, size=(50, k))
+                rows = np.array([fn(r) for r in f])
+                assert fn(f).tobytes() == rows.tobytes()
+                assert fn(f[None]).tobytes() == rows.tobytes()
+
+
+class TestLogSoftmax:
+    def test_is_log_of_softmax(self):
+        rng = np.random.default_rng(12)
+        f = rng.normal(scale=10.0, size=(40, 7))
+        np.testing.assert_allclose(log_softmax(f), np.log(softmax(f)), rtol=0, atol=1e-12)
+
+    def test_finite_where_softmax_underflows(self):
+        f = np.array([[800.0, 0.0], [0.0, 800.0]])
+        assert (softmax(f) == np.eye(2)).all()
+        assert log_softmax(f).tolist() == [[0.0, -800.0], [-800.0, 0.0]]
 
 
 class TestForwardPass:
@@ -303,10 +318,10 @@ class TestBackwardPass:
         params = init_params(cfg, 2)
         x = np.random.default_rng(2).normal(size=(20, 1)).astype(np.float32)
         scores, cache = forward_pass(x, params)
-        grads, _ = backward_pass(cache, params, loglik_score_gradient(scores, 0))
+        grads, _ = backward_pass(cache, params, frame_loss(scores, 0)[1])
         sgd_step(params, grads, 0.01)
         with pytest.raises(ValueError, match="stale"):
-            backward_pass(cache, params, loglik_score_gradient(scores, 0))
+            backward_pass(cache, params, frame_loss(scores, 0)[1])
 
     def test_mismatched_params_rejected(self):
         cfg = NetworkConfig(20, 1, (StageConfig(4, 2, 3, 2),), 5, 3)
@@ -325,18 +340,17 @@ class TestBackwardPass:
             assert max(errors.values()) < 1e-4, (cfg, errors)
 
     def test_input_gradient_matches_finite_differences(self):
-        from rawphone.training import frame_log_likelihood
         from oracles import numeric_gradient_inplace, max_rel_error
 
         cfg = NetworkConfig(16, 2, (StageConfig(3, 2, 4, 2),), 5, 4)
         params = init_params(cfg, 11, dtype=np.float64)
         x = np.random.default_rng(11).normal(size=(16, 2))
         scores, cache = forward_pass(x, params)
-        _, dx = backward_pass(cache, params, loglik_score_gradient(scores, 1))
+        _, dx = backward_pass(cache, params, frame_loss(scores, 1)[1])
 
         def loss():
             s, _ = forward_pass(x, params)
-            return frame_log_likelihood(s, 1)
+            return frame_loss(s, 1)[0]
 
         numeric = numeric_gradient_inplace(x, loss, 1e-4)
         assert max_rel_error(dx, numeric, 1e-6) < 1e-4

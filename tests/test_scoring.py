@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from rawphone.cli import _score
 from rawphone.errors import DataError
 from rawphone.scoring import (
     collapse_path,
     levenshtein,
     map_labels,
-    phoneme_accuracy,
 )
 
 from oracles import levenshtein_recursive, levenshtein_two_rows, reference_levenshtein
@@ -81,6 +81,13 @@ class TestLevenshtein:
             assert levenshtein(ref, hyp) == reference_levenshtein(ref, hyp), (ref, hyp)
 
 
+def phoneme_accuracy(ref, hyp):
+    """The accuracy `eval` reports for a one-utterance corpus, checked against its row."""
+    rows, overall = _score([("u", list(ref), list(hyp))])
+    assert rows[0][3] == rows[1][3] == f"{overall:.6f}"
+    return overall
+
+
 class TestPhonemeAccuracy:
     def test_one_deletion(self):
         assert phoneme_accuracy(["a", "b", "c"], ["a", "c"]) == pytest.approx(100 * 2 / 3)
@@ -98,7 +105,7 @@ class TestPhonemeAccuracy:
         assert phoneme_accuracy(["a"], ["a", "b", "c", "d"]) == pytest.approx(-200.0)
 
     def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="empty reference"):
             phoneme_accuracy([], ["a"])
 
     def test_invariant_under_consistent_relabeling(self):
@@ -109,6 +116,5 @@ class TestPhonemeAccuracy:
             ref = [symbols[i] for i in rng.integers(0, 4, size=rng.integers(1, 10))]
             hyp = [symbols[i] for i in rng.integers(0, 4, size=rng.integers(0, 10))]
             base = phoneme_accuracy(ref, hyp)
-            mapped = phoneme_accuracy([renamed[s] for s in ref], [renamed[s] for s in hyp])
+            mapped = phoneme_accuracy(map_labels(ref, renamed), map_labels(hyp, renamed))
             assert base == mapped
-

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rawphone.net import NetworkConfig, StageConfig, backward_pass, forward_pass, init_params
-from rawphone.training import frame_log_likelihood, loglik_score_gradient, sgd_step
+from rawphone.training import frame_loss, sgd_step
 
 import oracles
 from gradcheck_util import random_small_config
@@ -19,10 +19,8 @@ NO_STAGE = NetworkConfig(12, 2, (), 7, 4)
 
 def plan_step(window, target, params, lr):
     scores, cache = forward_pass(window, params)
-    ll = frame_log_likelihood(scores, target)
-    grads, _ = backward_pass(
-        cache, params, loglik_score_gradient(scores, target), compute_input_grad=False
-    )
+    ll, dscores = frame_loss(scores, target)
+    grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
     sgd_step(params, grads, lr)
     return ll
 
@@ -73,9 +71,9 @@ def test_input_gradient_bit_identical(draw):
     params = init_params(config, draw, dtype=np.float64)
     window = rng.normal(size=(config.input_frames, config.input_dim))
     scores, cache = forward_pass(window, params)
-    grads, dx = backward_pass(cache, params, loglik_score_gradient(scores, 0))
+    grads, dx = backward_pass(cache, params, frame_loss(scores, 0)[1])
     ref_scores, ref_cache = oracles.forward_pass(window, params)
-    ref_grads, ref_dx = oracles.backward_pass(ref_cache, params, loglik_score_gradient(scores, 0))
+    ref_grads, ref_dx = oracles.backward_pass(ref_cache, params, frame_loss(scores, 0)[1])
     assert scores.tobytes() == ref_scores.tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
     for name in ref_grads:
@@ -85,7 +83,7 @@ def test_input_gradient_bit_identical(draw):
 def test_gradients_share_one_flat_buffer_in_serialization_order():
     params = init_params(FEAT39, 0)
     scores, cache = forward_pass(np.ones((9, 39)), params)
-    grads, _ = backward_pass(cache, params, loglik_score_gradient(scores, 2))
+    grads, _ = backward_pass(cache, params, frame_loss(scores, 2)[1])
     packed = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
     assert packed.tobytes() == grads.flat.tobytes()
 
@@ -94,10 +92,10 @@ def test_gradients_stay_valid_after_later_backward_pass():
     params = init_params(NO_STAGE, 0)
     rng = np.random.default_rng(1)
     s1, c1 = forward_pass(rng.normal(size=(12, 2)), params)
-    g1, _ = backward_pass(c1, params, loglik_score_gradient(s1, 0))
+    g1, _ = backward_pass(c1, params, frame_loss(s1, 0)[1])
     kept = g1.flat.copy()
     s2, c2 = forward_pass(rng.normal(size=(12, 2)), params)
-    backward_pass(c2, params, loglik_score_gradient(s2, 1))
+    backward_pass(c2, params, frame_loss(s2, 1)[1])
     assert g1.flat.tobytes() == kept.tobytes()
 
 
@@ -108,8 +106,8 @@ class TestStaleCache:
         s1, c1 = forward_pass(rng.normal(size=(1600, 1)), params)
         s2, c2 = forward_pass(rng.normal(size=(1600, 1)), params)
         with pytest.raises(ValueError, match="stale"):
-            backward_pass(c1, params, loglik_score_gradient(s1, 0))
-        backward_pass(c2, params, loglik_score_gradient(s2, 0))
+            backward_pass(c1, params, frame_loss(s1, 0)[1])
+        backward_pass(c2, params, frame_loss(s2, 0)[1])
 
     @pytest.mark.parametrize("other", ["copy", "float64"])
     def test_other_params_keep_their_own_plan(self, other):
@@ -117,14 +115,14 @@ class TestStaleCache:
         b = a.copy() if other == "copy" else a.astype(np.float64)
         sa, ca = forward_pass(np.ones((9, 39)), a)
         forward_pass(np.zeros((9, 39)), b)
-        g1, _ = backward_pass(ca, a, loglik_score_gradient(sa, 0))
+        g1, _ = backward_pass(ca, a, frame_loss(sa, 0)[1])
         sa, ca = forward_pass(np.ones((9, 39)), a)
-        g2, _ = backward_pass(ca, a, loglik_score_gradient(sa, 0))
+        g2, _ = backward_pass(ca, a, frame_loss(sa, 0)[1])
         assert g1.flat.tobytes() == g2.flat.tobytes()
 
     def test_backward_twice_on_one_cache_is_repeatable(self):
         params = init_params(TRAIN_RAW, 3)
         scores, cache = forward_pass(np.random.default_rng(3).normal(size=(1600, 1)), params)
-        g1, _ = backward_pass(cache, params, loglik_score_gradient(scores, 1))
-        g2, _ = backward_pass(cache, params, loglik_score_gradient(scores, 1))
+        g1, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
+        g2, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
         assert g1.flat.tobytes() == g2.flat.tobytes()

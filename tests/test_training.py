@@ -9,15 +9,13 @@ from rawphone.training import (
     GridSpec,
     TrainConfig,
     frame_accuracy_of,
-    frame_log_likelihood,
+    frame_loss,
     grid_search,
-    logadd,
-    loglik_score_gradient,
     sgd_step,
     train_network,
 )
 
-from oracles import max_rel_error, perceptron_separates
+from oracles import logadd, max_rel_error, perceptron_separates
 
 
 class TestLogadd:
@@ -43,6 +41,10 @@ class TestLogadd:
             assert rows[i] == pytest.approx(logadd(z[i]), abs=1e-12)
 
 
+def frame_log_likelihood(scores, target):
+    return frame_loss(scores, target)[0]
+
+
 class TestFrameLogLikelihood:
     def test_analytic_example(self):
         assert frame_log_likelihood([2.0, 0.0], 0) == pytest.approx(-0.126928, abs=1e-6)
@@ -53,6 +55,18 @@ class TestFrameLogLikelihood:
 
     def test_saturated_scores_near_zero(self):
         assert frame_log_likelihood([0.0, -1e6], 0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_confidently_wrong_scores_stay_finite(self):
+        for dtype in (np.float32, np.float64):
+            ll, dscores = frame_loss(np.array([0.0, 800.0], dtype=dtype), 0)
+            assert ll == -800.0
+            assert dscores.tolist() == [1.0, -1.0]
+
+    def test_nonfinite_scores_give_nonfinite_loss(self):
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf, -np.inf):
+                assert not np.isfinite(frame_log_likelihood([0.0, bad, 1.0], 1))
+            assert not np.isfinite(frame_log_likelihood([np.inf, 1.0], 1))
 
     def test_never_positive(self):
         rng = np.random.default_rng(1)
@@ -67,16 +81,41 @@ class TestFrameLogLikelihood:
             i = int(rng.integers(6))
             assert abs(np.exp(frame_log_likelihood(f, i)) - softmax(f)[i]) < 1e-9
 
+    def test_matches_logadd_reference(self):
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            for _ in range(30):
+                f = rng.normal(scale=4.0, size=rng.integers(2, 40)).astype(dtype)
+                i = int(rng.integers(len(f)))
+                expected = float(f[i]) - logadd(f)
+                tol = 1e-5 if dtype == np.float32 else 1e-12
+                assert frame_log_likelihood(f, i) == pytest.approx(expected, abs=tol)
+
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            frame_log_likelihood([0.0, 1.0], 2)
+        for target in (2, -1):
+            with pytest.raises(ValueError):
+                frame_loss([0.0, 1.0], target)
+
+    def test_score_gradient_bytes_equal_one_hot_minus_softmax(self):
+        rng = np.random.default_rng(7)
+        for dtype in (np.float32, np.float64):
+            for k in (2, 5, 39):
+                f = rng.normal(scale=6.0, size=k).astype(dtype)
+                target = int(rng.integers(k))
+                # -softmax(f), then +1 at the target, operation for operation
+                e = np.exp(f - f.max(axis=-1, keepdims=True))
+                expected = -(e / e.sum(axis=-1, keepdims=True))
+                expected[target] += 1.0
+                _, dscores = frame_loss(f, target)
+                assert dscores.dtype == dtype
+                assert dscores.tobytes() == expected.tobytes()
 
     def test_score_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = rng.normal(scale=2.0, size=5)
             target = int(rng.integers(5))
-            analytic = loglik_score_gradient(f, target)
+            _, analytic = frame_loss(f, target)
             eps = 1e-4  # smaller eps lets eval rounding noise dominate tiny entries
             numeric = np.zeros(5)
             for j in range(5):
@@ -137,15 +176,15 @@ class TestSgdStep:
             scores, cache = forward_pass(x, params)
             from rawphone.net import backward_pass
 
-            g1, _ = backward_pass(cache, params, loglik_score_gradient(scores, 0))
+            g1, _ = backward_pass(cache, params, frame_loss(scores, 0)[1])
             if two_steps:
                 sgd_step(params, g1, 0.5)
                 scores2, cache2 = forward_pass(x, params)
-                g2, _ = backward_pass(cache2, params, loglik_score_gradient(scores2, 0))
+                g2, _ = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
                 sgd_step(params, g2, 0.5)
             else:
                 scores2, cache2 = forward_pass(x, params)
-                g2, _ = backward_pass(cache2, params, loglik_score_gradient(scores2, 0))
+                g2, _ = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
                 combined = {n: g1[n] + g2[n] for n in g1}
                 sgd_step(params, combined, 0.5)
             return params
