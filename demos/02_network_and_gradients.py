@@ -17,7 +17,7 @@ from rawphone.net import (
     init_params,
     param_count,
 )
-from rawphone.training import frame_loss
+from rawphone.training import frame_loss, numeric_gradient
 
 print("== reference raw-input architecture ==")
 config = NetworkConfig(
@@ -55,18 +55,10 @@ target = 2
 scores, cache = forward_pass(window, params)
 analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
 
-eps = 1e-4
 for name, tensor in params.named_tensors():
-    numeric = np.zeros_like(tensor)
-    flat, nflat = tensor.reshape(-1), numeric.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + eps
-        up, _ = frame_loss(forward_pass(window, params)[0], target)
-        flat[j] = orig - eps
-        down, _ = frame_loss(forward_pass(window, params)[0], target)
-        flat[j] = orig
-        nflat[j] = (up - down) / (2 * eps)
+    numeric = numeric_gradient(
+        tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0], 1e-4
+    )
     denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1e-6)
     err = float(np.max(np.abs(analytic[name] - numeric) / denom))
     print(f"{name:<16} {tensor.size:>5} params   max rel err {err:.2e}")

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from rawphone.cli import compute_emissions
 from rawphone.corpus import (
     SynthSpec,
     build_frame_dataset,
@@ -20,10 +19,10 @@ from rawphone.corpus import (
     synth_corpus,
     utterance_frame_labels,
 )
-from rawphone.crf import train_transitions, viterbi
-from rawphone.hmm import build_duration_graph, decode_scores
-from rawphone.net import NetworkConfig, StageConfig, log_softmax, param_count
-from rawphone.scoring import collapse_path, levenshtein
+from rawphone.crf import train_transitions
+from rawphone.decoding import compute_emissions, decode_utterances, decoder
+from rawphone.net import NetworkConfig, StageConfig, param_count
+from rawphone.scoring import collapse_path, corpus_report
 from rawphone.training import TrainConfig, train_network
 
 HOP = 160  # 10 ms at 16 kHz
@@ -65,21 +64,12 @@ transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10, see
 print("learned transition matrix (rounded):")
 print(np.round(transitions, 2))
 
-graph = build_duration_graph(len(alphabet), min_duration=3)
-totals = {"argmax": [0, 0], "hmm": [0, 0], "crf": [0, 0]}
-for utt in test_utts:
-    e = compute_emissions(utt, best, HOP)
-    ref = collapse_path([label_to_index[l] for l in utt.annotation.labels()])
-    hyps = {"argmax": collapse_path(list(e.argmax(axis=1)))}
-    hyps["hmm"] = decode_scores(log_softmax(e), graph).phonemes
-    hyps["crf"] = collapse_path(list(viterbi(e, transitions)[0]))
-    for name, hyp in hyps.items():
-        dist, _ = levenshtein(ref, hyp)
-        totals[name][0] += len(ref)
-        totals[name][1] += dist
-
 print()
 print("test phoneme accuracy (corpus-pooled):")
 for name in ("argmax", "hmm", "crf"):
-    n, e = totals[name]
-    print(f"  {name:<6} {100.0 * (n - e) / n:6.2f}%")
+    decode = decoder(name, alphabet, transitions, min_duration=3)
+    hyps = decode_utterances(test_utts, best, HOP, decode)
+    _rows, accuracy = corpus_report(
+        (u.id, collapse_path(u.annotation.labels()), hyp) for u, hyp in zip(test_utts, hyps)
+    )
+    print(f"  {name:<6} {accuracy:6.2f}%")

@@ -18,6 +18,7 @@ from .crf import (
     viterbi,
     viterbi_batch,
 )
+from .decoding import compute_emissions, decode_utterances, decoder
 from .errors import DataError, DivergenceError, NoLegalPathError, RawphoneError
 from .framing import (
     FrameGrid,
@@ -52,6 +53,7 @@ from .net import (
 )
 from .scoring import (
     collapse_path,
+    corpus_report,
     levenshtein,
     map_labels,
 )

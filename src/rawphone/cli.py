@@ -14,6 +14,7 @@ outputs.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,12 +32,11 @@ from .corpus import (
     synth_corpus,
     utterance_frame_labels,
     utterance_grid,
-    utterance_windows,
     write_corpus,
 )
-from .crf import train_transitions, viterbi_batch
+from .crf import train_transitions
+from .decoding import compute_emissions, decode_utterances, decoder
 from .errors import DataError, DivergenceError, NoLegalPathError
-from .hmm import build_duration_graph, decode_batch
 from .model_io import load_model, save_model
 from .net import (
     NetworkConfig,
@@ -44,19 +44,17 @@ from .net import (
     backward_pass,
     forward_pass,
     init_params,
-    log_softmax,
     param_count,
-    score_waveform,
-    score_windows,
-    shares_first_stage,
 )
-from .scoring import collapse_path, levenshtein, map_labels, read_mapping
+from .scoring import collapse_path, corpus_report, map_labels, read_mapping
 from .training import (
     GridSpec,
     TrainConfig,
     frame_loss,
     grid_search,
     history_csv_lines,
+    numeric_gradient,
+    random_check_config,
     train_network,
 )
 
@@ -183,118 +181,10 @@ def _load_data(cfg, *manifests):
         raise DataError("raw input needs waveform utterances")
     else:
         hop = max(1, int(round(cfg["hop_ms"] * sample_rate / 1000.0)))
+    for manifest, split in zip(manifests, splits):  # frames do not depend on the window
+        if not any(utterance_grid(u, 1, hop).num_frames for u in split):
+            raise DataError(f"{manifest}: every utterance is shorter than one hop ({hop} samples)")
     return splits, alphabet, garbage, sample_rate, hop
-
-
-def compute_emissions(utt, params, hop_samples):
-    """Per-frame network scores for one utterance, as a float64 T x K matrix.
-
-    Raw input whose hop is a multiple of stage 0's shift shares stage 0
-    across overlapping windows; everything else is scored in batches of
-    framed windows.
-    """
-    config = params.config
-    if utt.waveform is not None and shares_first_stage(config, hop_samples):
-        grid = utterance_grid(utt, config.input_frames, hop_samples)
-        return score_waveform(utt.waveform, grid, params)
-    return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
-
-
-# Decoding runs on consecutive groups of utterances padded to the longest
-# one, so a group's memory is about N x T_max x K floats. A group stays
-# within this many padded frames, each utterance counted at least K frames
-# long because the CRF's candidate scores take N x K x K per step; an
-# utterance above it is decoded alone.
-DECODE_GROUP_FRAMES = 32768
-
-
-def _padded(matrices):
-    """(N, T_max, K) zero-padded batch of T x K matrices, and their lengths."""
-    lengths = [len(m) for m in matrices]
-    batch = np.zeros((len(matrices), max(lengths), matrices[0].shape[1]))
-    for row, m in zip(batch, matrices):
-        row[: len(m)] = m
-    return batch, lengths
-
-
-def _decoder(name, alphabet, transitions, min_duration):
-    """The function from a group of T x K emission matrices to each one's
-    phoneme labels, or the NoLegalPathError it decodes to."""
-    if name == "hmm":
-        graph = build_duration_graph(len(alphabet), min_duration)
-
-    def decode(group):
-        if name == "hmm":
-            # log_softmax per utterance, then pad: on the padded batch, its large
-            # temporaries and the padding rows cost about 2.5x as much at K = 39
-            results = decode_batch(*_padded([log_softmax(e) for e in group]), graph)
-            return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
-                    for r in results]
-        if name == "crf":
-            paths = [path for path, _score in viterbi_batch(*_padded(group), transitions)]
-        else:
-            paths = [e.argmax(axis=1) for e in group]
-        return [collapse_path([alphabet[i] for i in path]) for path in paths]
-
-    return decode
-
-
-def _decode_utterances(utts, params, hop, decode):
-    """Yield each utterance's phoneme labels in order, or the DataError or
-    NoLegalPathError it fails with; an item that is already a DataError
-    passes through.
-
-    Emissions are scored one utterance at a time and decoded in consecutive
-    groups of at most DECODE_GROUP_FRAMES padded frames.
-    """
-    outcomes, group = [], []  # outcomes: None where the group holds the emissions
-    width = 0  # the group's longest utterance, counted at least K frames
-
-    def flush():
-        decoded = iter(decode(group) if group else ())
-        done = [next(decoded) if o is None else o for o in outcomes]
-        outcomes.clear()
-        group.clear()
-        return done
-
-    for utt in utts:
-        if isinstance(utt, DataError):
-            outcomes.append(utt)
-            continue
-        if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
-            length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
-            outcomes.append(DataError(
-                f"utterance of {length} samples is shorter than one hop ({hop} samples)"
-            ))
-            continue
-        emissions = compute_emissions(utt, params, hop)
-        if group and (len(group) + 1) * max(width, *emissions.shape) > DECODE_GROUP_FRAMES:
-            yield from flush()
-            width = 0
-        width = max(width, *emissions.shape)
-        outcomes.append(None)
-        group.append(emissions)
-    yield from flush()
-
-
-def _score(sequences):
-    """Report rows for (id, reference, hypothesis) triples plus the OVERALL row.
-
-    Returns the rows and the corpus-pooled phoneme accuracy.
-    """
-    rows = []
-    total_n = total_e = 0
-    for uid, ref_seq, hyp_seq in sequences:
-        n = len(ref_seq)
-        if n == 0:
-            raise DataError(f"utterance {uid}: empty reference after stripping")
-        dist, (subs, dels, ins) = levenshtein(ref_seq, hyp_seq)
-        rows.append([uid, n, dist, f"{100.0 * (n - dist) / n:.6f}", subs, dels, ins])
-        total_n += n
-        total_e += dist
-    overall = 100.0 * (total_n - total_e) / total_n if total_n else 0.0
-    rows.append(["OVERALL", total_n, total_e, f"{overall:.6f}", "", "", ""])
-    return rows, overall
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +411,7 @@ def cmd_grid(args):
 
 
 DECODE_DEFAULTS = {
-    "decoder": "crf", "min_duration": 3, "seed": 0, "raw_sample_rate": 0,
+    "decoder": "crf", "min_duration": 3, "raw_sample_rate": 0,
 }
 
 
@@ -531,7 +421,7 @@ def cmd_decode(args):
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
         transitions = np.zeros((len(alphabet), len(alphabet)))
-    decode = _decoder(cfg["decoder"], alphabet, transitions, cfg["min_duration"])
+    decode = decoder(cfg["decoder"], alphabet, transitions, cfg["min_duration"])
     hop = metadata.get("hop_samples") or 1
     if metadata.get("input_kind") == "feature" or params.config.input_dim > 1:
         feature_dim = params.config.input_dim
@@ -558,7 +448,7 @@ def cmd_decode(args):
     hyp_dir = out / "hyp"
     hyp_dir.mkdir(parents=True, exist_ok=True)
     log_rows = []
-    outcomes = _decode_utterances((checked(ref) for ref in refs), params, hop, decode)
+    outcomes = decode_utterances((checked(ref) for ref in refs), params, hop, decode)
     for ref, outcome in zip(refs, outcomes):
         if isinstance(outcome, Exception):
             log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
@@ -579,15 +469,17 @@ def cmd_decode(args):
 # eval
 
 
-EVAL_DEFAULTS = {"mapping": "", "strip_garbage": False, "garbage": "", "seed": 0}
+EVAL_DEFAULTS = {"mapping": "", "strip_garbage": False, "garbage": ""}
 
 
 def cmd_eval(args):
     cfg = _resolve(args, EVAL_DEFAULTS)
     out = Path(args.out)
     refs = load_manifest(args.ref_manifest)
+    if cfg["strip_garbage"] and not cfg["garbage"]:
+        raise ValueError("--strip-garbage needs --garbage to name the label to strip")
     table = read_mapping(cfg["mapping"]) if cfg["mapping"] else None
-    strip = cfg["garbage"] if (cfg["strip_garbage"] and cfg["garbage"]) else None
+    strip = cfg["garbage"] if cfg["strip_garbage"] else None
 
     def sequences(ref):
         labels = read_labels(ref.labels_path).labels()
@@ -603,7 +495,7 @@ def cmd_eval(args):
             hyp_seq = collapse_path(hyp_seq, strip=strip)
         return ref.id, ref_seq, hyp_seq
 
-    rows, overall = _score(sequences(ref) for ref in refs)
+    rows, overall = corpus_report(sequences(ref) for ref in refs)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "report.csv",
@@ -620,7 +512,7 @@ def cmd_eval(args):
 # filters
 
 
-FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0, "seed": 0}
+FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0}
 
 
 def cmd_filters(args):
@@ -670,14 +562,10 @@ def _raised(outcome):
 
 def _with_retained_pools(base, retained):
     """Last stages beyond `retained` lose pooling; the input window is kept."""
-    stages = list(base.stages)
-    for i in range(retained, len(stages)):
-        s = stages[i]
-        stages[i] = StageConfig(s.kernel_width, s.shift, s.out_dim, 1)
-    return NetworkConfig(
-        base.input_frames, base.input_dim, tuple(stages),
-        base.hidden_units, base.num_classes,
+    stages = base.stages[:retained] + tuple(
+        dataclasses.replace(s, pool_width=1) for s in base.stages[retained:]
     )
+    return dataclasses.replace(base, stages=stages)
 
 
 def cmd_ablate_pool(args):
@@ -690,15 +578,15 @@ def cmd_ablate_pool(args):
     if len(base_config.stages) != 3:
         raise ValueError("pooling ablation needs a 3-stage base configuration")
 
-    decode = _decoder("hmm", alphabet, None, cfg["min_duration"])
+    decode = decoder("hmm", alphabet, None, cfg["min_duration"])
     rows = []
     for retained in (0, 1, 2, 3):
         try:
             config = _with_retained_pools(base_config, retained)
             best, _history = _train_once(cfg, train_utts, cv_utts, config, hop, alphabet, garbage)
-            _report, acc = _score(
+            _report, acc = corpus_report(
                 (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
-                for u, hyp in zip(test_utts, _decode_utterances(test_utts, best, hop, decode))
+                for u, hyp in zip(test_utts, decode_utterances(test_utts, best, hop, decode))
             )
             rows.append([retained, param_count(config), f"{acc:.6f}", ""])
         except (ValueError, DataError, NoLegalPathError, DivergenceError) as e:
@@ -730,7 +618,7 @@ def cmd_check_grad(args):
     all_pass = True
     report = []
     for index in range(cfg["configs"]):
-        config = _random_check_config(rng)
+        config = random_check_config(rng)
         params = init_params(config, int(rng.integers(2**31)), dtype=np.float64)
         window = rng.normal(size=(config.input_frames, config.input_dim))
         target = int(rng.integers(config.num_classes))
@@ -739,10 +627,10 @@ def cmd_check_grad(args):
         if cfg["corrupt"]:
             if cfg["corrupt"] not in analytic:
                 raise ValueError(f"no tensor named {cfg['corrupt']!r} to corrupt")
-            analytic[cfg["corrupt"]] = analytic[cfg["corrupt"]] + 1.0
+            analytic[cfg["corrupt"]][...] += 1.0
 
         for name, tensor in params.named_tensors():
-            numeric = _numeric_gradient(
+            numeric = numeric_gradient(
                 tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0],
                 cfg["eps"],
             )
@@ -762,45 +650,6 @@ def cmd_check_grad(args):
         _echo_resolved(out, "check-grad", cfg)
     print("gradient check:", "PASS" if all_pass else "FAIL")
     return 0 if all_pass else 3
-
-
-def _random_check_config(rng):
-    while True:
-        window = int(rng.integers(8, 65))
-        stages = []
-        t = window
-        ok = True
-        for _ in range(int(rng.integers(1, 4))):
-            kw = int(rng.integers(1, min(t, 6) + 1))
-            dw = int(rng.integers(1, 4))
-            t_conv = (t - kw) // dw + 1
-            if t_conv < 1:
-                ok = False
-                break
-            pool = int(rng.integers(1, min(t_conv, 3) + 1))
-            t = t_conv // pool
-            if t < 1:
-                ok = False
-                break
-            stages.append(StageConfig(kw, dw, int(rng.integers(2, 9)), pool))
-        if ok:
-            return NetworkConfig(window, 1, tuple(stages),
-                                 int(rng.integers(3, 13)), int(rng.integers(2, 7)))
-
-
-def _numeric_gradient(tensor, loss_fn, eps):
-    grad = np.zeros_like(tensor)
-    flat = tensor.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        plus = loss_fn()
-        flat[i] = orig - eps
-        minus = loss_fn()
-        flat[i] = orig
-        gflat[i] = (plus - minus) / (2.0 * eps)
-    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLegalPathError
+from .scoring import collapse_path
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,6 @@ class DurationGraph:
             raise ValueError("num_classes must be >= 1")
         if self.min_duration < 1:
             raise ValueError("min_duration must be >= 1")
-
-    @property
-    def num_states(self):
-        return self.num_classes * self.min_duration
 
 
 def build_duration_graph(num_classes, min_duration=3):
@@ -137,10 +134,7 @@ def decode_batch(log_emissions, lengths, graph):
             results[u] = NoLegalPathError("no finite-score legal path")
             continue
         frame_labels = frame_labels[:t_len].copy()
-        phonemes = [int(frame_labels[0])]
-        for lbl in frame_labels[1:]:
-            if lbl != phonemes[-1]:
-                phonemes.append(int(lbl))
+        phonemes = collapse_path(frame_labels.tolist())
         results[u] = HmmDecodeResult(phonemes, frame_labels, float(best))
     return results
 

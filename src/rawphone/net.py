@@ -526,8 +526,7 @@ class StepPlan:
 class Gradients(Mapping):
     """Tensor name -> gradient array, all views of one flat buffer `flat`.
 
-    Laid out as the plan's slots, i.e. in serialization order. Assigning
-    to a name copies into its slot.
+    Laid out as the plan's slots, i.e. in serialization order.
     """
 
     __slots__ = ("plan", "flat")
@@ -539,9 +538,6 @@ class Gradients(Mapping):
     def __getitem__(self, name):
         a, b, shape = self.plan.slots[name]
         return self.flat[a:b].reshape(shape)
-
-    def __setitem__(self, name, value):
-        self[name][...] = value
 
     def __iter__(self):
         return iter(self.plan.slots)
@@ -568,10 +564,6 @@ class ForwardCache:
         self.params_version = params.version
         self.plan = plan
         self.generation = plan.generation
-
-    @property
-    def hidden_out(self):
-        return self.plan.hidden
 
 
 def forward_pass(window, params):

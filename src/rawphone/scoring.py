@@ -1,4 +1,4 @@
-"""Sequence scoring: label mapping, path collapsing and Levenshtein edit distance.
+"""Sequence scoring: label mapping, path collapsing, edit distance, corpus report.
 
 Phoneme accuracy is 100 * (N - E) / N with N the reference length and E
 the minimal edit distance under unit substitution/deletion/insertion
@@ -96,3 +96,23 @@ def levenshtein(ref, hyp):
             ins += 1
             j -= 1
     return d[n][m], (subs, dels, ins)
+
+
+def corpus_report(sequences):
+    """Report rows for (id, reference, hypothesis) triples plus the OVERALL row.
+
+    Returns the rows and the corpus-pooled phoneme accuracy.
+    """
+    rows = []
+    total_n = total_e = 0
+    for uid, ref_seq, hyp_seq in sequences:
+        n = len(ref_seq)
+        if n == 0:
+            raise DataError(f"utterance {uid}: empty reference after stripping")
+        dist, (subs, dels, ins) = levenshtein(ref_seq, hyp_seq)
+        rows.append([uid, n, dist, f"{100.0 * (n - dist) / n:.6f}", subs, dels, ins])
+        total_n += n
+        total_e += dist
+    overall = 100.0 * (total_n - total_e) / total_n if total_n else 0.0
+    rows.append(["OVERALL", total_n, total_e, f"{overall:.6f}", "", "", ""])
+    return rows, overall

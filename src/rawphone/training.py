@@ -1,4 +1,4 @@
-"""Per-frame stochastic gradient ascent with early stopping and grid search.
+"""Per-frame stochastic gradient ascent, early stopping, grid search, gradient checks.
 
 The training unit is one (window, label) pair; each visit takes one
 ascent step on the frame log-likelihood. Runs are deterministic given
@@ -8,13 +8,12 @@ the seed: frame order, init, and update order are all pinned.
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DivergenceError
 from .net import (
-    Gradients,
     NetworkConfig,
     StageConfig,
     backward_pass,
@@ -23,7 +22,6 @@ from .net import (
     param_count,
     score_windows,
     softmax_terms,
-    step_plan,
 )
 
 
@@ -47,17 +45,10 @@ def frame_loss(scores, target):
 def sgd_step(params, grads, lr):
     """One in-place ascent step: every tensor moves by +lr * gradient.
 
-    `grads` maps tensor names to arrays. Gradients from backward_pass
-    share one flat buffer in serialization order, so finiteness is
-    checked and the step scaled once for all tensors; any other mapping
-    is copied into such a buffer first.
+    `grads` is the Gradients of backward_pass: one flat buffer in
+    serialization order, so finiteness is checked and the step scaled
+    once for all tensors.
     """
-    if not isinstance(grads, Gradients):
-        plan = step_plan(params)
-        packed = Gradients(plan, np.empty_like(plan.grad))
-        for name, _tensor in params.named_tensors():
-            packed[name] = grads[name]
-        grads = packed
     plan, flat = grads.plan, grads.flat
     if not np.isfinite(flat).all():
         name = next(n for n in grads if not np.isfinite(grads[n]).all())
@@ -219,7 +210,6 @@ class GridResult:
     config: NetworkConfig
     seed: int
     cv_accuracy: float = float("nan")
-    params: object = None
     error: str = ""
 
     @property
@@ -247,17 +237,11 @@ def grid_search(dataset_for_config, configs, train_config, max_configs=None):
     results = []
     for ordinal, cfg in candidates:
         seed = derive_seed(train_config.seed, ordinal)
-        run_cfg = TrainConfig(
-            learning_rate=train_config.learning_rate,
-            max_epochs=train_config.max_epochs,
-            patience=train_config.patience,
-            seed=seed,
-            shuffle=train_config.shuffle,
-        )
+        run_cfg = replace(train_config, seed=seed)
         res = GridResult(ordinal=ordinal, config=cfg, seed=seed)
         try:
             train_set, cv_set = dataset_for_config(cfg)
-            res.params, history = train_network(train_set, cv_set, cfg, run_cfg)
+            history = train_network(train_set, cv_set, cfg, run_cfg)[1]
             res.cv_accuracy = max(h[2] for h in history)
         except Exception as e:  # recorded, sweep continues
             res.error = f"{type(e).__name__}: {e}"
@@ -277,3 +261,44 @@ def history_csv_lines(history):
     for epoch, ll, acc in history:
         lines.append(f"{epoch},{ll:.6f},{acc:.6f}")
     return lines
+
+
+def random_check_config(rng):
+    """A random small raw-input NetworkConfig for a gradient check, drawn from `rng`."""
+    while True:
+        window = int(rng.integers(8, 65))
+        stages = []
+        t = window
+        ok = True
+        for _ in range(int(rng.integers(1, 4))):
+            kw = int(rng.integers(1, min(t, 6) + 1))
+            dw = int(rng.integers(1, 4))
+            t_conv = (t - kw) // dw + 1
+            if t_conv < 1:
+                ok = False
+                break
+            pool = int(rng.integers(1, min(t_conv, 3) + 1))
+            t = t_conv // pool
+            if t < 1:
+                ok = False
+                break
+            stages.append(StageConfig(kw, dw, int(rng.integers(2, 9)), pool))
+        if ok:
+            return NetworkConfig(window, 1, tuple(stages),
+                                 int(rng.integers(3, 13)), int(rng.integers(2, 7)))
+
+
+def numeric_gradient(tensor, loss_fn, eps):
+    """Central differences of `loss_fn()` in each entry of `tensor`, perturbed in place."""
+    grad = np.zeros_like(tensor)
+    flat = tensor.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = loss_fn()
+        flat[i] = orig - eps
+        minus = loss_fn()
+        flat[i] = orig
+        gflat[i] = (plus - minus) / (2.0 * eps)
+    return grad

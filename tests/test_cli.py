@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from rawphone import cli as cli_module
 from rawphone.cli import SUBCOMMANDS, build_parser, main
+from rawphone import decoding
 from rawphone.corpus import read_wav, write_labels, write_wav
+from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.model_io import load_model, save_model
@@ -282,7 +283,7 @@ class TestDecode:
         assert not (tmp_path / "d" / "hyp" / "short.txt").exists()
 
     def test_hmm_decodes_scores_whose_softmax_underflows(self):
-        decode = cli_module._decoder("hmm", ["a", "b"], None, 3)
+        decode = decoder("hmm", ["a", "b"], None, 3)
         confident = np.array([[800.0, 0.0], [800.0, 0.0], [0.0, 800.0], [0.0, 800.0]])
         nan = np.full((4, 2), np.nan)
         assert decode([confident])[0] == ["a"]
@@ -364,7 +365,7 @@ class TestDecode:
     def test_mixed_manifest_decodes_as_each_utterance_alone(
             self, corpus, trained, tmp_path, monkeypatch, decoder, group_frames):
         if group_frames is not None:  # every utterance in a group of its own
-            monkeypatch.setattr(cli_module, "DECODE_GROUP_FRAMES", group_frames)
+            monkeypatch.setattr(decoding, "DECODE_GROUP_FRAMES", group_frames)
         data = tmp_path / "data"
         data.mkdir()
         tone = np.sin(np.arange(4000) * (2 * np.pi * 700 / 16000))
@@ -425,6 +426,14 @@ class TestEval:
         manifest = data / "m.jsonl"
         manifest.write_text("\n".join(lines) + "\n")
         return manifest
+
+    def test_strip_garbage_without_garbage_is_usage_error(self, tmp_path, capsys):
+        refs = self.make_refs(tmp_path, [["a", "b"]])
+        rc = run(["eval", "--ref-manifest", refs, "--hyp-dir", tmp_path,
+                  "--out", tmp_path / "o", "--strip-garbage"])
+        assert rc == 1
+        assert "--strip-garbage needs --garbage" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_identity_hypothesis_scores_hundred(self, tmp_path):
         manifest = self.make_refs(tmp_path, [["a", "b", "c"], ["b", "a"]])
@@ -719,6 +728,32 @@ class TestExitCodes:
         rc = run(["train", "--train-manifest", tmp_path / "none.jsonl",
                   "--cv-manifest", tmp_path / "none.jsonl", "--out", tmp_path])
         assert rc == 2
+
+    @pytest.mark.parametrize("split", ["train", "cv"])
+    @pytest.mark.parametrize("command, args", [
+        ("train", [*SMALL_NET, "--epochs", "1"]),
+        ("grid", ["--window-ms-list", "50", "--kernel-list", "5", "--filters-list", "4",
+                  "--hidden-list", "8", "--epochs", "1"]),
+        ("ablate-pool", [*SMALL_NET, "--epochs", "1"]),
+    ])
+    def test_split_with_no_frames_is_data_error(self, corpus, tmp_path, capsys, command, args,
+                                                split):
+        # 100 samples each at the default 160-sample hop: the split has no frames
+        lines = []
+        for i in range(3):
+            write_wav(tmp_path / f"s{i}.wav", Waveform(np.zeros(100), 16000))
+            write_labels(tmp_path / f"s{i}.txt", SegmentAnnotation(((0, 100, "c0"),)))
+            lines.append(json.dumps({"id": f"s{i}", "wav": f"s{i}.wav", "labels": f"s{i}.txt"}))
+        short = tmp_path / "short.jsonl"
+        short.write_text("\n".join(lines) + "\n")
+        splits = ("train", "cv", "test") if command == "ablate-pool" else ("train", "cv")
+        manifests = {s: short if s == split else corpus / f"{s}.jsonl" for s in splits}
+        rc = run([command, *[a for s, m in manifests.items() for a in (f"--{s}-manifest", m)],
+                  "--out", tmp_path / "o", *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {short}: every utterance is shorter than one hop (160 samples)" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOptionTables:

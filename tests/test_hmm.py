@@ -23,10 +23,6 @@ def run_lengths(frame_labels):
 
 
 class TestDurationGraph:
-    def test_state_count(self):
-        g = build_duration_graph(2, 3)
-        assert g.num_states == 6
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_duration_graph(0, 3)

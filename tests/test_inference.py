@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rawphone.cli import _decode_utterances, _decoder, compute_emissions
 from rawphone.corpus import LabeledUtterance, utterance_windows
+from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
 from rawphone.net import (
@@ -128,9 +128,9 @@ class TestComputeEmissions:
         utt = raw_utterance(100, 8, silent=(0, 0))
         assert compute_emissions(utt, params, HOP).shape == (0, 5)
         message = r"^utterance of 100 samples is shorter than one hop \(160 samples\)$"
-        for decoder in ("argmax", "crf", "hmm"):
-            decode = _decoder(decoder, list("abcde"), np.zeros((5, 5)), 3)
-            [outcome] = _decode_utterances([utt], params, HOP, decode)
+        for name in ("argmax", "crf", "hmm"):
+            decode = decoder(name, list("abcde"), np.zeros((5, 5)), 3)
+            [outcome] = decode_utterances([utt], params, HOP, decode)
             with pytest.raises(DataError, match=message):
                 raise outcome
 

@@ -309,7 +309,7 @@ class TestBackwardPass:
         _, cache = forward_pass(x, params)
         upstream = np.array([1.0, 0.0, 0.0])
         grads, _ = backward_pass(cache, params, upstream)
-        np.testing.assert_array_equal(grads["output.weight"][0], cache.hidden_out)
+        np.testing.assert_array_equal(grads["output.weight"][0], cache.plan.hidden)
         assert not grads["output.weight"][1:].any()
         np.testing.assert_array_equal(grads["output.bias"], upstream)
 

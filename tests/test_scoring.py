@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rawphone.cli import _score
 from rawphone.errors import DataError
 from rawphone.scoring import (
     collapse_path,
+    corpus_report,
     levenshtein,
     map_labels,
 )
@@ -83,7 +83,7 @@ class TestLevenshtein:
 
 def phoneme_accuracy(ref, hyp):
     """The accuracy `eval` reports for a one-utterance corpus, checked against its row."""
-    rows, overall = _score([("u", list(ref), list(hyp))])
+    rows, overall = corpus_report([("u", list(ref), list(hyp))])
     assert rows[0][3] == rows[1][3] == f"{overall:.6f}"
     return overall
 

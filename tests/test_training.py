@@ -3,7 +3,16 @@ import pytest
 
 from rawphone.errors import DivergenceError
 from rawphone.model_io import save_model
-from rawphone.net import NetworkConfig, StageConfig, forward_pass, init_params, param_count, softmax
+from rawphone.net import (
+    Gradients,
+    NetworkConfig,
+    StageConfig,
+    forward_pass,
+    init_params,
+    param_count,
+    softmax,
+    step_plan,
+)
 from rawphone.training import (
     FrameDataset,
     GridSpec,
@@ -133,11 +142,17 @@ def tiny_params(seed=0):
     return init_params(cfg, seed)
 
 
+def filled_gradients(params, value):
+    """A Gradients for `params` with every entry set to `value`."""
+    plan = step_plan(params)
+    return Gradients(plan, np.full_like(plan.grad, value))
+
+
 class TestSgdStep:
     def test_zero_learning_rate_is_bitwise_noop(self):
         params = tiny_params()
         before = {n: t.copy() for n, t in params.named_tensors()}
-        grads = {n: np.ones_like(t) for n, t in params.named_tensors()}
+        grads = filled_gradients(params, 1.0)
         sgd_step(params, grads, 0.0)
         for n, t in params.named_tensors():
             assert t.tobytes() == before[n].tobytes()
@@ -146,7 +161,7 @@ class TestSgdStep:
         params = tiny_params()
         params.output_bias[...] = 0.0
         params.output_bias[0] = 1.0
-        grads = {n: np.zeros_like(t) for n, t in params.named_tensors()}
+        grads = filled_gradients(params, 0.0)
         grads["output.bias"][0] = 2.0
         sgd_step(params, grads, 0.1)
         assert params.output_bias[0] == pytest.approx(1.2)
@@ -155,14 +170,16 @@ class TestSgdStep:
         params = tiny_params(1)
         before = {n: t.copy() for n, t in params.named_tensors()}
         rng = np.random.default_rng(0)
-        grads = {n: rng.normal(size=t.shape).astype(t.dtype) for n, t in params.named_tensors()}
+        grads = filled_gradients(params, 0.0)
+        for n, t in params.named_tensors():
+            grads[n][...] = rng.normal(size=t.shape)
         sgd_step(params, grads, 0.05)
         for n, t in params.named_tensors():
             np.testing.assert_array_equal(t, before[n] + np.float32(0.05) * grads[n])
 
     def test_nonfinite_gradient_names_tensor(self):
         params = tiny_params(2)
-        grads = {n: np.zeros_like(t) for n, t in params.named_tensors()}
+        grads = filled_gradients(params, 0.0)
         grads["hidden.weight"][0, 0] = np.nan
         with pytest.raises(DivergenceError, match="hidden.weight"):
             sgd_step(params, grads, 0.1)
@@ -185,7 +202,7 @@ class TestSgdStep:
             else:
                 scores2, cache2 = forward_pass(x, params)
                 g2, _ = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
-                combined = {n: g1[n] + g2[n] for n in g1}
+                combined = Gradients(g1.plan, g1.flat + g2.flat)
                 sgd_step(params, combined, 0.5)
             return params
 
