@@ -11,19 +11,22 @@ from .corpus import utterance_grid, utterance_windows
 from .crf import viterbi_batch
 from .errors import DataError, NoLegalPathError
 from .hmm import build_duration_graph, decode_batch
-from .net import log_softmax, score_waveform, score_windows, shares_first_stage
+from .net import log_softmax, score_features, score_waveform, score_windows, shares_first_stage
 from .scoring import collapse_path
 
 
 def compute_emissions(utt, params, hop_samples):
     """Per-frame network scores for one utterance, as a float64 T x K matrix.
 
-    Raw input whose hop is a multiple of stage 0's shift shares stage 0
-    across overlapping windows; everything else is scored in batches of
-    framed windows.
+    Where the frame hop (one row for feature input) is a multiple of
+    stage 0's shift, stage 0 is shared across overlapping windows;
+    everything else is scored in batches of framed windows.
     """
     config = params.config
-    if utt.waveform is not None and shares_first_stage(config, hop_samples):
+    if utt.waveform is None:
+        if shares_first_stage(config, 1):
+            return score_features(utt.features, params)
+    elif shares_first_stage(config, hop_samples):
         grid = utterance_grid(utt, config.input_frames, hop_samples)
         return score_waveform(utt.waveform, grid, params)
     return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)

@@ -176,25 +176,25 @@ def frame_labels(annotation, grid, label_to_index, garbage_index=None):
     """Label each grid frame by the segment containing its center sample.
 
     Centers outside every segment get `garbage_index`; if none is
-    configured, that frame is a data error.
+    configured, the first such frame is a data error.
     """
     starts = np.array([s for s, _e, _l in annotation.segments], dtype=np.int64)
     ends = np.array([e for _s, e, _l in annotation.segments], dtype=np.int64)
     idx = np.array(
         [label_to_index[l] for _s, _e, l in annotation.segments], dtype=np.int64
     )
-    out = np.empty(grid.num_frames, dtype=np.int64)
-    for t in range(grid.num_frames):
-        c = grid.center(t)
-        # rightmost segment with start <= c, then check c < end
-        pos = int(np.searchsorted(starts, c, side="right")) - 1
-        if pos >= 0 and c < ends[pos]:
-            out[t] = idx[pos]
-        elif garbage_index is not None:
-            out[t] = garbage_index
-        else:
-            raise DataError(
-                f"frame {t} (center sample {c}) is not covered by any segment "
-                "and no garbage label is configured"
-            )
+    hop = grid.hop_samples
+    centers = np.arange(grid.num_frames, dtype=np.int64) * hop + hop // 2
+    # rightmost segment with start <= center, then check center < end
+    pos = np.searchsorted(starts, centers, side="right") - 1
+    covered = pos >= 0
+    covered[covered] = centers[covered] < ends[pos[covered]]
+    if garbage_index is None and not covered.all():
+        t = int(np.argmin(covered))
+        raise DataError(
+            f"frame {t} (center sample {grid.center(t)}) is not covered by any segment "
+            "and no garbage label is configured"
+        )
+    out = np.full(grid.num_frames, 0 if garbage_index is None else garbage_index, dtype=np.int64)
+    out[covered] = idx[pos[covered]]
     return out

@@ -5,6 +5,12 @@ kW-frame windows with shift dW, non-overlapping temporal max-pooling,
 tanh), a frame-major flatten, one tanh hidden layer, and a linear output
 producing one score per class. Training runs in float32; gradient checks
 cast everything to float64 first.
+
+Training steps run one window at a time on a StepPlan. Inference scores
+batches of frames sized by BATCH_BYTES: stacks of windows
+(score_windows), or every frame of a waveform (score_waveform) or of a
+feature matrix (score_features) with stage 0 computed once per input
+position and shared by the overlapping windows.
 """
 
 from collections.abc import Mapping
@@ -230,20 +236,43 @@ def init_params(config, seed, dtype=np.float32):
     )
 
 
-# Windows per batched inference call. Larger batches amortize more
-# per-call overhead (64 ran about 20% faster than 16 on one Xeon core,
-# OpenBLAS pinned to one thread) but grow the working set in proportion:
-# at 16, a batch's gathered stage-0 inputs for the default raw
-# architecture (145 positions x 160 taps, float32) take about 1.5 MB.
-BATCH_FRAMES = 16
+# Bytes of gathered stage input per inference batch. Larger batches
+# amortize more per-call overhead but grow the working set in proportion.
+# This is the gathered stage-0 input of 16 windows of the default raw
+# architecture (145 positions x 160 taps, float32), about 1.5 MB.
+BATCH_BYTES = 16 * 145 * 160 * 4
+
+
+def batch_frames(config, dtype):
+    """Frames per inference batch: as many as fit BATCH_BYTES, by a frame's widest input.
+
+    A frame's width is the largest of its window and its gathered stage
+    inputs, t_conv * kW * d_in elements per stage, all of `dtype`.
+    """
+    widths, d_in = [config.input_frames * config.input_dim], config.input_dim
+    for (t_conv, _t_pool), stage in zip(config.frame_counts(), config.stages):
+        widths.append(t_conv * stage.kernel_width * d_in)
+        d_in = stage.out_dim
+    return max(1, BATCH_BYTES // (max(widths) * np.dtype(dtype).itemsize))
+
+
+def _window_view(x, kernel_width, shift):
+    """Read-only view of the kW-frame windows at each shift: (N, T, d) -> (N, T', kW*d).
+
+    Window j of item n is x[n, j * shift : j * shift + kW], flattened
+    frame-major; x must be C-contiguous.
+    """
+    n, t, d = x.shape
+    item = x.itemsize
+    t_out = (t - kernel_width) // shift + 1
+    return np.lib.stride_tricks.as_strided(
+        x, (n, t_out, kernel_width * d), (x.strides[0], shift * d * item, item), writeable=False
+    )
 
 
 def _gather_windows(x, kernel_width, shift):
-    """Stack the kW-frame windows at each shift: (N, T, d) -> (N, T', kW*d), frame-major."""
-    view = np.lib.stride_tricks.sliding_window_view(x, kernel_width, axis=1)
-    view = view[:, ::shift]  # (N, T', d, kW)
-    n, t_out = view.shape[:2]
-    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(n, t_out, -1)
+    """A contiguous copy of _window_view: (N, T, d) -> (N, T', kW*d), frame-major."""
+    return _window_view(np.ascontiguousarray(x), kernel_width, shift).copy()
 
 
 def _pool_blocks(x, pool_width):
@@ -303,7 +332,7 @@ def _head_forward(act, params, first_stage=0):
 def score_windows(windows, params):
     """Class scores of a stack of input windows (N, T, d), as a float64 N x K matrix.
 
-    Runs the batched stages BATCH_FRAMES windows at a time. Each row
+    Runs the batched stages batch_frames windows at a time. Each row
     matches forward_pass on that window up to float rounding.
     """
     config = params.config
@@ -314,32 +343,49 @@ def score_windows(windows, params):
             f"({config.input_frames}, {config.input_dim})"
         )
     dtype = params.hidden_weight.dtype
+    batch = batch_frames(config, dtype)
     scores = np.empty((x.shape[0], config.num_classes), dtype=np.float64)
-    for a in range(0, x.shape[0], BATCH_FRAMES):
-        scores[a : a + BATCH_FRAMES] = _head_forward(
-            x[a : a + BATCH_FRAMES].astype(dtype, copy=False), params
-        )
+    for a in range(0, x.shape[0], batch):
+        scores[a : a + batch] = _head_forward(x[a : a + batch].astype(dtype, copy=False), params)
     return scores
 
 
-def shares_first_stage(config, hop_samples):
-    """Whether score_waveform applies: raw input whose frame hop is a multiple of stage 0's shift."""
-    return config.input_dim == 1 and bool(config.stages) and hop_samples % config.stages[0].shift == 0
+def shares_first_stage(config, hop):
+    """Whether stage 0 can run once per input position for every frame.
+
+    `hop` is the frame hop in input positions: samples for raw input, 1
+    for feature rows. It must be a multiple of stage 0's shift, so that
+    the stage-0 positions of all frames lie on one grid.
+    """
+    return bool(config.stages) and hop % config.stages[0].shift == 0
+
+
+def _pool_positions(conv, pool_width, starts, t_pool):
+    """Max-pooled stage-0 outputs (len(starts), t_pool, d) of frames over shared positions.
+
+    conv holds the stage-0 outputs of consecutive positions (M, d); a
+    frame starting at position s pools positions s + j * pool_width ..
+    s + (j + 1) * pool_width - 1 into its j-th output.
+    """
+    smax = conv[: len(conv) - pool_width + 1].copy()  # max over positions m .. m + pw - 1
+    for q in range(1, pool_width):
+        np.maximum(smax, conv[q : q + len(smax)], out=smax)
+    return smax[starts[:, None] + np.arange(t_pool) * pool_width]
 
 
 def score_waveform(waveform, grid, params):
     """Class scores of every grid window of a waveform, sharing stage 0 across frames.
 
     Equals score_windows on the normalized windows up to float rounding,
-    for configs where shares_first_stage holds. Neighbouring windows
-    overlap, and with hop % shift == 0 their stage-0 positions lie on one
-    grid of the padded signal, so the raw convolution W.x runs once per
-    position. Normalization is affine per window, hence
-    conv(normalized window) = (W.x - mean * sum(W)) / std + b; as
-    std > 0, max-pooling commutes with this map and is taken over the
+    for raw configs where shares_first_stage(config, hop) holds.
+    Neighbouring windows overlap, and with hop % shift == 0 their stage-0
+    positions lie on one grid of the padded signal, so the raw
+    convolution W.x runs once per position. Normalization is affine per
+    window, hence conv(normalized window) = (W.x - mean * sum(W)) / std + b;
+    as std > 0, max-pooling commutes with this map and is taken over the
     raw conv. A constant window (std == 0) normalizes to zeros, so its
     stage-0 output is the bias. The stage-0 conv is float64. Windows are
-    processed BATCH_FRAMES at a time, which bounds the extra working set
+    processed batch_frames at a time, which bounds the extra working set
     whatever the utterance length; a chunk reuses the positions it shares
     with the one before, which only overlapping windows have.
     """
@@ -354,28 +400,62 @@ def score_waveform(waveform, grid, params):
     bias = layer.bias.astype(np.float64)
     signal, rows = grid_windows(waveform, grid)  # position m starts at signal[m * shift]
     n = grid.num_frames
+    batch = batch_frames(config, params.hidden_weight.dtype)
     scores = np.empty((n, config.num_classes), dtype=np.float64)
-    buf = np.empty((min(n, BATCH_FRAMES), grid.window_samples), dtype=np.float64)
+    buf = np.empty((min(n, batch), grid.window_samples), dtype=np.float64)
     conv = np.empty((0, layer.out_dim))  # raw conv at positions lo, lo + 1, ...
     lo = 0
-    for a in range(0, n, BATCH_FRAMES):
-        b = min(a + BATCH_FRAMES, n)
+    for a in range(0, n, batch):
+        b = min(a + batch, n)
         # the chunk pools positions a * step .. hi - 1; those of the last
         # chunk that it shares are kept, the rest computed from `start`
         start, hi = max(lo + len(conv), a * step), (b - 1) * step + span
         taps = _gather_windows(signal[start * shift : (hi - 1) * shift + kw, None][None], kw, shift)
         conv = np.concatenate([conv[a * step - lo :], taps[0] @ weight.T])
         lo = a * step
-        smax = conv[: len(conv) - pw + 1].copy()  # max over positions m .. m + pw - 1
-        for q in range(1, pw):
-            np.maximum(smax, conv[q : q + len(smax)], out=smax)
-        pooled = smax[np.arange(b - a)[:, None] * step + np.arange(t_pool) * pw]
+        pooled = _pool_positions(conv, pw, np.arange(b - a) * step, t_pool)
         mean, std = row_stats(rows[a:b], buf[: b - a])
         pooled -= mean[:, :, None] * wsum
         pooled /= np.where(std, std, 1.0)[:, :, None]  # std == 0 rows are reset below
         pooled += bias
         pooled[std[:, 0] == 0.0] = bias
         act = np.tanh(pooled.astype(params.hidden_weight.dtype))
+        scores[a:b] = _head_forward(act, params, first_stage=1)
+    return scores
+
+
+def score_features(features, params):
+    """Class scores of every frame of a T x d feature matrix, sharing stage 0 across frames.
+
+    Equals score_windows on extract_feature_windows(features, input_frames)
+    up to float rounding, for configs where shares_first_stage(config, 1)
+    holds: the feature hop is one row, so stage 0's shift is 1. Frame t's
+    window is rows t .. t + input_frames - 1 of the features zero-padded
+    by input_frames // 2 rows before and the rest after, so its stage-0
+    positions are t, t + 1, ... of one grid and the convolution runs once
+    per position, in the params dtype. Feature windows are not
+    normalized. Frames are processed batch_frames at a time.
+    """
+    config = params.config
+    feats = np.asarray(features)
+    if feats.ndim != 2 or feats.shape[1] != config.input_dim:
+        raise ValueError(f"features must be a T x {config.input_dim} matrix, got {feats.shape}")
+    layer, stage = params.conv[0], config.stages[0]
+    kw, pw = layer.kernel_width, stage.pool_width
+    t_pool = config.frame_counts()[0][1]
+    span = t_pool * pw  # stage-0 positions pooled per frame
+    dtype = params.hidden_weight.dtype
+    n, half = len(feats), config.input_frames // 2
+    padded = np.zeros((n + config.input_frames, config.input_dim), dtype)
+    padded[half : half + n] = feats
+    batch = batch_frames(config, dtype)
+    scores = np.empty((n, config.num_classes), dtype=np.float64)
+    for a in range(0, n, batch):
+        b = min(a + batch, n)
+        # frames a .. b - 1 pool positions a .. b + span - 2
+        taps = _gather_windows(padded[None, a : b + span + kw - 2], kw, 1)
+        conv = taps[0] @ layer.weight.T + layer.bias
+        act = np.tanh(_pool_positions(conv, pw, np.arange(b - a), t_pool))
         scores[a:b] = _head_forward(act, params, first_stage=1)
     return scores
 
@@ -423,10 +503,7 @@ class _StagePlan:
         kw, shift, pw, d_out = stage.kernel_width, stage.shift, stage.pool_width, stage.out_dim
         t_conv = (t_in - kw) // shift + 1
         t_out = t_conv // pw
-        item = src.itemsize
-        self.src_windows = np.lib.stride_tricks.as_strided(
-            src, (t_conv, kw * d_in), (shift * d_in * item, item), writeable=False
-        )
+        self.src_windows = _window_view(src[None], kw, shift)[0]
         self.windows = np.empty((t_conv, kw * d_in), dtype)
         self.conv = np.empty((t_conv, d_out), dtype)
         self.blocks = [self.conv[q : t_out * pw : pw] for q in range(pw)]

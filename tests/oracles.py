@@ -4,8 +4,9 @@ Everything here is deliberately brute force (enumeration, finite
 differences, naive DFT), or the plainer code a faster library path
 replaced: the per-call SGD step the step plan must reproduce bit for
 bit, the log-space CRF sum-product the scaled forward-backward must
-match within rounding, and the per-utterance Viterbi and edit-distance
-loops the batched and row-vectorized programs must match exactly. None
+match within rounding, and the per-utterance Viterbi, edit-distance and
+frame-labelling loops the batched and vectorized programs must match
+exactly. None
 of it shares code with the library paths it checks.
 """
 
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rawphone.errors import DivergenceError
+from rawphone.errors import DataError, DivergenceError
 from rawphone.training import frame_loss
 
 
@@ -39,6 +40,30 @@ def simulate_stage_frames(input_frames, stages):
         t_pool = pool_frames_bruteforce(t_conv, pool_width)
         out.append((t_conv, t_pool))
         t = t_pool
+    return out
+
+
+# --- frame labels ------------------------------------------------------------
+
+
+def reference_frame_labels(annotation, grid, label_to_index, garbage_index=None):
+    """The per-frame searchsorted loop the vectorized frame_labels replaced."""
+    starts = np.array([s for s, _e, _l in annotation.segments], dtype=np.int64)
+    ends = np.array([e for _s, e, _l in annotation.segments], dtype=np.int64)
+    idx = np.array([label_to_index[l] for _s, _e, l in annotation.segments], dtype=np.int64)
+    out = np.empty(grid.num_frames, dtype=np.int64)
+    for t in range(grid.num_frames):
+        c = grid.center(t)
+        pos = int(np.searchsorted(starts, c, side="right")) - 1
+        if pos >= 0 and c < ends[pos]:
+            out[t] = idx[pos]
+        elif garbage_index is not None:
+            out[t] = garbage_index
+        else:
+            raise DataError(
+                f"frame {t} (center sample {c}) is not covered by any segment "
+                "and no garbage label is configured"
+            )
     return out
 
 

@@ -12,6 +12,8 @@ from rawphone.framing import (
     normalize_window,
 )
 
+from oracles import reference_frame_labels
+
 
 class TestNormalizeWindow:
     def test_three_point_window(self):
@@ -165,6 +167,35 @@ class TestFrameLabels:
             grid = self.grid(length, hop)
             ann = SegmentAnnotation(((0, length, "a"),))
             assert len(frame_labels(ann, grid, {"a": 0})) == grid.num_frames
+
+
+    @pytest.mark.parametrize("garbage", [None, 3])
+    def test_matches_per_frame_loop_on_gapped_annotations(self, garbage):
+        rng = np.random.Generator(np.random.PCG64(5))
+        labels = {"a": 0, "b": 1, "c": 2, "g": 3}
+        outcomes = set()
+        for _ in range(200):
+            length, hop = int(rng.integers(20, 1500)), int(rng.integers(1, 200))
+            bounds = np.sort(rng.choice(np.arange(length + 1), size=2 * int(rng.integers(0, 6)),
+                                        replace=False))
+            # segments between alternate bounds leave gaps, at the edges too
+            ann = SegmentAnnotation(tuple(
+                (int(s), int(e), "abc"[i % 3]) for i, (s, e) in enumerate(bounds.reshape(-1, 2))
+            ))
+            grid = self.grid(length, hop)
+            try:
+                expected = reference_frame_labels(ann, grid, labels, garbage)
+            except DataError as e:
+                with pytest.raises(DataError) as got:
+                    frame_labels(ann, grid, labels, garbage)
+                assert str(got.value) == str(e)
+                outcomes.add("error")
+                continue
+            out = frame_labels(ann, grid, labels, garbage)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, expected)
+            outcomes.add("labels")
+        assert outcomes == ({"labels", "error"} if garbage is None else {"labels"})
 
 
 class TestFeatureWindows:

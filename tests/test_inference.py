@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rawphone import decoding, net
 from rawphone.corpus import LabeledUtterance, utterance_windows
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
@@ -10,8 +11,10 @@ from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_win
 from rawphone.net import (
     NetworkConfig,
     StageConfig,
+    batch_frames,
     forward_pass,
     init_params,
+    score_features,
     score_windows,
     shares_first_stage,
 )
@@ -34,6 +37,20 @@ def raw_utterance(length, seed, silent=(2000, 5200)):
 def raw_config(stages, window=1600, filters=12):
     return NetworkConfig(window, 1, tuple(StageConfig(k, s, filters, p) for k, s, p in stages),
                          hidden_units=20, num_classes=5)
+
+
+def feature_utterance(length, dim, seed):
+    feats = np.random.default_rng(seed).normal(size=(length, dim))
+    return LabeledUtterance("f", SegmentAnnotation(((0, length, "a"),)), features=feats)
+
+
+def feature_config(context, stages, dim=4):
+    return NetworkConfig(context, dim, tuple(StageConfig(k, s, 6, p) for k, s, p in stages),
+                         hidden_units=10, num_classes=5)
+
+
+def not_called(*args):
+    raise AssertionError("this scoring path must not run")
 
 
 def per_frame_scores(utt, params, hop):
@@ -113,13 +130,17 @@ class TestComputeEmissions:
         assert utterance_windows(utt, 400, hop).shape[0] > 32
         assert_matches_loop(utt, init_params(cfg, 9, dtype=np.float64), hop)
 
-    def test_feature_input_uses_batches(self):
-        rng = np.random.default_rng(7)
-        feats = rng.normal(size=(45, 4))
-        utt = LabeledUtterance("f", SegmentAnnotation(((0, 45, "a"),)), features=feats)
-        cfg = NetworkConfig(9, 4, (StageConfig(3, 1, 6, 1),), hidden_units=10, num_classes=5)
+    def test_feature_input_shares_first_stage(self, monkeypatch):
+        cfg = feature_config(9, ((3, 1, 1),))
+        assert shares_first_stage(cfg, 1)
+        monkeypatch.setattr(decoding, "score_windows", not_called)
+        assert_matches_loop(feature_utterance(45, 4, 7), init_params(cfg, 7), 1)
+
+    def test_feature_shift_two_takes_score_windows(self, monkeypatch):
+        cfg = feature_config(9, ((3, 2, 1),))
         assert not shares_first_stage(cfg, 1)
-        assert_matches_loop(utt, init_params(cfg, 7), 1)
+        monkeypatch.setattr(decoding, "score_features", not_called)
+        assert_matches_loop(feature_utterance(30, 4, 8), init_params(cfg, 8), 1)
 
     @pytest.mark.parametrize("stages", [DEFAULT, ((160, 7, 3), (5, 1, 3))])
     def test_zero_frame_utterance_still_fails_to_decode(self, stages):
@@ -133,6 +154,51 @@ class TestComputeEmissions:
             [outcome] = decode_utterances([utt], params, HOP, decode)
             with pytest.raises(DataError, match=message):
                 raise outcome
+
+
+class TestFeatureEmissions:
+    """score_features, through compute_emissions, against the per-frame loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("context, stages", [
+        (9, ((3, 1, 1),)),  # odd context, one stage, pool 1
+        (10, ((3, 1, 3), (2, 1, 1))),  # even context, two stages, pool 3 then 1
+        (7, ((2, 1, 1), (3, 1, 3))),  # odd context, pool 3 only in stage 1
+        (12, ((4, 1, 3), (3, 2, 1))),  # even context, pool 3, stage 1 strided
+    ])
+    @pytest.mark.parametrize("length", [1, 5, 40])
+    def test_matches_per_frame_loop(self, dtype, context, stages, length):
+        cfg = feature_config(context, stages)
+        assert shares_first_stage(cfg, 1)
+        utt = feature_utterance(length, 4, length + context)
+        assert_matches_loop(utt, init_params(cfg, context, dtype=dtype), 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_more_frames_than_one_batch(self, dtype, monkeypatch):
+        cfg = feature_config(8, ((3, 1, 3), (2, 1, 1)))
+        params = init_params(cfg, 4, dtype=dtype)
+        # stage 0 gathers 6 positions x 3 taps x 4 dims per frame; at 7
+        # frames per batch, 100 frames take 14 full batches and a partial one
+        monkeypatch.setattr(net, "BATCH_BYTES", 7 * 6 * 3 * 4 * np.dtype(dtype).itemsize)
+        assert batch_frames(cfg, dtype) == 7
+        assert_matches_loop(feature_utterance(100, 4, 1), params, 1)
+
+    def test_feature_dim_checked(self):
+        params = init_params(feature_config(9, ((3, 1, 1),)), 0)
+        with pytest.raises(ValueError, match="T x 4 matrix"):
+            score_features(np.zeros((5, 3)), params)
+
+
+class TestBatchFrames:
+    def test_default_raw_architecture_keeps_16(self):
+        cfg = raw_config(DEFAULT, filters=30)
+        assert batch_frames(cfg, np.float32) == 16
+        assert batch_frames(cfg, np.float64) == 8
+
+    def test_feature_input_sized_by_bytes(self):
+        # 7 positions x 3 taps x 39 dims of float32 per frame
+        cfg = NetworkConfig(9, 39, (StageConfig(3, 1, 20, 1),), hidden_units=50, num_classes=39)
+        assert batch_frames(cfg, np.float32) == net.BATCH_BYTES // (7 * 3 * 39 * 4) == 453
 
 
 class TestFrameAccuracy:

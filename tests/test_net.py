@@ -3,6 +3,7 @@ import pytest
 
 from rawphone.net import (
     ConvLayerParams,
+    _gather_windows,
     NetworkConfig,
     StageConfig,
     backward_pass,
@@ -17,6 +18,7 @@ from rawphone.net import (
 from rawphone.training import frame_loss, sgd_step
 
 from gradcheck_util import check_config_gradients, random_small_config
+from oracles import _gather_windows as reference_gather_windows
 from oracles import simulate_stage_frames
 
 BEST_RAW = NetworkConfig(
@@ -88,6 +90,25 @@ class TestConvForward:
         x = np.arange(8, dtype=np.float64).reshape(4, 2)
         out = conv_stage(x, layer(w, [0.0], 2, 1))
         np.testing.assert_array_equal(out[:, 0], np.tanh(x[1:, 0]))
+
+
+class TestGatherWindows:
+    @pytest.mark.parametrize("n, t, d, kw, shift", [
+        (1, 20, 1, 4, 2), (3, 9, 39, 3, 1), (2, 30, 5, 7, 3), (4, 10, 2, 10, 1), (2, 17, 3, 2, 5),
+    ])
+    def test_equals_sliding_window_copy(self, n, t, d, kw, shift):
+        x = np.random.default_rng(t).normal(size=(n, t, d)).astype(np.float32)
+        # contiguous, and a strided view whose frames are not adjacent in memory
+        for src in (x, np.repeat(x, 2, axis=1)[:, ::2]):
+            got = _gather_windows(src, kw, shift)
+            expected = reference_gather_windows(src, kw, shift)
+            assert got.dtype == expected.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, expected)
+
+    def test_signal_with_inserted_axes(self):
+        signal = np.arange(50.0)
+        got = _gather_windows(signal[None, 3:40, None], 8, 4)
+        np.testing.assert_array_equal(got, reference_gather_windows(signal[3:40, None][None], 8, 4))
 
 
 class TestStageForward:
