@@ -180,7 +180,13 @@ def _load_data(cfg, *manifests):
     elif sample_rate is None:
         raise DataError("raw input needs waveform utterances")
     else:
-        hop = max(1, int(round(cfg["hop_ms"] * sample_rate / 1000.0)))
+        samples = cfg["hop_ms"] * sample_rate / 1000.0
+        if not 0.5 < samples < float("inf"):  # round(0.5) == 0
+            raise ValueError(
+                f"--hop-ms {cfg['hop_ms']:g} is {samples:g} samples at {sample_rate} Hz; "
+                "the hop must round to at least one sample"
+            )
+        hop = int(round(samples))
     for manifest, split in zip(manifests, splits):  # frames do not depend on the window
         if not any(utterance_grid(u, 1, hop).num_frames for u in split):
             raise DataError(f"{manifest}: every utterance is shorter than one hop ({hop} samples)")
@@ -529,7 +535,9 @@ def cmd_filters(args):
     sample_rate = cfg["sample_rate"] or metadata.get("sample_rate")
     if not sample_rate:
         raise DataError("sample rate unknown; pass --sample-rate")
-    n_fft = cfg["n_fft"]
+    n_fft, kernel_width = cfg["n_fft"], params.conv[0].kernel_width
+    if n_fft < kernel_width:  # rfft would crop the filters to n_fft taps
+        raise ValueError(f"--n-fft {n_fft} is below stage 0's kernel width {kernel_width}")
     weight = params.conv[0].weight.astype(np.float64)
     spectra = np.abs(np.fft.rfft(weight, n=n_fft, axis=1))
     rows = []

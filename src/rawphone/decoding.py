@@ -10,26 +10,27 @@ import numpy as np
 from .corpus import utterance_grid, utterance_windows
 from .crf import viterbi_batch
 from .errors import DataError, NoLegalPathError
+from .framing import grid_windows, pad_features
 from .hmm import build_duration_graph, decode_batch
-from .net import log_softmax, score_features, score_waveform, score_windows, shares_first_stage
+from .net import log_softmax, score_frames, score_windows
 from .scoring import collapse_path
 
 
 def compute_emissions(utt, params, hop_samples):
     """Per-frame network scores for one utterance, as a float64 T x K matrix.
 
-    Where the frame hop (one row for feature input) is a multiple of
-    stage 0's shift, stage 0 is shared across overlapping windows;
-    everything else is scored in batches of framed windows.
+    Stage 0 is shared across overlapping windows (score_frames); a network
+    without stages scores each framed window.
     """
     config = params.config
+    if not config.stages:
+        return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
     if utt.waveform is None:
-        if shares_first_stage(config, 1):
-            return score_features(utt.features, params)
-    elif shares_first_stage(config, hop_samples):
-        grid = utterance_grid(utt, config.input_frames, hop_samples)
-        return score_waveform(utt.waveform, grid, params)
-    return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
+        signal = pad_features(utt.features, config.input_frames, params.hidden_weight.dtype)
+        return score_frames(signal, 1, len(utt.features), params)
+    grid = utterance_grid(utt, config.input_frames, hop_samples)
+    signal, rows = grid_windows(utt.waveform, grid)
+    return score_frames(signal[:, None], hop_samples, grid.num_frames, params, rows)
 
 
 # Decoding runs on consecutive groups of utterances padded to the longest

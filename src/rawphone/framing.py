@@ -152,24 +152,34 @@ def extract_windows(waveform, grid):
     return out
 
 
-def extract_feature_windows(features, context_frames):
-    """Cut a centered context block per frame from a precomputed feature matrix.
+def pad_features(features, context_frames, dtype):
+    """A feature matrix zero-padded for framing, as `dtype`.
 
-    Returns (T, context_frames, d). Edges are zero-padded; no normalization
-    is applied (feature matrices arrive already conditioned).
+    context_frames // 2 zero rows go before the features and the rest
+    after, so rows t .. t + context_frames - 1 of the result are the
+    window centered on feature row t.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError("features must be a non-empty T x d matrix")
     if context_frames < 1:
         raise ValueError("context_frames must be >= 1")
     T, d = feats.shape
     half = context_frames // 2
-    padded = np.concatenate(
-        [np.zeros((half, d)), feats, np.zeros((context_frames - half, d))]
-    )
+    padded = np.zeros((T + context_frames, d), dtype)
+    padded[half : half + T] = feats
+    return padded
+
+
+def extract_feature_windows(features, context_frames):
+    """Cut a centered context block per frame from a precomputed feature matrix.
+
+    Returns (T, context_frames, d): the windows of pad_features. No
+    normalization is applied (feature matrices arrive already conditioned).
+    """
+    padded = pad_features(features, context_frames, np.float64)
     view = np.lib.stride_tricks.sliding_window_view(padded, context_frames, axis=0)
-    return np.ascontiguousarray(view[:T].transpose(0, 2, 1))
+    return np.ascontiguousarray(view[: len(features)].transpose(0, 2, 1))
 
 
 def frame_labels(annotation, grid, label_to_index, garbage_index=None):

@@ -7,18 +7,20 @@ producing one score per class. Training runs in float32; gradient checks
 cast everything to float64 first.
 
 Training steps run one window at a time on a StepPlan. Inference scores
-batches of frames sized by BATCH_BYTES: stacks of windows
-(score_windows), or every frame of a waveform (score_waveform) or of a
-feature matrix (score_features) with stage 0 computed once per input
-position and shared by the overlapping windows.
+batches of frames sized by BATCH_BYTES: every frame of a signal (a
+padded waveform or feature matrix) with stage 0 computed once per
+position of one grid and shared by the overlapping windows
+(score_frames), or stacks of windows (score_windows), which also serve
+networks without stages.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import grid_windows, row_stats
+from .framing import row_stats
 
 
 @dataclass(frozen=True)
@@ -350,112 +352,88 @@ def score_windows(windows, params):
     return scores
 
 
-def shares_first_stage(config, hop):
-    """Whether stage 0 can run once per input position for every frame.
-
-    `hop` is the frame hop in input positions: samples for raw input, 1
-    for feature rows. It must be a multiple of stage 0's shift, so that
-    the stage-0 positions of all frames lie on one grid.
-    """
-    return bool(config.stages) and hop % config.stages[0].shift == 0
-
-
-def _pool_positions(conv, pool_width, starts, t_pool):
+def _pool_positions(conv, pool_width, stride, starts, t_pool):
     """Max-pooled stage-0 outputs (len(starts), t_pool, d) of frames over shared positions.
 
-    conv holds the stage-0 outputs of consecutive positions (M, d); a
-    frame starting at position s pools positions s + j * pool_width ..
-    s + (j + 1) * pool_width - 1 into its j-th output.
+    conv holds the stage-0 outputs of consecutive grid positions (M, d);
+    a frame starting at position s has its conv frames at s, s + stride,
+    ..., and pools conv frames j * pool_width .. (j + 1) * pool_width - 1
+    into its j-th output.
     """
-    smax = conv[: len(conv) - pool_width + 1].copy()  # max over positions m .. m + pw - 1
+    smax = conv[: len(conv) - (pool_width - 1) * stride]  # max over m, m + stride, ...
     for q in range(1, pool_width):
-        np.maximum(smax, conv[q : q + len(smax)], out=smax)
-    return smax[starts[:, None] + np.arange(t_pool) * pool_width]
+        smax = np.maximum(smax, conv[q * stride : q * stride + len(smax)])
+    return smax[starts[:, None] + np.arange(t_pool) * (pool_width * stride)]
 
 
-def score_waveform(waveform, grid, params):
-    """Class scores of every grid window of a waveform, sharing stage 0 across frames.
+def score_frames(signal, hop, num_frames, params, rows=None):
+    """Class scores of the first num_frames frames of a signal, sharing stage 0 across frames.
 
-    Equals score_windows on the normalized windows up to float rounding,
-    for raw configs where shares_first_stage(config, hop) holds.
-    Neighbouring windows overlap, and with hop % shift == 0 their stage-0
-    positions lie on one grid of the padded signal, so the raw
-    convolution W.x runs once per position. Normalization is affine per
-    window, hence conv(normalized window) = (W.x - mean * sum(W)) / std + b;
-    as std > 0, max-pooling commutes with this map and is taken over the
-    raw conv. A constant window (std == 0) normalizes to zeros, so its
-    stage-0 output is the bias. The stage-0 conv is float64. Windows are
-    processed batch_frames at a time, which bounds the extra working set
-    whatever the utterance length; a chunk reuses the positions it shares
-    with the one before, which only overlapping windows have.
+    `signal` is an L x input_dim matrix, and frame t's window is its rows
+    t * hop .. t * hop + input_frames - 1. With `rows`, the frames' raw
+    windows (num_frames x input_frames), each window is normalized to zero
+    mean and unit variance first. Equals score_windows on the (normalized)
+    windows up to float rounding; the config needs at least one stage.
+
+    Frame t's conv frame j starts at row t * hop + j * shift, a multiple
+    of g = gcd(hop, shift), so the stage-0 positions of all frames lie on
+    one grid of stride g. The convolution runs once per grid position, and
+    each frame max-pools its own positions, every shift / g-th one of the
+    grid from its first. Frames are processed batch_frames at a time,
+    which bounds the extra working set whatever the signal length; a batch
+    reuses the positions it shares with the one before, which only
+    overlapping windows have.
+
+    Without `rows`, stage 0 runs in the params dtype and the bias is added
+    per position, before pooling: rounding is monotone, so
+    max(x + b) == max(x) + b exactly. With `rows`, the raw convolution W.x
+    runs in float64. Normalization is affine per window, hence
+    conv(normalized window) = (W.x - mean * sum(W)) / std + b; as std > 0,
+    max-pooling commutes with this map and is taken over the raw conv. A
+    constant window (std == 0) normalizes to zeros, so its stage-0 output
+    is the bias.
     """
     config = params.config
-    layer, stage = params.conv[0], config.stages[0]
-    kw, shift, pw = layer.kernel_width, layer.shift, stage.pool_width
-    step = grid.hop_samples // shift  # stage-0 positions between frames
-    t_pool = config.frame_counts()[0][1]
-    span = t_pool * pw  # stage-0 positions pooled per frame
-    weight = layer.weight.astype(np.float64)
-    wsum = weight.sum(axis=1)
-    bias = layer.bias.astype(np.float64)
-    signal, rows = grid_windows(waveform, grid)  # position m starts at signal[m * shift]
-    n = grid.num_frames
-    batch = batch_frames(config, params.hidden_weight.dtype)
-    scores = np.empty((n, config.num_classes), dtype=np.float64)
-    buf = np.empty((min(n, batch), grid.window_samples), dtype=np.float64)
-    conv = np.empty((0, layer.out_dim))  # raw conv at positions lo, lo + 1, ...
-    lo = 0
-    for a in range(0, n, batch):
-        b = min(a + batch, n)
-        # the chunk pools positions a * step .. hi - 1; those of the last
-        # chunk that it shares are kept, the rest computed from `start`
-        start, hi = max(lo + len(conv), a * step), (b - 1) * step + span
-        taps = _gather_windows(signal[start * shift : (hi - 1) * shift + kw, None][None], kw, shift)
-        conv = np.concatenate([conv[a * step - lo :], taps[0] @ weight.T])
-        lo = a * step
-        pooled = _pool_positions(conv, pw, np.arange(b - a) * step, t_pool)
-        mean, std = row_stats(rows[a:b], buf[: b - a])
-        pooled -= mean[:, :, None] * wsum
-        pooled /= np.where(std, std, 1.0)[:, :, None]  # std == 0 rows are reset below
-        pooled += bias
-        pooled[std[:, 0] == 0.0] = bias
-        act = np.tanh(pooled.astype(params.hidden_weight.dtype))
-        scores[a:b] = _head_forward(act, params, first_stage=1)
-    return scores
-
-
-def score_features(features, params):
-    """Class scores of every frame of a T x d feature matrix, sharing stage 0 across frames.
-
-    Equals score_windows on extract_feature_windows(features, input_frames)
-    up to float rounding, for configs where shares_first_stage(config, 1)
-    holds: the feature hop is one row, so stage 0's shift is 1. Frame t's
-    window is rows t .. t + input_frames - 1 of the features zero-padded
-    by input_frames // 2 rows before and the rest after, so its stage-0
-    positions are t, t + 1, ... of one grid and the convolution runs once
-    per position, in the params dtype. Feature windows are not
-    normalized. Frames are processed batch_frames at a time.
-    """
-    config = params.config
-    feats = np.asarray(features)
-    if feats.ndim != 2 or feats.shape[1] != config.input_dim:
-        raise ValueError(f"features must be a T x {config.input_dim} matrix, got {feats.shape}")
+    x = np.asarray(signal)
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise ValueError(f"signal must be a T x {config.input_dim} matrix, got {x.shape}")
     layer, stage = params.conv[0], config.stages[0]
     kw, pw = layer.kernel_width, stage.pool_width
+    g = math.gcd(hop, layer.shift)
+    step, stride = hop // g, layer.shift // g  # grid positions per hop and per conv frame
     t_pool = config.frame_counts()[0][1]
-    span = t_pool * pw  # stage-0 positions pooled per frame
+    reach = (t_pool * pw - 1) * stride + 1  # grid positions from a frame's first to last
     dtype = params.hidden_weight.dtype
-    n, half = len(feats), config.input_frames // 2
-    padded = np.zeros((n + config.input_frames, config.input_dim), dtype)
-    padded[half : half + n] = feats
+    conv_dtype = dtype if rows is None else np.float64
+    x = x.astype(conv_dtype, copy=False)
+    weight = layer.weight.astype(conv_dtype, copy=False)
     batch = batch_frames(config, dtype)
-    scores = np.empty((n, config.num_classes), dtype=np.float64)
-    for a in range(0, n, batch):
-        b = min(a + batch, n)
-        # frames a .. b - 1 pool positions a .. b + span - 2
-        taps = _gather_windows(padded[None, a : b + span + kw - 2], kw, 1)
-        conv = taps[0] @ layer.weight.T + layer.bias
-        act = np.tanh(_pool_positions(conv, pw, np.arange(b - a), t_pool))
+    if rows is not None:
+        wsum = weight.sum(axis=1)
+        bias = layer.bias.astype(np.float64)
+        buf = np.empty((min(num_frames, batch), config.input_frames))
+    scores = np.empty((num_frames, config.num_classes), dtype=np.float64)
+    conv = np.empty((0, layer.out_dim), conv_dtype)  # stage 0 at positions lo, lo + 1, ...
+    lo = 0
+    for a in range(0, num_frames, batch):
+        b = min(a + batch, num_frames)
+        # the batch pools positions a * step .. hi - 1; those of the last
+        # batch that it shares are kept, the rest computed from `start`
+        start, hi = max(lo + len(conv), a * step), (b - 1) * step + reach
+        fresh = _gather_windows(x[None, start * g : (hi - 1) * g + kw], kw, g)[0] @ weight.T
+        if rows is None:
+            fresh += layer.bias
+        kept = conv[a * step - lo :]
+        conv = np.concatenate([kept, fresh]) if len(kept) else fresh
+        lo = a * step
+        pooled = _pool_positions(conv, pw, stride, np.arange(b - a) * step, t_pool)
+        if rows is not None:
+            mean, std = row_stats(rows[a:b], buf[: b - a])
+            pooled -= mean[:, :, None] * wsum
+            pooled /= np.where(std, std, 1.0)[:, :, None]  # std == 0 rows are reset below
+            pooled += bias
+            pooled[std[:, 0] == 0.0] = bias
+        act = np.tanh(pooled.astype(dtype, copy=False))
         scores[a:b] = _head_forward(act, params, first_stage=1)
     return scores
 

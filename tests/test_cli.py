@@ -526,6 +526,16 @@ class TestFilters:
         np.testing.assert_allclose(mags[0], reference, atol=1e-5)
         assert abs(mags[0].argmax() - f0 * 512 / sr) <= 1
 
+    def test_n_fft_below_kernel_width_is_usage_error(self, tmp_path, capsys):
+        save_filter_model(tmp_path / "m.rcn", np.ones((2, 48)))
+        assert run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f",
+                    "--n-fft", "47"]) == 1
+        assert "usage error: --n-fft 47 is below stage 0's kernel width 48" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "f").exists()
+        assert run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f",
+                    "--n-fft", "48"]) == 0
+
     def test_feature_model_rejected(self, tmp_path):
         cfg = NetworkConfig(9, 13, (StageConfig(3, 1, 4, 1),), 4, 2)
         save_model(tmp_path / "m.rcn", init_params(cfg, 0), ["a", "b"])
@@ -753,6 +763,32 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"data error: {short}: every utterance is shorter than one hop (160 samples)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, args, splits", [
+        ("train", [*SMALL_NET, "--epochs", "1"], ("train", "cv")),
+        ("grid", ["--window-ms-list", "50", "--kernel-list", "5", "--filters-list", "4",
+                  "--hidden-list", "8", "--epochs", "1"], ("train", "cv")),
+        ("ablate-pool", [*SMALL_NET, "--epochs", "1"], ("train", "cv", "test")),
+    ])
+    @pytest.mark.parametrize("hop_ms", ["-10", "0", "0.03", "inf", "nan"])
+    def test_hop_below_one_sample_is_usage_error(self, tmp_path, capsys, command, args,
+                                                 splits, hop_ms):
+        # short utterances, so that a hop clamped to one sample still trains quickly
+        lines = []
+        for i in range(2):
+            write_wav(tmp_path / f"s{i}.wav", Waveform(np.linspace(-0.5, 0.5, 200), 16000))
+            write_labels(tmp_path / f"s{i}.txt",
+                         SegmentAnnotation(((0, 100, "c0"), (100, 200, "c1"))))
+            lines.append(json.dumps({"id": f"s{i}", "wav": f"s{i}.wav", "labels": f"s{i}.txt"}))
+        (tmp_path / "short.jsonl").write_text("\n".join(lines) + "\n")
+        manifests = [a for s in splits for a in (f"--{s}-manifest", tmp_path / "short.jsonl")]
+        # 0.03 ms is 0.48 samples at 16 kHz, which rounds to 0
+        rc = run([command, *manifests, "--out", tmp_path / "o", *args, "--hop-ms", hop_ms])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"usage error: --hop-ms {float(hop_ms):g} is " in err
+        assert "the hop must round to at least one sample" in err
         assert not (tmp_path / "o").exists()
 
 

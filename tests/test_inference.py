@@ -14,9 +14,8 @@ from rawphone.net import (
     batch_frames,
     forward_pass,
     init_params,
-    score_features,
+    score_frames,
     score_windows,
-    shares_first_stage,
 )
 from rawphone.training import FrameDataset, frame_accuracy_of
 
@@ -76,7 +75,6 @@ class TestComputeEmissions:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_stage0_default_stages(self, dtype):
         cfg = raw_config(DEFAULT)
-        assert shares_first_stage(cfg, HOP)
         assert_matches_loop(raw_utterance(12000, 0), init_params(cfg, 1, dtype=dtype), HOP)
 
     def test_silent_windows_are_covered(self):
@@ -104,13 +102,8 @@ class TestComputeEmissions:
     def test_offset_position_grid(self):
         # (hop // 2) % shift == 16: stage-0 positions sit off the sample-0 grid
         cfg = raw_config(((160, 32, 3), (5, 1, 3)))
-        assert shares_first_stage(cfg, HOP) and (HOP // 2) % 32 != 0
+        assert (HOP // 2) % 32 != 0
         assert_matches_loop(raw_utterance(9000, 3), init_params(cfg, 3), HOP)
-
-    def test_fallback_when_hop_not_multiple_of_shift(self):
-        cfg = raw_config(((160, 7, 3), (5, 1, 3)))
-        assert not shares_first_stage(cfg, HOP)
-        assert_matches_loop(raw_utterance(9000, 4), init_params(cfg, 4), HOP)
 
     @pytest.mark.parametrize("pool", [1, 3])
     def test_pool_widths(self, pool):
@@ -125,22 +118,14 @@ class TestComputeEmissions:
     def test_windows_without_overlap_over_several_batches(self, hop):
         # hop >= window: a frame's stage-0 positions end before the next frame's begin
         cfg = raw_config(((40, 10, 3), (3, 1, 2)), window=400)
-        assert shares_first_stage(cfg, hop)
         utt = raw_utterance(hop * 40, 9, silent=(4000, 5200))
         assert utterance_windows(utt, 400, hop).shape[0] > 32
         assert_matches_loop(utt, init_params(cfg, 9, dtype=np.float64), hop)
 
     def test_feature_input_shares_first_stage(self, monkeypatch):
         cfg = feature_config(9, ((3, 1, 1),))
-        assert shares_first_stage(cfg, 1)
         monkeypatch.setattr(decoding, "score_windows", not_called)
         assert_matches_loop(feature_utterance(45, 4, 7), init_params(cfg, 7), 1)
-
-    def test_feature_shift_two_takes_score_windows(self, monkeypatch):
-        cfg = feature_config(9, ((3, 2, 1),))
-        assert not shares_first_stage(cfg, 1)
-        monkeypatch.setattr(decoding, "score_features", not_called)
-        assert_matches_loop(feature_utterance(30, 4, 8), init_params(cfg, 8), 1)
 
     @pytest.mark.parametrize("stages", [DEFAULT, ((160, 7, 3), (5, 1, 3))])
     def test_zero_frame_utterance_still_fails_to_decode(self, stages):
@@ -155,9 +140,63 @@ class TestComputeEmissions:
             with pytest.raises(DataError, match=message):
                 raise outcome
 
+    def test_config_without_stages_decodes_and_matches_loop(self):
+        for utt, cfg, hop in (
+            (raw_utterance(3000, 10), raw_config((), window=200), HOP),
+            (feature_utterance(20, 4, 10), feature_config(5, ()), 1),
+        ):
+            params = init_params(cfg, 10)
+            assert_matches_loop(utt, params, hop)
+            decode = decoder("hmm", list("abcde"), np.zeros((5, 5)), 1)
+            [labels] = decode_utterances([utt], params, hop, decode)
+            assert labels and set(labels) <= set("abcde")
+
+
+# The stage-0 grid sweep: (input, window, stages as (kernel, shift, pool), hop).
+# For raw input the hop is a multiple of stage 0's shift, not a multiple,
+# below it, or wider than the window; feature input always hops one row,
+# so its shift sets the grid instead.
+SWEEP_CONFIGS = [
+    ("raw", 400, ((40, 10, 3), (3, 1, 2)), 160),  # multiple: grid = shift
+    ("raw", 401, ((30, 7, 2), (3, 1, 1)), 160),  # not a multiple, gcd 1
+    ("raw", 400, ((24, 6, 1), (5, 1, 3)), 160),  # not a multiple, gcd 2
+    ("raw", 300, ((20, 12, 2),), 9),  # below the shift, gcd 3
+    ("raw", 300, ((30, 10, 3),), 450),  # wider than the window, a multiple
+    ("raw", 301, ((30, 8, 2), (2, 1, 1)), 455),  # wider than the window, gcd 1
+    ("feat", 9, ((3, 1, 1),), 1),
+    ("feat", 10, ((3, 2, 2), (2, 1, 1)), 1),
+    ("feat", 12, ((2, 3, 3),), 1),
+    ("feat", 7, ((3, 2, 1), (2, 1, 2)), 1),
+]
+# (dtype, frames, frames per batch: None keeps batch_frames)
+SWEEP_RUNS = [("float32", 1, None), ("float64", 23, 1), ("float32", 40, 3), ("float64", 9, None)]
+
+
+@pytest.mark.parametrize("run", SWEEP_RUNS, ids=lambda r: f"{r[0]}-{r[1]}x{r[2]}")
+@pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)), ids=[
+    f"{kind}{window}-{'-'.join(f'{k}:{s}:{p}' for k, s, p in stages)}-hop{hop}"
+    for kind, window, stages, hop in SWEEP_CONFIGS
+])
+def test_stage0_grid_sweep(case, run, monkeypatch):
+    """compute_emissions equals the per-frame loop for every hop, shift, pool and input kind."""
+    kind, window, stages, hop = SWEEP_CONFIGS[case]
+    dtype, frames, batch = run
+    seed = 100 + case
+    if kind == "raw":
+        cfg = raw_config(stages, window=window, filters=6)
+        length = frames * hop + hop // 2
+        utt = raw_utterance(length, seed, silent=(length // 3, length // 3 + 2 * window))
+    else:
+        cfg = feature_config(window, stages)
+        utt = feature_utterance(frames, 4, seed)
+    monkeypatch.setattr(decoding, "score_windows", not_called)
+    if batch is not None:
+        monkeypatch.setattr(net, "batch_frames", lambda config, dt: batch)
+    assert_matches_loop(utt, init_params(cfg, seed, dtype=np.dtype(dtype)), hop)
+
 
 class TestFeatureEmissions:
-    """score_features, through compute_emissions, against the per-frame loop."""
+    """Feature input, through compute_emissions, against the per-frame loop."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("context, stages", [
@@ -169,7 +208,6 @@ class TestFeatureEmissions:
     @pytest.mark.parametrize("length", [1, 5, 40])
     def test_matches_per_frame_loop(self, dtype, context, stages, length):
         cfg = feature_config(context, stages)
-        assert shares_first_stage(cfg, 1)
         utt = feature_utterance(length, 4, length + context)
         assert_matches_loop(utt, init_params(cfg, context, dtype=dtype), 1)
 
@@ -186,7 +224,7 @@ class TestFeatureEmissions:
     def test_feature_dim_checked(self):
         params = init_params(feature_config(9, ((3, 1, 1),)), 0)
         with pytest.raises(ValueError, match="T x 4 matrix"):
-            score_features(np.zeros((5, 3)), params)
+            score_frames(np.zeros((5, 3)), 1, 5, params)
 
 
 class TestBatchFrames:
