@@ -8,6 +8,7 @@ Includes a seeded synthetic tone corpus, a per-frame SGD trainer with
 early stopping and grid search, and edit-distance evaluation.
 """
 
+from .corpus import FrameDataset
 from .crf import (
     crf_log_likelihood,
     forward_backward,
@@ -58,7 +59,6 @@ from .scoring import (
     map_labels,
 )
 from .training import (
-    FrameDataset,
     GridSpec,
     TrainConfig,
     frame_loss,

@@ -133,6 +133,12 @@ def _check_config(path, values, defaults):
             raise ValueError(f"{path}: {key} must be one of {list(CHOICES[key])}, got {value!r}")
 
 
+def _check_at_least(cfg, key, low):
+    """A usage error naming the option unless its resolved value is >= low."""
+    if not cfg[key] >= low:
+        raise ValueError(f"{_flag(key)} must be at least {low}, got {cfg[key]}")
+
+
 def _echo_resolved(out_dir, subcommand, resolved):
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"subcommand": subcommand, **resolved}
@@ -292,6 +298,7 @@ def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage):
 
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
+    _check_at_least(cfg, "crf_epochs", 0)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
@@ -356,6 +363,7 @@ GRID_DEFAULTS = {
 
 def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
+    _check_at_least(cfg, "max_configs", 0)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
@@ -372,16 +380,9 @@ def cmd_grid(args):
     if not configs:
         raise ValueError("grid is empty after dropping infeasible configurations")
 
-    dataset_cache = {}
-
     def dataset_for(config):
-        key = config.input_frames
-        if key not in dataset_cache:
-            dataset_cache[key] = (
-                build_frame_dataset(train_utts, key, hop, alphabet, garbage),
-                build_frame_dataset(cv_utts, key, hop, alphabet, garbage),
-            )
-        return dataset_cache[key]
+        return tuple(build_frame_dataset(utts, config.input_frames, hop, alphabet, garbage)
+                     for utts in (train_utts, cv_utts))
 
     results = grid_search(
         dataset_for, configs, _train_config(cfg), max_configs=cfg["max_configs"] or None
@@ -523,6 +524,7 @@ FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0}
 
 def cmd_filters(args):
     cfg = _resolve(args, FILTERS_DEFAULTS)
+    _check_at_least(cfg, "sample_rate", 0)
     out = Path(args.out)
     params, _alphabet, metadata, _a = load_model(args.model)
     if params.config.input_dim != 1:
@@ -622,6 +624,9 @@ CHECKGRAD_DEFAULTS = {
 
 def cmd_check_grad(args):
     cfg = _resolve(args, CHECKGRAD_DEFAULTS)
+    _check_at_least(cfg, "configs", 1)
+    if not 0 < cfg["eps"] < float("inf"):
+        raise ValueError(f"--eps must be finite and positive, got {cfg['eps']}")
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     all_pass = True
     report = []

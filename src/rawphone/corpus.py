@@ -29,8 +29,11 @@ from .framing import (
     extract_feature_windows,
     extract_windows,
     frame_labels,
+    grid_windows,
+    pad_features,
+    row_stats,
 )
-from .training import FrameDataset
+from .net import BATCH_BYTES
 
 
 def read_wav(path):
@@ -391,16 +394,86 @@ def utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garba
         raise DataError(f"utterance {utt.id}: {e}") from e
 
 
+class FrameDataset:
+    """Training frames read from each utterance's signal, which is stored once.
+
+    `signals[u]` is utterance u's signal: for a waveform the zero-padded
+    samples of framing.grid_windows (float64, as an L x 1 column), for a
+    feature matrix framing.pad_features in float32, the training dtype.
+    Frame i, labelled `labels[i]`, is frame t of utterance `utts[i]`: its
+    window is the input_frames rows of that signal from `starts[i]`,
+    which is t * hop (t for features). Raw windows are normalized when
+    read, from each frame's float64 `mean` and `std` (framing.row_stats,
+    taken in chunks of BATCH_BYTES); features are read as they are.
+    Utterances without frames are left out. Beside the signals, the
+    dataset holds at most 36 bytes per frame, whatever the window length.
+    """
+
+    def __init__(self, utterances, labels, input_frames, hop_samples):
+        kept = [(u, np.asarray(l, np.int64)) for u, l in zip(utterances, labels) if len(l)]
+        if not kept:
+            raise ValueError("dataset is empty")
+        grids = [utterance_grid(u, input_frames, hop_samples) for u, _l in kept]
+        for (utt, l), grid in zip(kept, grids):
+            if len(l) != grid.num_frames:
+                raise ValueError(f"utterance {utt.id}: {len(l)} labels, {grid.num_frames} frames")
+        self.utterances = [u for u, _l in kept]
+        self.raw = self.utterances[0].waveform is not None
+        if any((u.waveform is not None) != self.raw for u in self.utterances):
+            raise ValueError("utterances mix waveform and feature input")
+        self.input_frames, self.hop = input_frames, hop_samples
+        self.labels = np.concatenate([l for _u, l in kept])
+        counts = [len(l) for _u, l in kept]
+        self.utts = np.repeat(np.arange(len(kept), dtype=np.int32), counts)
+        self.starts = np.concatenate([np.arange(n) * g.hop_samples for n, g in zip(counts, grids)])
+        if not self.raw:
+            self.signals = [pad_features(u.features, input_frames, np.float32)
+                            for u in self.utterances]
+            return
+        self.signals, self.mean, self.std = [], np.empty(len(self)), np.empty(len(self))
+        self._window = np.empty((input_frames, 1))  # a step's float64 window
+        chunk = max(1, BATCH_BYTES // (8 * input_frames))
+        buf = np.empty((min(chunk, max(counts)), input_frames))
+        for utt, grid, first in zip(self.utterances, grids, np.cumsum([0] + counts)):
+            signal, windows = grid_windows(utt.waveform, grid)
+            self.signals.append(signal[:, None])
+            for a in range(0, len(windows), chunk):
+                rows = windows[a : a + chunk]
+                mean, std = row_stats(rows, buf[: len(rows)])
+                self.mean[first + a : first + a + len(rows)] = mean[:, 0]
+                self.std[first + a : first + a + len(rows)] = std[:, 0]
+
+    def __len__(self):
+        return len(self.labels)
+
+    @property
+    def window_shape(self):
+        return self.input_frames, self.signals[0].shape[1]
+
+    def read_window(self, i, out):
+        """Write frame i's window into `out`, an input_frames x d array.
+
+        A raw window is (x - mean) / std in float64, cast to out's dtype,
+        or zeros where std is 0: bit for bit the row of
+        framing.extract_windows cast to that dtype.
+        """
+        start = self.starts[i]
+        window = self.signals[self.utts[i]][start : start + self.input_frames]
+        if not self.raw:
+            np.copyto(out, window)
+        elif self.std[i] == 0.0:
+            out.fill(0.0)
+        else:
+            np.subtract(window, self.mean[i], out=self._window)
+            np.divide(self._window, self.std[i], out=out, casting="unsafe")
+
+
 def build_frame_dataset(utterances, input_frames, hop_samples, alphabet, garbage=None):
-    """Pool per-frame (window, label) pairs across utterances."""
+    """The FrameDataset of labelled frames across utterances."""
     label_to_index = {l: i for i, l in enumerate(alphabet)}
     garbage_index = label_to_index[garbage] if garbage is not None else None
-    windows = []
-    labels = []
-    for utt in utterances:
-        windows.append(utterance_windows(utt, input_frames, hop_samples))
-        labels.append(
-            utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garbage_index)
-        )
-    return FrameDataset(np.concatenate(windows), np.concatenate(labels))
-
+    labels = [
+        utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garbage_index)
+        for utt in utterances
+    ]
+    return FrameDataset(utterances, labels, input_frames, hop_samples)

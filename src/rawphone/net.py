@@ -10,8 +10,8 @@ Training steps run one window at a time on a StepPlan. Inference scores
 batches of frames sized by BATCH_BYTES: every frame of a signal (a
 padded waveform or feature matrix) with stage 0 computed once per
 position of one grid and shared by the overlapping windows
-(score_frames), or stacks of windows (score_windows), which also serve
-networks without stages.
+(score_frames), or, for networks without stages, stacks of windows
+(score_windows).
 """
 
 import math
@@ -627,7 +627,8 @@ def forward_pass(window, params):
     Returns (scores, cache); scores is a length-K vector of pre-softmax
     class scores. The computation dtype follows the parameter dtype.
     Activations stay in the step plan of `params` until its next
-    forward_pass.
+    forward_pass. The window may be the plan's own input buffer,
+    `step_plan(params).x`, filled in place.
     """
     config = params.config
     x = np.asarray(window)
@@ -638,7 +639,8 @@ def forward_pass(window, params):
         )
     plan = step_plan(params)
     plan.generation += 1
-    np.copyto(plan.x, x, casting="unsafe")
+    if x is not plan.x:
+        np.copyto(plan.x, x, casting="unsafe")
     for stage, layer in zip(plan.stages, params.conv):
         stage.forward(layer)
     hidden = plan.hidden

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .decoding import compute_emissions
 from .errors import DivergenceError
 from .net import (
     NetworkConfig,
@@ -20,8 +21,8 @@ from .net import (
     forward_pass,
     init_params,
     param_count,
-    score_windows,
     softmax_terms,
+    step_plan,
 )
 
 
@@ -78,35 +79,27 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-class FrameDataset:
-    """Flat array of training frames: windows (N, T, d) and labels (N,)."""
-
-    def __init__(self, windows, labels):
-        windows = np.asarray(windows)
-        labels = np.asarray(labels, dtype=np.int64)
-        if windows.shape[0] != labels.shape[0]:
-            raise ValueError("windows and labels disagree on frame count")
-        if windows.shape[0] == 0:
-            raise ValueError("dataset is empty")
-        self.windows = windows
-        self.labels = labels
-
-    def __len__(self):
-        return self.windows.shape[0]
-
-
 def frame_accuracy_of(params, dataset):
-    """Percent of dataset frames whose argmax score matches the label."""
-    predicted = score_windows(dataset.windows, params).argmax(axis=1)
-    return 100.0 * int(np.count_nonzero(predicted == dataset.labels)) / len(dataset)
+    """Percent of dataset frames whose argmax score matches the label.
+
+    Each utterance is scored as decoding scores it (compute_emissions).
+    """
+    correct = first = 0
+    for utt in dataset.utterances:
+        predicted = compute_emissions(utt, params, dataset.hop).argmax(axis=1)
+        labels = dataset.labels[first : first + len(predicted)]
+        correct += int(np.count_nonzero(predicted == labels))
+        first += len(predicted)
+    return 100.0 * correct / len(dataset)
 
 
 def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
     """Gradient-ascent training with patience-based early stopping.
 
     Visits training frames in a seeded-shuffled order, one sgd_step per
-    frame, evaluates cross-validation frame accuracy after each epoch,
-    and returns the parameters of the best epoch plus the history as a
+    frame, each window read from the dataset straight into the step
+    plan's input buffer; evaluates cross-validation frame accuracy after
+    each epoch, and returns the parameters of the best epoch plus the history as a
     list of (epoch, mean train log-likelihood, cv accuracy) rows. The
     whole run is a deterministic function of (data, config, seed).
     `on_epoch(epoch, log_likelihood, cv_accuracy, seconds)`, if given,
@@ -114,6 +107,10 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
     """
     if len(train_set) == 0 or len(cv_set) == 0:
         raise ValueError("train and cv sets must be non-empty")
+    expected = (net_config.input_frames, net_config.input_dim)
+    for data in (train_set, cv_set):
+        if data.window_shape != expected:
+            raise ValueError(f"window shape {data.window_shape} != expected {expected}")
     k = net_config.num_classes
     if train_set.labels.max() >= k or cv_set.labels.max() >= k:
         raise ValueError("label index out of range for num_classes")
@@ -130,7 +127,9 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
         order = rng.permutation(n) if train_config.shuffle else np.arange(n)
         ll_sum = 0.0
         for step, i in enumerate(order):
-            scores, cache = forward_pass(train_set.windows[i], params)
+            x = step_plan(params).x
+            train_set.read_window(i, x)
+            scores, cache = forward_pass(x, params)
             ll, dscores = frame_loss(scores, int(train_set.labels[i]))
             if not np.isfinite(ll):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, frame {step}")

@@ -536,6 +536,18 @@ class TestFilters:
         assert run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f",
                     "--n-fft", "48"]) == 0
 
+    def test_negative_sample_rate_is_usage_error(self, tmp_path, capsys):
+        save_filter_model(tmp_path / "m.rcn", np.ones((2, 16)))
+        assert run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f",
+                    "--sample-rate", "-5"]) == 1
+        assert "usage error: --sample-rate must be at least 0, got -5" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "f").exists()
+        # 0 still means the model's rate
+        assert run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f",
+                    "--sample-rate", "0"]) == 0
+        assert "8000.000000" in (tmp_path / "f" / "filters.csv").read_text()
+
     def test_feature_model_rejected(self, tmp_path):
         cfg = NetworkConfig(9, 13, (StageConfig(3, 1, 4, 1),), 4, 2)
         save_model(tmp_path / "m.rcn", init_params(cfg, 0), ["a", "b"])
@@ -666,6 +678,23 @@ class TestCheckGrad:
                     "--out", tmp_path / "o"]) == 0
         assert '"tolerance": 1\n' in (tmp_path / "o" / "resolved.json").read_text()
 
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "-1e-4"])
+    def test_eps_not_finite_and_positive_is_usage_error(self, tmp_path, capsys, eps):
+        rc = run(["check-grad", "--configs", "1", f"--eps={eps}", "--out", tmp_path / "o"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"usage error: --eps must be finite and positive, got {float(eps)}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("configs", ["0", "-1"])
+    def test_configs_below_one_is_usage_error(self, tmp_path, capsys, configs):
+        rc = run(["check-grad", "--configs", configs, "--out", tmp_path / "o"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"usage error: --configs must be at least 1, got {configs}" in captured.err
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "o").exists()
+
     def test_corrupted_gradient_fails(self, capsys):
         rc = run(["check-grad", "--seed", "5", "--configs", "1",
                   "--corrupt", "hidden.bias"])
@@ -790,6 +819,26 @@ class TestExitCodes:
         assert f"usage error: --hop-ms {float(hop_ms):g} is " in err
         assert "the hop must round to at least one sample" in err
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("command, option, args", [
+        ("train", "--crf-epochs", [*SMALL_NET, "--epochs", "1"]),
+        ("grid", "--max-configs", ["--window-ms-list", "50", "--kernel-list", "3,5",
+                                   "--filters-list", "4", "--hidden-list", "8", "--epochs", "1"]),
+    ])
+    def test_negative_count_is_usage_error(self, corpus, tmp_path, capsys, command, option,
+                                           args):
+        argv = [command, *split_args(corpus, "train", "cv"), *args]
+        assert run([*argv, "--out", tmp_path / "o", option, "-1"]) == 1
+        assert f"usage error: {option} must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # 0 keeps its meaning: no CRF training, or every configuration of the grid
+        assert run([*argv, "--out", tmp_path / "z", option, "0"]) == 0
+        if command == "train":
+            _params, _alphabet, _meta, transitions = load_model(tmp_path / "z" / "model.rcn")
+            assert not transitions.any()
+        else:
+            assert len((tmp_path / "z" / "grid.csv").read_text().splitlines()) == 3
 
 
 class TestOptionTables:

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rawphone.corpus import (
+    LabeledUtterance,
     SynthSpec,
     build_frame_dataset,
     collect_alphabet,
@@ -15,13 +17,21 @@ from rawphone.corpus import (
     read_raw_float,
     read_wav,
     synth_corpus,
+    utterance_frame_labels,
     utterance_windows,
     write_corpus,
     write_labels,
     write_wav,
 )
 from rawphone.errors import DataError
-from rawphone.framing import SegmentAnnotation, Waveform
+from rawphone.framing import (
+    FrameGrid,
+    SegmentAnnotation,
+    Waveform,
+    extract_feature_windows,
+    extract_windows,
+)
+from rawphone.net import BATCH_BYTES
 from rawphone.scoring import collapse_path
 
 
@@ -257,6 +267,136 @@ class TestWriteCorpus:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+def read_windows(ds):
+    """Every window the dataset feeds a float32 training step, stacked (N, input_frames, d)."""
+    out = np.empty((len(ds), *ds.window_shape), np.float32)
+    for i in range(len(ds)):
+        ds.read_window(i, out[i])
+    return out
+
+
+def raw_utt(samples, segments=None):
+    x = np.asarray(samples, dtype=np.float64)
+    return LabeledUtterance("u", SegmentAnnotation(segments or ((0, len(x), "a"),)),
+                            waveform=Waveform(x, 16000))
+
+
+def tone(length, seed, offset=0.0):
+    rng = np.random.default_rng(seed)
+    n = np.arange(length)
+    return offset + 0.4 * np.sin(2 * np.pi * 700 * n / 16000) + 0.05 * rng.normal(size=length)
+
+
+def with_stretch(x, start, stop, value):
+    x = x.copy()
+    x[start:stop] = value
+    return x
+
+
+def dataset_arrays(ds):
+    """The arrays a dataset holds, directly or in lists."""
+    values = [a for v in vars(ds).values() for a in (v if isinstance(v, list) else [v])]
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+def owned_bytes(arrays):
+    """Bytes of the memory behind the arrays (the whole buffer a view looks into)."""
+    return sum((a if a.base is None else a.base).nbytes for a in arrays)
+
+
+RAW_CASES = {  # name -> (utterances, window, hop, garbage)
+    "silence": ([raw_utt(with_stretch(tone(6000, 1), 1000, 4500, 0.0))], 401, 160, None),
+    "dc_offset": ([raw_utt(with_stretch(tone(5000, 2, offset=0.3), 800, 3500, 0.3))],
+                  400, 160, None),
+    "odd_window": ([raw_utt(tone(4000, 3)), raw_utt(tone(2500, 4))], 1601, 160, None),
+    "hop_1": ([raw_utt(tone(300, 5))], 64, 1, None),
+    "window_longer_than_utterance": ([raw_utt(tone(700, 6)), raw_utt(tone(170, 7))],
+                                     1600, 160, None),
+    "garbage": ([raw_utt(tone(3000, 8), ((500, 1200, "a"), (1600, 2400, "b")))],
+                320, 80, "g"),
+}
+
+
+class TestTrainingWindowsBitIdentity:
+    """Each window the dataset feeds the step is the stored float32 window it replaces."""
+
+    @pytest.mark.parametrize("case", sorted(RAW_CASES))
+    def test_raw_windows_equal_extract_windows(self, case):
+        utts, window, hop, garbage = RAW_CASES[case]
+        alphabet = sorted(set(collect_alphabet(utts)) | ({garbage} if garbage else set()))
+        ds = build_frame_dataset(utts, window, hop, alphabet, garbage)
+        expected = np.concatenate([
+            extract_windows(u.waveform, FrameGrid.for_length(len(u.waveform), hop, window))
+            for u in utts
+        ])[:, :, None].astype(np.float32)
+        assert read_windows(ds).tobytes() == expected.tobytes()
+        index = {l: i for i, l in enumerate(alphabet)}
+        labels = np.concatenate([
+            utterance_frame_labels(u, window, hop, index, index.get(garbage)) for u in utts
+        ])
+        np.testing.assert_array_equal(ds.labels, labels)
+        if case in ("silence", "dc_offset"):
+            constant = ds.std == 0.0
+            assert constant.any()
+            if case == "dc_offset":
+                assert np.abs(ds.mean[constant] - 0.3).max() < 1e-12
+        if case == "garbage":
+            assert (ds.labels == index["g"]).any()
+
+    @pytest.mark.parametrize("context", [1, 4, 5, 15])
+    def test_feature_windows_equal_extract_feature_windows(self, context):
+        rng = np.random.default_rng(context)
+        utts = [
+            LabeledUtterance("f", SegmentAnnotation(((0, t, "a"),)),
+                             features=rng.normal(size=(t, 3)))
+            for t in (12, 7)
+        ]
+        ds = build_frame_dataset(utts, context, 1, ["a"])
+        expected = np.concatenate([
+            extract_feature_windows(u.features, context) for u in utts
+        ]).astype(np.float32)
+        assert read_windows(ds).tobytes() == expected.tobytes()
+
+
+class TestFrameDatasetMemory:
+    """The dataset holds the padded signals plus per-frame bytes, never one copy per window."""
+
+    def test_raw_dataset_holds_padded_signals_plus_per_frame_stats(self):
+        train, _, _ = synth_corpus(SynthSpec(seed=6), 4, 0, 0)
+        window, hop = 1600, 160
+        ds = build_frame_dataset(train, window, hop, collect_alphabet(train))
+        padded = sum((len(u.waveform) + 2 * (window // 2)) * 8 for u in train)
+        arrays = dataset_arrays(ds)
+        assert owned_bytes(arrays) <= padded + 40 * len(ds) + 8 * window
+        assert max(a.size for a in arrays) < len(ds) * window
+
+    def test_feature_dataset_holds_padded_matrices_plus_per_frame_index(self):
+        rng = np.random.default_rng(0)
+        utts = [LabeledUtterance("f", SegmentAnnotation(((0, t, "a"),)),
+                                 features=rng.normal(size=(t, 39))) for t in (300, 250)]
+        ds = build_frame_dataset(utts, 9, 1, ["a"])
+        padded = sum((t + 9) * 39 * 4 for t in (300, 250))
+        arrays = dataset_arrays(ds)
+        assert owned_bytes(arrays) <= padded + 40 * len(ds)
+        assert max(a.size for a in arrays) < len(ds) * 9 * 39
+
+    def test_building_allocates_no_window_stack(self):
+        train, _, _ = synth_corpus(SynthSpec(seed=7), 20, 0, 0)
+        window, hop = 1600, 160
+        alphabet = collect_alphabet(train)
+        padded = sum((len(u.waveform) + 2 * (window // 2)) * 8 for u in train)
+        tracemalloc.start()
+        try:
+            ds = build_frame_dataset(train, window, hop, alphabet)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = padded + 64 * len(ds) + 2 * BATCH_BYTES
+        assert peak <= bound
+        # stored float32 windows alone would exceed the bound: 10x the audio
+        assert len(ds) * window * 4 > bound
+
+
 class TestFrameDatasetAssembly:
     def test_windows_and_labels_align(self):
         train, _, _ = synth_corpus(SynthSpec(seed=6), 3, 0, 0)
@@ -265,8 +405,10 @@ class TestFrameDatasetAssembly:
         ds = build_frame_dataset(train, input_frames=400, hop_samples=160, alphabet=alphabet)
         expected_frames = sum(len(u.waveform) // 160 for u in train)
         assert len(ds) == expected_frames
-        assert ds.windows.shape == (expected_frames, 400, 1)
-        assert ds.windows.dtype == np.float32
+        windows = np.concatenate([utterance_windows(u, 400, 160) for u in train])
+        assert windows.shape == (expected_frames, 400, 1)
+        assert windows.dtype == np.float32
+        assert read_windows(ds).tobytes() == windows.tobytes()
 
     def test_feature_utterance_windows(self, tmp_path):
         feats = np.random.default_rng(0).normal(size=(20, 4)).astype("<f4")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rawphone import decoding, net
-from rawphone.corpus import LabeledUtterance, utterance_windows
+from rawphone.corpus import FrameDataset, LabeledUtterance, utterance_windows
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
@@ -17,7 +17,7 @@ from rawphone.net import (
     score_frames,
     score_windows,
 )
-from rawphone.training import FrameDataset, frame_accuracy_of
+from rawphone.training import frame_accuracy_of
 
 HOP = 160
 TOL = 1e-5
@@ -243,15 +243,15 @@ class TestFrameAccuracy:
     def test_batched_accuracy_equals_per_frame(self):
         cfg = raw_config(DEFAULT)
         params = init_params(cfg, 9)
-        windows = np.concatenate([
-            utterance_windows(raw_utterance(6000, s), 1600, HOP) for s in (10, 11)
-        ])
+        utts = [raw_utterance(6000, s) for s in (10, 11)]
+        windows = np.concatenate([utterance_windows(u, 1600, HOP) for u in utts])
         labels = np.arange(len(windows)) % 5
         loop = np.array([forward_pass(w, params)[0] for w in windows])
         batched = score_windows(windows, params)
         assert np.abs(batched - loop).max() <= TOL
         expected = 100.0 * np.count_nonzero(loop.argmax(axis=1) == labels) / len(labels)
-        assert frame_accuracy_of(params, FrameDataset(windows, labels)) == expected
+        dataset = FrameDataset(utts, np.split(labels, [len(windows) // 2]), 1600, HOP)
+        assert frame_accuracy_of(params, dataset) == expected
 
     def test_window_shape_checked(self):
         params = init_params(raw_config(DEFAULT), 0)

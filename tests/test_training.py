@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
+from rawphone import decoding
+from rawphone.corpus import (
+    FrameDataset,
+    LabeledUtterance,
+    SynthSpec,
+    build_frame_dataset,
+    collect_alphabet,
+    synth_corpus,
+)
 from rawphone.errors import DivergenceError
+from rawphone.framing import SegmentAnnotation
 from rawphone.model_io import save_model
 from rawphone.net import (
     Gradients,
@@ -14,7 +24,6 @@ from rawphone.net import (
     step_plan,
 )
 from rawphone.training import (
-    FrameDataset,
     GridSpec,
     TrainConfig,
     frame_accuracy_of,
@@ -215,14 +224,19 @@ class TestSgdStep:
         assert max(diffs) > 1e-9
 
 
+def toy_dataset(points, labels):
+    """One feature utterance whose rows are the frames, each a 1-frame window."""
+    utt = LabeledUtterance("toy", SegmentAnnotation(), features=points.astype(np.float32))
+    return FrameDataset([utt], [labels], input_frames=1, hop_samples=1)
+
+
 def separable_toy(n_per_class=40, seed=0):
     """Two tight clusters in 2-D, one frame per example (zero-stage input)."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal([2.0, 1.0], 0.3, size=(n_per_class, 2))
     x1 = rng.normal([-2.0, -1.0], 0.3, size=(n_per_class, 2))
-    windows = np.concatenate([x0, x1])[:, None, :].astype(np.float32)
     labels = np.array([0] * n_per_class + [1] * n_per_class)
-    return FrameDataset(windows, labels)
+    return toy_dataset(np.concatenate([x0, x1]), labels)
 
 
 class TestTrainNetwork:
@@ -241,7 +255,7 @@ class TestTrainNetwork:
         train = separable_toy(seed=0)
         cv = separable_toy(seed=1)
         # the toy really is linearly separable (independent perceptron check)
-        assert perceptron_separates(train.windows[:, 0, :], train.labels)
+        assert perceptron_separates(train.utterances[0].features, train.labels)
         tc = TrainConfig(learning_rate=0.05, max_epochs=20, patience=20, seed=0)
         best, history = train_network(train, cv, self.CFG, tc)
         assert max(h[2] for h in history) == 100.0
@@ -279,9 +293,59 @@ class TestTrainNetwork:
 
     def test_label_out_of_range_rejected(self):
         data = separable_toy()
-        bad = FrameDataset(data.windows, data.labels + 5)
+        bad = FrameDataset(data.utterances, [data.labels + 5], 1, 1)
         with pytest.raises(ValueError):
             train_network(bad, data, self.CFG, TrainConfig())
+
+
+def loop_accuracy(params, dataset):
+    """Percent of frames whose per-frame forward_pass argmax matches the label."""
+    x = np.empty(dataset.window_shape, params.hidden_weight.dtype)
+    hits = 0
+    for i in range(len(dataset)):
+        dataset.read_window(i, x)
+        hits += int(forward_pass(x, params)[0].argmax() == dataset.labels[i])
+    return 100.0 * hits / len(dataset)
+
+
+class TestFrameAccuracyOnSharedScorer:
+    """CV accuracy scores utterances through compute_emissions, never stacked windows."""
+
+    @pytest.fixture(autouse=True)
+    def no_window_stacks(self, monkeypatch):
+        def not_called(*args):
+            raise AssertionError("CV accuracy must not score stacked windows")
+
+        monkeypatch.setattr(decoding, "score_windows", not_called)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_raw_set_matches_forward_pass_loop(self, seed):
+        utts, _, _ = synth_corpus(SynthSpec(seed=seed), 3, 0, 0)
+        alphabet = collect_alphabet(utts)
+        cfg = NetworkConfig(1600, 1, (StageConfig(160, 10, 12, 3), StageConfig(5, 1, 12, 3)),
+                            hidden_units=20, num_classes=len(alphabet))
+        dataset = build_frame_dataset(utts, 1600, 160, alphabet)
+        params = init_params(cfg, seed)
+        acc = frame_accuracy_of(params, dataset)
+        assert acc == loop_accuracy(params, dataset)
+        assert 0.0 < acc < 100.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_feature_set_matches_forward_pass_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        utts = []
+        for t in (40, 25, 33):
+            cut = int(rng.integers(5, t - 5))
+            utts.append(LabeledUtterance(
+                "f", SegmentAnnotation(((0, cut, "a"), (cut, t, "b"))),
+                features=rng.normal(size=(t, 6)),
+            ))
+        cfg = NetworkConfig(7, 6, (StageConfig(3, 1, 8, 2),), hidden_units=10, num_classes=2)
+        dataset = build_frame_dataset(utts, 7, 1, ["a", "b"])
+        params = init_params(cfg, seed)
+        acc = frame_accuracy_of(params, dataset)
+        assert acc == loop_accuracy(params, dataset)
+        assert 0.0 < acc < 100.0
 
 
 def xor_toy(seed, n_per_cluster=25):
@@ -292,8 +356,7 @@ def xor_toy(seed, n_per_cluster=25):
     for cx, cy, label in centers:
         xs.append(rng.normal([cx, cy], 0.3, size=(n_per_cluster, 2)))
         ys.extend([label] * n_per_cluster)
-    windows = np.concatenate(xs)[:, None, :].astype(np.float32)
-    return FrameDataset(windows, np.array(ys))
+    return toy_dataset(np.concatenate(xs), np.array(ys))
 
 
 class TestGridSearch:
