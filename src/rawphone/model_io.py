@@ -14,34 +14,40 @@ import struct
 import numpy as np
 
 from .errors import DataError
-from .net import ConvLayerParams, NetworkConfig, NetworkParams, tensor_shapes
+from .net import NetworkConfig, NetworkParams, tensor_shapes
 
 MAGIC = b"RCN1"
 HEADER_FIELDS = {"config": dict, "tensors": list, "alphabet": list, "metadata": dict}
 
 
 def save_model(path, params, alphabet, metadata=None, transitions=None):
-    """Write params (and optionally the CRF transition matrix) to `path`."""
-    tensors = list(params.named_tensors())
+    """Write params (and optionally the CRF transition matrix) to `path`.
+
+    The network's tensors are written as its one flat buffer, which holds
+    them in the declared order.
+    """
+    tensors = [(name, t.shape) for name, t in params.named_tensors()]
+    blobs = [params.flat]
     if transitions is not None:
         k = params.config.num_classes
         a = np.asarray(transitions)
         if a.shape != (k, k):
             raise ValueError(f"transition matrix must be {k} x {k}, got {a.shape}")
-        tensors.append(("crf.A", a))
+        tensors.append(("crf.A", a.shape))
+        blobs.append(a)
     header = {
         "config": params.config.to_dict(),
         "alphabet": list(alphabet),
         "metadata": dict(metadata or {}),
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
+        "tensors": [{"name": n, "shape": list(shape)} for n, shape in tensors],
     }
     blob = json.dumps(header, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for _name, t in tensors:
-            f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+        for values in blobs:
+            f.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
 def _is_int(value):
@@ -125,17 +131,5 @@ def load_model(path):
     if not all(isinstance(label, str) for label in alphabet):
         raise DataError(f"{path}: alphabet labels must be strings")
 
-    conv = [
-        ConvLayerParams(arrays[f"stage{i}.weight"], arrays[f"stage{i}.bias"],
-                        stage.kernel_width, stage.shift)
-        for i, stage in enumerate(config.stages)
-    ]
-    params = NetworkParams(
-        config,
-        conv,
-        arrays["hidden.weight"],
-        arrays["hidden.bias"],
-        arrays["output.weight"],
-        arrays["output.bias"],
-    )
-    return params, alphabet, metadata, arrays.get("crf.A")
+    flat = np.concatenate([arrays[name].ravel() for name, _shape in tensor_shapes(config)])
+    return NetworkParams(config, flat), alphabet, metadata, arrays.get("crf.A")

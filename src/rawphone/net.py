@@ -130,7 +130,22 @@ def tensor_shapes(config):
 
 def param_count(config):
     """Exact number of scalar parameters (weights and biases) in a config."""
-    return sum(int(np.prod(shape)) for _name, shape in tensor_shapes(config))
+    return sum(math.prod(shape) for _name, shape in tensor_shapes(config))
+
+
+def tensor_slots(config):
+    """Name -> (start, end, shape) of every learned tensor in a flat buffer, in serialization order."""
+    slots, offset = {}, 0
+    for name, shape in tensor_shapes(config):
+        end = offset + math.prod(shape)
+        slots[name] = (offset, end, shape)
+        offset = end
+    return slots
+
+
+def tensor_views(config, flat):
+    """Name -> view of each tensor's slot in `flat`, in serialization order."""
+    return {name: flat[a:b].reshape(shape) for name, (a, b, shape) in tensor_slots(config).items()}
 
 
 @dataclass
@@ -154,88 +169,59 @@ class ConvLayerParams:
 class NetworkParams:
     """All learned tensors of a network, tied to their NetworkConfig.
 
-    `version` counts in-place updates so cached activations can detect
-    that they no longer match the parameters that produced them. `plan`
-    is the StepPlan of training steps, built by the first forward_pass.
+    `flat` holds every tensor in serialization order, and each tensor is
+    a view of its slot, so copies, casts, model files and SGD updates
+    each take one operation on it. `version` counts in-place updates so
+    cached activations can detect that they no longer match the
+    parameters that produced them. `plan` is the StepPlan of training
+    steps, built by the first forward_pass.
     """
 
-    def __init__(self, config, conv, hidden_weight, hidden_bias, output_weight, output_bias):
+    def __init__(self, config, flat):
+        if flat.shape != (param_count(config),):
+            raise ValueError(f"flat parameters of shape {flat.shape} != ({param_count(config)},)")
         self.config = config
-        self.conv = conv
-        self.hidden_weight = hidden_weight
-        self.hidden_bias = hidden_bias
-        self.output_weight = output_weight
-        self.output_bias = output_bias
+        self.flat = flat
+        self._tensors = tensor_views(config, flat)
+        self.conv = [
+            ConvLayerParams(self._tensors[f"stage{i}.weight"], self._tensors[f"stage{i}.bias"],
+                            stage.kernel_width, stage.shift)
+            for i, stage in enumerate(config.stages)
+        ]
+        self.hidden_weight = self._tensors["hidden.weight"]
+        self.hidden_bias = self._tensors["hidden.bias"]
+        self.output_weight = self._tensors["output.weight"]
+        self.output_bias = self._tensors["output.bias"]
         self.version = 0
         self.plan = None
 
     def named_tensors(self):
-        """(name, array) pairs in the fixed serialization order."""
-        out = []
-        for i, layer in enumerate(self.conv):
-            out.append((f"stage{i}.weight", layer.weight))
-            out.append((f"stage{i}.bias", layer.bias))
-        out.append(("hidden.weight", self.hidden_weight))
-        out.append(("hidden.bias", self.hidden_bias))
-        out.append(("output.weight", self.output_weight))
-        out.append(("output.bias", self.output_bias))
-        return out
+        """(name, array) pairs in the fixed serialization order; each array is a view of `flat`."""
+        return list(self._tensors.items())
 
     def copy(self):
-        return self.astype(self.hidden_weight.dtype)
+        return self.astype(self.flat.dtype)
 
     def astype(self, dtype):
         """A copy of every tensor, cast to `dtype`; the step plan is not shared."""
-        return NetworkParams(
-            self.config,
-            [
-                ConvLayerParams(
-                    l.weight.astype(dtype), l.bias.astype(dtype), l.kernel_width, l.shift
-                )
-                for l in self.conv
-            ],
-            self.hidden_weight.astype(dtype),
-            self.hidden_bias.astype(dtype),
-            self.output_weight.astype(dtype),
-            self.output_bias.astype(dtype),
-        )
+        return NetworkParams(self.config, self.flat.astype(dtype))
 
 
 def init_params(config, seed, dtype=np.float32):
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer.
 
-    Draw order is fixed (stage weights then bias, in stage order, then
-    hidden, then output), so a seed pins every tensor bit-for-bit.
-    PRNG: numpy PCG64.
+    Draw order is the serialization order (stage weights then bias, in
+    stage order, then hidden, then output), so a seed pins every tensor
+    bit-for-bit. A layer's fan-in is its weight's row length. PRNG: numpy
+    PCG64.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def draw(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    conv = []
-    d_in = config.input_dim
-    for stage in config.stages:
-        fan_in = stage.kernel_width * d_in
-        conv.append(
-            ConvLayerParams(
-                weight=draw(fan_in, (stage.out_dim, fan_in)),
-                bias=draw(fan_in, (stage.out_dim,)),
-                kernel_width=stage.kernel_width,
-                shift=stage.shift,
-            )
-        )
-        d_in = stage.out_dim
-    flat = config.flattened_size()
-    return NetworkParams(
-        config,
-        conv,
-        hidden_weight=draw(flat, (config.hidden_units, flat)),
-        hidden_bias=draw(flat, (config.hidden_units,)),
-        output_weight=draw(config.hidden_units, (config.num_classes, config.hidden_units)),
-        output_bias=draw(config.hidden_units, (config.num_classes,)),
-    )
+    params = NetworkParams(config, np.empty(param_count(config), dtype))
+    for name, tensor in params.named_tensors():
+        if name.endswith(".weight"):  # each bias follows its weight and shares its bound
+            bound = 1.0 / np.sqrt(tensor.shape[1])
+        tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+    return params
 
 
 # Bytes of gathered stage input per inference batch. Larger batches
@@ -470,67 +456,97 @@ class _StagePlan:
 
     `src` is the stage input buffer (T, d_in). Its kW-frame windows at
     each shift are one strided view, copied into `windows` per step.
-    Pool block q of the conv frames is the view conv[q::pool_width];
-    `winner_index[q]` holds the flat position in `conv` of every entry
-    of block q, so the forward pass records pool winners as flat
-    indices that the backward pass scatters to directly.
+    `dweight` and `dbias` are the stage's views of the plan's gradient
+    buffer.
+
+    At pool width 1 the conv buffer is the output buffer and its
+    gradient is `dpool`. Otherwise pool block q of the conv frames is the
+    view conv[q::pool_width]; `winner_index[q]` holds the flat position
+    in `conv` of every entry of block q, so the forward pass records pool
+    winners as flat indices that the backward pass scatters to directly.
+
+    The input gradient sums, for each input frame, the rows of `dwin`
+    (d loss / d windows) that cover it. Taps o = q * shift + p of conv
+    frame j reach input frame (j + q) * shift + p, so with the kernel
+    axis padded to a multiple of the shift, and zero rows around `dwin`,
+    block m of `shift` input frames is the sum over q of padded row
+    m - q, tap block q: one reduction over a strided view, in tap order.
     """
 
-    def __init__(self, src, stage, dtype):
+    def __init__(self, src, stage, dtype, dweight, dbias):
         t_in, d_in = src.shape
         kw, shift, pw, d_out = stage.kernel_width, stage.shift, stage.pool_width, stage.out_dim
         t_conv = (t_in - kw) // shift + 1
         t_out = t_conv // pw
+        self.pool_width = pw
         self.src_windows = _window_view(src[None], kw, shift)[0]
         self.windows = np.empty((t_conv, kw * d_in), dtype)
-        self.conv = np.empty((t_conv, d_out), dtype)
-        self.blocks = [self.conv[q : t_out * pw : pw] for q in range(pw)]
-        first = np.arange(t_out)[:, None] * (pw * d_out) + np.arange(d_out)
-        self.winner_index = [first + q * d_out for q in range(pw)]
-        self.winner = np.empty((t_out, d_out), np.intp)
-        self.mask = np.empty((t_out, d_out), bool)
         self.out = np.empty((t_out, d_out), dtype)  # pooled, then tanh in place
         # backward
+        self.dweight, self.dbias = dweight, dbias
         self.dpool = np.empty((t_out, d_out), dtype)
-        self.dconv = np.empty((t_conv, d_out), dtype)
-        self.dconv_flat = self.dconv.reshape(-1)
-        self.dwin = np.empty((t_conv, kw * d_in), dtype)
-        self.din = np.empty((t_in, d_in), dtype)
-        dwin = self.dwin.reshape(t_conv, kw, d_in)
-        self.din_terms = [
-            (self.din[o : (t_conv - 1) * shift + o + 1 : shift], dwin[:, o, :]) for o in range(kw)
-        ]
+        if pw == 1:
+            self.conv, self.dconv = self.out, self.dpool
+        else:
+            self.conv = np.empty((t_conv, d_out), dtype)
+            self.blocks = [self.conv[q : t_out * pw : pw] for q in range(pw)]
+            first = np.arange(t_out)[:, None] * (pw * d_out) + np.arange(d_out)
+            self.winner_index = [first + q * d_out for q in range(pw)]
+            self.winner = np.empty((t_out, d_out), np.intp)
+            self.mask = np.empty((t_out, d_out), bool)
+            self.dconv = np.empty((t_conv, d_out), dtype)
+            self.dconv_flat = self.dconv.reshape(-1)
+        # The zero rows of dconv add nothing to the bias gradient, except
+        # to one channel: numpy sums a lone column pairwise, so the zeros
+        # would regroup its terms.
+        self.dbias_terms = self.dconv if d_out == 1 else self.dpool
+        taps = -(-kw // shift)
+        blocks = -(-t_in // shift)
+        width = shift * d_in
+        pad = np.zeros((blocks + taps - 1, taps * width), dtype)
+        self.dwin = pad[taps - 1 : taps - 1 + t_conv, : kw * d_in]
+        # A reduced axis that is numpy's innermost is summed pairwise, out
+        # of tap order; a repeated lane keeps it outer when width is 1.
+        lanes = 2 if width == 1 else 1
+        row, item = pad.strides[0], pad.itemsize
+        self.dwin_taps = np.lib.stride_tricks.as_strided(
+            pad[taps - 1 :], (blocks, taps, width, lanes), (row, width * item - row, item, 0),
+            writeable=False,
+        )
+        self.din_lanes = np.empty((blocks, width, lanes), dtype)
+        self.din = self.din_lanes[:, :, 0].reshape(blocks * shift, d_in)[:t_in]
 
     def forward(self, layer):
         np.copyto(self.windows, self.src_windows)
         np.matmul(self.windows, layer.weight.T, out=self.conv)
         np.add(self.conv, layer.bias, out=self.conv)
-        out, mask, winner = self.out, self.mask, self.winner
-        np.copyto(out, self.blocks[0])
-        np.copyto(winner, self.winner_index[0])
-        # first maximum wins, as argmax would pick it
-        for block, index in zip(self.blocks[1:], self.winner_index[1:]):
-            np.greater(block, out, out=mask)
-            np.maximum(out, block, out=out)
-            np.putmask(winner, mask, index)
+        out = self.out
+        if self.pool_width > 1:
+            mask, winner = self.mask, self.winner
+            np.copyto(out, self.blocks[0])
+            np.copyto(winner, self.winner_index[0])
+            # first maximum wins, as argmax would pick it
+            for block, index in zip(self.blocks[1:], self.winner_index[1:]):
+                np.greater(block, out, out=mask)
+                np.maximum(out, block, out=out)
+                np.putmask(winner, mask, index)
         np.tanh(out, out=out)
 
-    def backward(self, layer, dact, dweight, dbias, input_grad):
+    def backward(self, layer, dact, input_grad):
         """Stage gradients into dweight/dbias; returns d loss / d stage input if input_grad."""
         dpool = self.dpool
         np.multiply(self.out, self.out, out=dpool)
         np.subtract(1.0, dpool, out=dpool)
         np.multiply(dact, dpool, out=dpool)
-        self.dconv.fill(0.0)
-        self.dconv_flat[self.winner] = dpool
-        np.matmul(self.dconv.T, self.windows, out=dweight)
-        np.add.reduce(self.dconv, axis=0, out=dbias)
+        if self.pool_width > 1:
+            self.dconv.fill(0.0)
+            self.dconv_flat[self.winner] = dpool
+        np.matmul(self.dconv.T, self.windows, out=self.dweight)
+        np.add.reduce(self.dbias_terms, axis=0, out=self.dbias)
         if not input_grad:
             return None
         np.matmul(self.dconv, layer.weight, out=self.dwin)
-        self.din.fill(0.0)
-        for din, dwin in self.din_terms:
-            np.add(din, dwin, out=din)
+        np.add.reduce(self.dwin_taps, axis=1, out=self.din_lanes)
         return self.din
 
 
@@ -539,10 +555,11 @@ class StepPlan:
 
     forward_pass copies the window into `x` and runs every stage into
     the plan's own buffers, so a step allocates only its scores and its
-    gradients. Gradients live in one flat array in serialization order
-    (`slots` gives each tensor's slice). Every matmul and reduction has
-    the operands, shapes and order of the plain array formulation, so
-    steps are bit-for-bit those of conv/argmax-pool/put-along-axis code.
+    gradients. Gradients live in one flat array `grad` in serialization
+    order (`slots` gives each tensor's slice); `step` is sgd_step's
+    buffer of the same layout. Every matmul and reduction has the
+    operands, shapes and order of the plain array formulation, so steps
+    are bit-for-bit those of conv/argmax-pool/put-along-axis code.
     `generation` counts forward passes; a cache from an earlier one is
     stale, because its activations have been overwritten.
     """
@@ -551,31 +568,30 @@ class StepPlan:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.generation = 0
+        self.slots = tensor_slots(config)
+        size = param_count(config)
+        self.grad = np.empty(size, self.dtype)  # written by backward_pass
+        self.step = np.empty(size, self.dtype)  # lr * gradient, in sgd_step
+        grads = tensor_views(config, self.grad)
         self.x = np.empty((config.input_frames, config.input_dim), self.dtype)
         self.stages = []
         src = self.x
-        for stage in config.stages:
-            self.stages.append(_StagePlan(src, stage, self.dtype))
+        for i, stage in enumerate(config.stages):
+            self.stages.append(_StagePlan(
+                src, stage, self.dtype, grads[f"stage{i}.weight"], grads[f"stage{i}.bias"]
+            ))
             src = self.stages[-1].out
         self.flat = src.reshape(-1)
+        self.flat_row = self.flat[None, :]
         self.hidden = np.empty(config.hidden_units, self.dtype)
+        self.hidden_row = self.hidden[None, :]
         self.dh = np.empty(config.hidden_units, self.dtype)
         self.dflat = np.empty(self.flat.size, self.dtype)
         self.dlast = self.dflat.reshape(src.shape)
-        self.slots = {}  # name -> (start, end, shape) in a flat gradient buffer
-        offset = 0
-        for name, shape in tensor_shapes(config):
-            end = offset + int(np.prod(shape))
-            self.slots[name] = (offset, end, shape)
-            offset = end
-        self.grad = np.empty(offset, self.dtype)  # written by backward_pass
-        self.grad_views = self.views(self.grad)
-        self.step = np.empty(offset, self.dtype)  # lr * gradient, in sgd_step
-        self.step_views = list(self.views(self.step).values())
-
-    def views(self, flat):
-        """Name -> view of the slot of each tensor in a flat buffer."""
-        return {name: flat[a:b].reshape(shape) for name, (a, b, shape) in self.slots.items()}
+        self.dhidden_weight, self.dhidden_bias = grads["hidden.weight"], grads["hidden.bias"]
+        self.dhidden_col = self.dhidden_bias[:, None]
+        self.doutput_weight, self.doutput_bias = grads["output.weight"], grads["output.bias"]
+        self.doutput_col = self.doutput_bias[:, None]
 
 
 class Gradients(Mapping):
@@ -603,7 +619,7 @@ class Gradients(Mapping):
 
 def step_plan(params):
     """The StepPlan of `params`, built on first use or when its dtype changed."""
-    dtype = params.hidden_weight.dtype
+    dtype = params.flat.dtype
     if params.plan is None or params.plan.dtype != dtype:
         params.plan = StepPlan(params.config, dtype)
     return params.plan
@@ -673,24 +689,19 @@ def backward_pass(cache, params, dscores, compute_input_grad=True):
     if ds.shape != (config.num_classes,):
         raise ValueError(f"dscores must have shape ({config.num_classes},)")
 
-    grads = plan.grad_views
-    hidden, dh = plan.hidden, plan.dh
-    np.multiply(ds[:, None], hidden[None, :], out=grads["output.weight"])
-    np.copyto(grads["output.bias"], ds)
-    np.matmul(params.output_weight.T, ds, out=dh)
-    dpre = grads["hidden.bias"]
-    np.multiply(hidden, hidden, out=dpre)
+    np.copyto(plan.doutput_bias, ds)
+    np.multiply(plan.doutput_col, plan.hidden_row, out=plan.doutput_weight)
+    np.matmul(params.output_weight.T, plan.doutput_bias, out=plan.dh)
+    dpre = plan.dhidden_bias
+    np.multiply(plan.hidden, plan.hidden, out=dpre)
     np.subtract(1.0, dpre, out=dpre)
-    np.multiply(dh, dpre, out=dpre)
-    np.multiply(dpre[:, None], plan.flat[None, :], out=grads["hidden.weight"])
+    np.multiply(plan.dh, dpre, out=dpre)
+    np.multiply(plan.dhidden_col, plan.flat_row, out=plan.dhidden_weight)
     np.matmul(params.hidden_weight.T, dpre, out=plan.dflat)
 
     dact = plan.dlast
     for i in range(len(plan.stages) - 1, -1, -1):
-        dact = plan.stages[i].backward(
-            params.conv[i], dact, grads[f"stage{i}.weight"], grads[f"stage{i}.bias"],
-            input_grad=i > 0 or compute_input_grad,
-        )
+        dact = plan.stages[i].backward(params.conv[i], dact, input_grad=i > 0 or compute_input_grad)
     grads = Gradients(plan, plan.grad.copy())
     if not compute_input_grad:
         return grads, None

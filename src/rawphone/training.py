@@ -38,25 +38,26 @@ def frame_loss(scores, target):
     if not 0 <= target < f.shape[0]:
         raise ValueError(f"target {target} out of range for {f.shape[0]} classes")
     shifted, e, total = softmax_terms(f)
-    dscores = -(e / total)
+    total = float(total[0])  # exact; a Python float divides e in e's dtype
+    dscores = np.divide(e, -total, out=e)  # -(e / total), bit for bit
     dscores[target] += 1.0
-    return float(shifted[target]) - math.log(total[0]), dscores
+    return float(shifted[target]) - math.log(total), dscores
 
 
 def sgd_step(params, grads, lr):
     """One in-place ascent step: every tensor moves by +lr * gradient.
 
-    `grads` is the Gradients of backward_pass: one flat buffer in
-    serialization order, so finiteness is checked and the step scaled
-    once for all tensors.
+    `grads` is the Gradients of backward_pass. Gradients and parameters
+    are each one flat buffer in serialization order, so finiteness is
+    checked, and the step scaled and added, once for all tensors. A
+    non-finite gradient raises, naming its tensor, before any update.
     """
-    plan, flat = grads.plan, grads.flat
+    flat = grads.flat
     if not np.isfinite(flat).all():
         name = next(n for n in grads if not np.isfinite(grads[n]).all())
         raise DivergenceError(f"non-finite gradient for {name}")
-    np.multiply(flat, lr, out=plan.step)
-    for (_name, tensor), step in zip(params.named_tensors(), plan.step_views):
-        tensor += step
+    step = np.multiply(flat, lr, out=grads.plan.step)
+    np.add(params.flat, step, out=params.flat)
     params.version += 1
     return params
 
@@ -122,16 +123,17 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
     stale_epochs = 0
     history = []
     n = len(train_set)
+    labels = train_set.labels.tolist()
     for epoch in range(1, train_config.max_epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+        x = step_plan(params).x
         ll_sum = 0.0
-        for step, i in enumerate(order):
-            x = step_plan(params).x
+        for step, i in enumerate(order.tolist()):
             train_set.read_window(i, x)
             scores, cache = forward_pass(x, params)
-            ll, dscores = frame_loss(scores, int(train_set.labels[i]))
-            if not np.isfinite(ll):
+            ll, dscores = frame_loss(scores, labels[i])
+            if not math.isfinite(ll):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, frame {step}")
             ll_sum += ll
             grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)

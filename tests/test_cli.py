@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -9,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from rawphone import cli
 from rawphone.cli import SUBCOMMANDS, build_parser, main
 from rawphone import decoding
-from rawphone.corpus import read_wav, write_labels, write_wav
+from rawphone.corpus import load_manifest, load_utterance, read_wav, write_labels, write_wav
 from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
 from rawphone.framing import SegmentAnnotation, Waveform
@@ -839,6 +841,92 @@ class TestExitCodes:
             assert not transitions.any()
         else:
             assert len((tmp_path / "z" / "grid.csv").read_text().splitlines()) == 3
+
+
+    @pytest.mark.parametrize("command, splits", [
+        ("train", ("train", "cv")), ("ablate-pool", ("train", "cv", "test")),
+    ])
+    def test_window_longer_than_every_training_utterance_is_usage_error(
+        self, corpus, tmp_path, capsys, command, splits
+    ):
+        longest = longest_train_utterance(corpus)
+        argv = [command, *split_args(corpus, *splits), *SMALL_NET, "--epochs", "1"]
+        # 1e9 ms would be zero-padded by 8e9 samples per utterance before any other check
+        for option, value, samples in (("--window-ms", "1e9", 16_000_000_000),
+                                       ("--window-frames", str(longest + 1), longest + 1)):
+            assert run([*argv, "--out", tmp_path / "o", option, value]) == 1
+            assert (
+                f"usage error: {option} {float(value):g} is a window of {samples} samples, "
+                f"longer than the longest training utterance ({longest} samples)"
+            ) in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    def test_grid_records_window_longer_than_every_training_utterance_as_failed(
+        self, corpus, tmp_path
+    ):
+        grid = ["--kernel-list", "5", "--filters-list", "4", "--hidden-list", "8",
+                "--pool-list", "2", "--epochs", "1", "--window-ms-list", "50,1e9"]
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path, *grid]) == 0
+        rows = {r["window_frames"]: r for r in csv.DictReader((tmp_path / "grid.csv").open())}
+        assert rows["800"]["error"] == "" and rows["800"]["cv_accuracy"]
+        failed = rows["16000000000"]
+        assert failed["cv_accuracy"] == ""
+        assert failed["error"] == (
+            "ValueError: window of 16000000000 samples, longer than the longest training "
+            f"utterance ({longest_train_utterance(corpus)} samples)"
+        )
+
+    def test_feature_window_of_the_longest_utterance_trains(self, tmp_path, capsys):
+        make = TestFeaturePipeline().make_feature_corpus
+        train_m = make(tmp_path / "tr", 3, 0)
+        cv_m = make(tmp_path / "cv", 2, 1)
+        longest = max(len(load_utterance(r, feature_dim=8).features)
+                      for r in load_manifest(train_m))
+        argv = ["train", "--train-manifest", train_m, "--cv-manifest", cv_m,
+                "--feature-dim", "8", "--stages", "3:1:1", "--filters", "2", "--hidden", "4",
+                "--epochs", "1", "--crf-epochs", "0"]
+        assert run([*argv, "--out", tmp_path / "fits", "--window-frames", longest]) == 0
+        assert run([*argv, "--out", tmp_path / "o", "--window-frames", longest + 1]) == 1
+        assert (
+            f"usage error: --window-frames {longest + 1} is a window of {longest + 1} frames, "
+            f"longer than the longest training utterance ({longest} frames)"
+        ) in capsys.readouterr().err
+
+
+def longest_train_utterance(corpus):
+    return max(len(load_utterance(r).waveform) for r in load_manifest(corpus / "train.jsonl"))
+
+
+class TestParser:
+    def outcome(self, parse, argv):
+        """Exit code, stdout and stderr of parsing `argv`; code None when parsing succeeds."""
+        out, err = io.StringIO(), io.StringIO()
+        code = None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parse(argv)
+            except SystemExit as e:
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["no-such-command"],
+        *([name, "--help"] for name, *_rest in SUBCOMMANDS),
+        *([name, "--no-such-flag"] for name, *_rest in SUBCOMMANDS),
+        *([name, "--out", "o", "--config"] for name, *_rest in SUBCOMMANDS),
+        ["check-grad", "stray"],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_main_parses_as_the_full_parser(self, argv, monkeypatch):
+        """main builds one subcommand's parser; what it prints and exits with must not change."""
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or
+                            build_parser(only))
+        lazy = self.outcome(main, argv)
+        full = self.outcome(build_parser().parse_args, argv)
+        assert lazy == full
+        assert lazy[0] in (0, 1)  # help, or a usage error
+        named = argv and argv[0] in [name for name, *_rest in SUBCOMMANDS]
+        assert built == [argv[0] if named else None]
 
 
 class TestOptionTables:

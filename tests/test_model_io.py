@@ -17,16 +17,21 @@ def small_params(seed=0):
 
 class TestModelRoundTrip:
     def test_save_load_save_is_bitwise_exact(self, tmp_path):
-        params = small_params()
-        a = tmp_path / "a.rcn"
-        b = tmp_path / "b.rcn"
-        save_model(a, params, ["w", "x", "y", "z"], metadata={"sample_rate": 16000})
-        loaded, alphabet, metadata, transitions = load_model(a)
-        assert alphabet == ["w", "x", "y", "z"]
-        assert metadata == {"sample_rate": 16000}
-        assert transitions is None
-        save_model(b, loaded, alphabet, metadata=metadata)
-        assert a.read_bytes() == b.read_bytes()
+        crf = np.random.default_rng(4).normal(size=(4, 4))
+        for dtype, transitions in ((np.float32, None), (np.float64, crf)):
+            params = small_params().astype(dtype)
+            a = tmp_path / "a.rcn"
+            b = tmp_path / "b.rcn"
+            save_model(a, params, ["w", "x", "y", "z"], metadata={"sample_rate": 16000},
+                       transitions=transitions)
+            loaded, alphabet, metadata, back = load_model(a)
+            assert alphabet == ["w", "x", "y", "z"]
+            assert metadata == {"sample_rate": 16000}
+            assert (back is None) == (transitions is None)
+            # the file holds float32, loaded into one flat buffer
+            assert loaded.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+            save_model(b, loaded, alphabet, metadata=metadata, transitions=back)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_tensors_preserved_exactly(self, tmp_path):
         params = small_params(3)

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from rawphone.net import NetworkConfig, StageConfig, backward_pass, forward_pass, init_params
+from rawphone.net import (
+    NetworkConfig,
+    NetworkParams,
+    StageConfig,
+    backward_pass,
+    forward_pass,
+    init_params,
+    param_count,
+    tensor_shapes,
+    tensor_slots,
+)
 from rawphone.training import frame_loss, sgd_step
 
 import oracles
@@ -64,12 +74,9 @@ def test_float64_steps_bit_identical(config):
     run_both(config, 20, 1e-2, dtype=np.float64)
 
 
-@pytest.mark.parametrize("draw", range(5))
-def test_input_gradient_bit_identical(draw):
-    rng = np.random.default_rng(200 + draw)
-    config = random_small_config(rng, input_dim=int(rng.integers(1, 3)))
-    params = init_params(config, draw, dtype=np.float64)
-    window = rng.normal(size=(config.input_frames, config.input_dim))
+def assert_input_gradient_bit_identical(config, rng, seed, dtype=np.float64):
+    params = init_params(config, seed, dtype=dtype)
+    window = rng.normal(size=(config.input_frames, config.input_dim)).astype(dtype)
     scores, cache = forward_pass(window, params)
     grads, dx = backward_pass(cache, params, frame_loss(scores, 0)[1])
     ref_scores, ref_cache = oracles.forward_pass(window, params)
@@ -78,6 +85,41 @@ def test_input_gradient_bit_identical(draw):
     assert dx.tobytes() == ref_dx.tobytes()
     for name in ref_grads:
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("draw", range(5))
+def test_input_gradient_bit_identical(draw):
+    rng = np.random.default_rng(200 + draw)
+    config = random_small_config(rng, input_dim=int(rng.integers(1, 3)))
+    assert_input_gradient_bit_identical(config, rng, draw)
+
+
+# One stage per path of the step plan, each after a stage that feeds it
+# d_in = 3 channels, and once on the raw input (d_in = 1).
+STAGE_PATHS = {
+    "pool1_kernel1": StageConfig(1, 1, 4, 1),
+    "shift1_kernel5": StageConfig(5, 1, 4, 2),
+    "shift2_kernel5": StageConfig(5, 2, 4, 1),
+    "shift3_kernel3": StageConfig(3, 3, 4, 2),  # shift >= kernel: taps never overlap
+    "shift4_kernel2": StageConfig(2, 4, 4, 1),  # and input frames between windows
+    # a lone channel: numpy sums one column pairwise, so the bias gradient
+    # must come from the conv gradient, zeros included
+    "one_channel_pool3": StageConfig(3, 1, 1, 3),
+    # one tap per reduced row (shift 1, d_in 1): the input gradient needs a
+    # second lane to be summed in tap order once there are 8 or more taps
+    "shift1_kernel9": StageConfig(9, 1, 4, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("first", [True, False], ids=["raw_input", "after_stage"])
+@pytest.mark.parametrize("path", sorted(STAGE_PATHS))
+def test_each_stage_path_bit_identical(path, first, dtype):
+    stage = STAGE_PATHS[path]
+    stages = (stage,) if first else (StageConfig(2, 1, 3, 1), stage)
+    config = NetworkConfig(40, 1, stages, 6, 4)
+    assert_input_gradient_bit_identical(config, np.random.default_rng(7), 7, dtype)
+    run_both(config, 12, 0.1, seed=7, dtype=dtype)
 
 
 def test_gradients_share_one_flat_buffer_in_serialization_order():
@@ -126,3 +168,40 @@ class TestStaleCache:
         g1, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
         g2, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
         assert g1.flat.tobytes() == g2.flat.tobytes()
+
+
+class TestFlatParameters:
+    def test_flat_holds_every_tensor_in_serialization_order(self):
+        params = init_params(TRAIN_RAW, 0)
+        named = params.named_tensors()
+        assert [(n, t.shape) for n, t in named] == tensor_shapes(TRAIN_RAW)
+        packed = np.concatenate([t.ravel() for _n, t in named])
+        assert packed.tobytes() == params.flat.tobytes()
+        for name, tensor in named:
+            assert tensor.flags.writeable and np.shares_memory(tensor, params.flat), name
+
+    def test_writes_through_tensor_views_reach_flat(self):
+        params = init_params(FEAT39, 0)
+        params.conv[0].bias[1] = 5.0
+        params.output_weight[...] = 0.0
+        a, _b, _shape = tensor_slots(FEAT39)["stage0.bias"]
+        assert params.flat[a + 1] == 5.0
+        a, b, _shape = tensor_slots(FEAT39)["output.weight"]
+        assert not params.flat[a:b].any()
+
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    def test_copy_and_astype_own_fresh_buffers(self, dtype):
+        params = init_params(FEAT39, 0)
+        other = params.copy() if dtype is None else params.astype(dtype)
+        assert other.flat.dtype == (dtype or np.float32)
+        assert np.array_equal(other.flat, params.flat)
+        assert not np.shares_memory(other.flat, params.flat)
+        for (_n, t), (_m, u) in zip(other.named_tensors(), params.named_tensors()):
+            assert np.shares_memory(t, other.flat) and not np.shares_memory(t, u)
+        before = params.flat.copy()
+        other.flat += 1.0
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_flat_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="flat parameters"):
+            NetworkParams(FEAT39, np.zeros(param_count(FEAT39) - 1, np.float32))

@@ -187,11 +187,17 @@ class TestSgdStep:
             np.testing.assert_array_equal(t, before[n] + np.float32(0.05) * grads[n])
 
     def test_nonfinite_gradient_names_tensor(self):
-        params = tiny_params(2)
-        grads = filled_gradients(params, 0.0)
-        grads["hidden.weight"][0, 0] = np.nan
-        with pytest.raises(DivergenceError, match="hidden.weight"):
-            sgd_step(params, grads, 0.1)
+        for name, bad in (("stage0.weight", np.nan), ("hidden.weight", np.nan),
+                          ("output.bias", -np.inf)):
+            params = tiny_params(2)
+            grads = filled_gradients(params, 1.0)
+            grads[name].reshape(-1)[-1] = bad
+            before, version = params.flat.tobytes(), params.version
+            with pytest.raises(DivergenceError, match=f"non-finite gradient for {name}"):
+                sgd_step(params, grads, 0.1)
+            # nothing moved: the check runs before the update
+            assert params.flat.tobytes() == before
+            assert params.version == version
 
     def test_two_steps_differ_from_combined_step_on_tanh_net(self):
         cfg = NetworkConfig(6, 1, (), 4, 2)
