@@ -49,11 +49,11 @@ dataset = []
 for _ in range(40):
     path = np.arange(12) % 2
     dataset.append((rng.normal(scale=0.1, size=(12, 2)), path))
-result = train_transitions(dataset, num_classes=2, lr=0.2, epochs=10, seed=0)
+result = train_transitions(dataset, num_classes=2, lr=0.2, epochs=10)
 print("learned transition scores A[to, from]:")
 print(np.round(result.transitions, 3))
-print("mean log-likelihood per epoch:",
-      " ".join(f"{ll:.2f}" for _e, ll in result.history))
+print("objective (mean log-likelihood - L2 term) per iteration:",
+      " ".join(f"{f:.2f}" for _i, f in result.history))
 
 noisy = rng.normal(scale=0.1, size=(10, 2))
 flat_path, _ = viterbi(noisy, np.zeros((2, 2)))

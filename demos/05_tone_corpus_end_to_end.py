@@ -60,7 +60,7 @@ crf_data = [
      utterance_frame_labels(u, config.input_frames, HOP, label_to_index))
     for u in train_utts
 ]
-transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10, seed=0).transitions
+transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10).transitions
 print("learned transition matrix (rounded):")
 print(np.round(transitions, 2))
 

@@ -68,6 +68,8 @@ HELP = {
     "mapping": "label mapping file: `source target` lines",
     "configs": "number of random configurations",
     "corrupt": "test hook: perturb this analytic tensor",
+    "crf_lr": "first trial step of the CRF line search, on the summed log-likelihood",
+    "crf_epochs": "CRF transition-training iterations (0: no CRF training)",
 }
 
 
@@ -317,6 +319,7 @@ def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage):
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
     _check_at_least(cfg, "crf_epochs", 0)
+    _check_at_least(cfg, "crf_lr", 0)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
@@ -348,8 +351,7 @@ def cmd_train(args):
             )
 
         transitions = train_transitions(
-            crf_data, len(alphabet), lr=cfg["crf_lr"], epochs=cfg["crf_epochs"],
-            seed=cfg["seed"], on_epoch=report,
+            crf_data, len(alphabet), lr=cfg["crf_lr"], epochs=cfg["crf_epochs"], on_epoch=report,
         ).transitions
 
     out.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,14 @@ A[i, j] for each move from label j to label i, none at t=1 (no start-state
 vector); the softmax is over whole paths. Viterbi works in log space and
 adds in path_score's order, so its score is the enumeration maximum
 exactly; it runs over a padded batch of utterances. The sum-product
-quantities come from one scaled forward-backward. All float64.
+quantities come from one scaled forward-backward; transition training runs
+it over all training utterances at once, time-major. All float64.
 """
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,7 @@ def _check(emissions, transitions, path=None):
     return e, a, y
 
 
-def _sum_product(e, a, where=""):
+def _sum_product(e, a):
     """(alpha, beta, w, q, log Z) by forward-backward on p = exp(e - rowmax e)
     and q = exp(A - max A), alpha_t scaled to sum 1 by c_t; a zero or NaN c_t or
     non-finite w (non-finite or underflowing scores) is a DivergenceError. Node
@@ -51,7 +54,7 @@ def _sum_product(e, a, where=""):
             beta[t - 1] = qt @ (pc[t] * beta[t])
         w = pc[1:] * beta[1:]
     if not (c.min() > 0.0 and np.isfinite(w).all()):
-        raise DivergenceError(f"zero or non-finite forward-backward normaliser{where}")
+        raise DivergenceError("zero or non-finite forward-backward normaliser")
     return alpha, beta, w, q, float(np.log(c).sum() + top.sum() + (len(p) - 1) * a_top)
 
 
@@ -156,39 +159,188 @@ def transition_gradient(emissions, transitions, path):
     return transition_counts(y, e.shape[1]) - q * (w.T @ alpha[:-1])
 
 
+# Frames in one group of utterances that a batched dynamic program runs on
+# at once, so that a group's working arrays stay near GROUP_FRAMES x K floats
+# (decoding.DECODE_GROUP_FRAMES, which counts padded frames).
+GROUP_FRAMES = 32768
+
+L2_PENALTY = 1e-3  # the training objective subtracts L2_PENALTY * ||A||^2 / 2
+ARMIJO_C = 1e-4  # sufficient-increase constant of the backtracking test
+MAX_HALVINGS = 60  # failed tests in one iteration before training stops
+
+
+class _Group(NamedTuple):
+    start: int  # sorted positions start:stop
+    stop: int
+    running: list  # running[t]: utterances longer than t frames, a prefix of the group
+    first: list  # frame t of utterance j is row first[t] + j
+    p: np.ndarray  # (frames, K) exp(e - rowmax e), in those rows
+    c: np.ndarray  # (frames,) forward normalisers, in the same rows
+    owner: np.ndarray  # (frames,) each row's utterance, counted from start
+    alpha: np.ndarray  # (frames, K) view of the shared alpha buffer
+
+
+class _TransitionBatch:
+    """Training utterances, time-major, for the scaled forward-backward of
+    all of them at once.
+
+    Utterances are sorted longest first (stable) and cut into consecutive
+    groups of at most `group_frames` frames (an utterance above it alone).
+    A group stores frame t of each utterance still running at t in
+    consecutive rows, and those utterances are a prefix of the ones running
+    at t - 1: each step of a pass works on contiguous rows, and no padding
+    is stored or computed. p is computed once. One alpha buffer, sized for
+    the largest group, holds the forward pass of the group that ran last.
+    """
+
+    def __init__(self, dataset, num_classes, group_frames=GROUP_FRAMES):
+        k, zero, utts = num_classes, np.zeros((num_classes, num_classes)), []
+        for emissions, path in dataset:
+            e, _a, y = _check(emissions, zero, path)
+            utts.append((e, y))
+        if not utts:
+            raise ValueError("empty transition-training dataset")
+        order = sorted(range(len(utts)), key=lambda u: -len(utts[u][1]))  # stable
+        self.order = np.array(order)  # sorted position -> utterance
+        utts = [utts[u] for u in order]
+        self.lengths = np.array([len(y) for _e, y in utts])
+        self.path_emission = np.array([e[np.arange(len(y)), y].sum() for e, y in utts])
+        self.moves = np.concatenate([y[1:] * k + y[:-1] for _e, y in utts])  # into A
+        self.move_owner = np.repeat(np.arange(len(utts)), self.lengths - 1)
+        self.observed = np.bincount(self.moves, minlength=k * k).reshape(k, k).astype(np.float64)
+        self.top = np.empty(len(utts))  # sum of rowmax e, filled with p by _group
+
+        bounds, frames = [], group_frames  # frames = those of the last group
+        for u, t_len in enumerate(self.lengths.tolist()):
+            if frames + t_len > group_frames:
+                bounds.append([u, u])
+                frames = 0
+            bounds[-1][1] = u + 1
+            frames += t_len
+        alpha = np.empty((max(int(self.lengths[s:t].sum()) for s, t in bounds), k))
+        self.beta = np.empty((max(t - s for s, t in bounds), k))
+        self.w = np.empty_like(self.beta)
+        self.groups = [self._group(utts, s, t, alpha) for s, t in bounds]
+        self.held = None  # the group whose forward pass is in the alpha buffer
+
+    def _group(self, utts, start, stop, alpha_buffer):
+        lengths = self.lengths[start:stop]
+        running = (lengths[:, None] > np.arange(lengths[0] + 1)).sum(axis=0).tolist()
+        first = [0, *accumulate(running)]
+        p = np.empty((first[-1], alpha_buffer.shape[1]))
+        owner = np.empty(first[-1], dtype=np.int64)
+        for j, (e, _y) in enumerate(utts[start:stop]):
+            rows = np.array(first[: len(e)]) + j
+            top = e.max(axis=1)
+            self.top[start + j] = top.sum()
+            with np.errstate(invalid="ignore"):  # NaN or infinite rows give NaN
+                p[rows] = np.exp(e - top[:, None])
+            owner[rows] = j
+        return _Group(start, stop, running, first, p, np.empty(first[-1]), owner,
+                      alpha_buffer[: first[-1]])
+
+    def _forward(self, i):
+        _start, _stop, running, first, p, c, _owner, alpha = self.groups[i]
+        n, qt = running[0], self.qt
+        np.copyto(alpha[:n], p[:n])
+        np.add.reduce(alpha[:n], axis=1, out=c[:n])
+        alpha[:n] /= c[:n, None]
+        for t in range(1, len(running) - 1):  # alpha_t = p_t * (q @ alpha_t-1) / c_t
+            m, r, prev = running[t], first[t], first[t - 1]
+            cur, ct = alpha[r:r + m], c[r:r + m]
+            np.dot(alpha[prev:prev + m], qt, out=cur)
+            cur *= p[r:r + m]
+            np.add.reduce(cur, axis=1, out=ct)
+            cur /= ct[:, None]
+        self.held = i
+
+    def log_likelihoods(self, a):
+        """Each utterance's path log-likelihood under A, in sorted order."""
+        a_top = a.max()
+        self.q = np.exp(a - a_top)
+        self.qt = self.q.T.copy()
+        log_z = self.top + (self.lengths - 1) * a_top
+        for i, group in enumerate(self.groups):
+            self._forward(i)
+            log_z[group.start:group.stop] += np.bincount(group.owner, weights=np.log(group.c))
+        moves = np.bincount(self.move_owner, weights=a.reshape(-1)[self.moves],
+                            minlength=len(self.lengths))
+        return self.path_emission + moves - log_z
+
+    def gradient(self):
+        """d(summed log-likelihood)/dA at the A of the last `log_likelihoods`:
+        observed minus expected transition counts."""
+        expected = np.zeros_like(self.q)
+        for i, (_start, _stop, running, first, p, c, _owner, alpha) in enumerate(self.groups):
+            if self.held != i:
+                self._forward(i)
+            for t in range(len(running) - 2, 0, -1):
+                m, r, prev = running[t], first[t], first[t - 1]
+                beta, w = self.beta[:m], self.w[:m]
+                beta[running[t + 1]:] = 1.0  # beta = 1 at each utterance's last frame
+                np.multiply(p[r:r + m], beta, out=w)
+                w /= c[r:r + m, None]
+                expected += np.dot(w.T, alpha[prev:prev + m])
+                np.dot(w, self.q, out=beta)  # beta_t-1 = ((p_t * beta_t) / c_t) @ q
+        return self.observed - self.q * expected
+
+
 @dataclass
 class TransitionTrainResult:
     transitions: np.ndarray
-    history: list  # (epoch, mean log-likelihood)
+    history: list  # (iteration, objective after it)
 
 
-def train_transitions(dataset, num_classes, lr=0.1, epochs=10, seed=0, shuffle=True,
-                      on_epoch=None):
-    """Gradient ascent on the path log-likelihood, network frozen.
+def train_transitions(dataset, num_classes, lr=0.1, epochs=10, on_epoch=None):
+    """Full-batch ascent on the mean path log-likelihood minus
+    L2_PENALTY * ||A||^2 / 2, network frozen.
 
-    `dataset` is a sequence of (emissions, path) pairs with emissions
+    `dataset` is an iterable of (emissions, path) pairs with emissions
     precomputed. A starts at zeros, so an untrained CRF decodes exactly
-    like frame-independent argmax. Deterministic given the seed. History rows
-    take each utterance's log-likelihood under the A its gradient came from,
-    before the update, as train_network's history does; `on_epoch(epoch,
-    log_likelihood, seconds)` is called after each epoch."""
-    if len(dataset) == 0:
-        raise ValueError("empty transition-training dataset")
+    like frame-independent argmax. The objective is concave in A, and each
+    of the `epochs` iterations takes one Armijo backtracking step along its
+    gradient: the first trial step is lr * N (lr on the summed
+    log-likelihood), each iteration tries twice the step the last one took,
+    and a test that fails (too small a rise, a non-finite objective or an
+    underflowing normaliser) halves it. Trials run only the forward pass;
+    the backward pass runs once per accepted point. Training stops early
+    when MAX_HALVINGS tests fail in a row. History rows hold the objective
+    after each iteration, so they never decrease; `on_epoch(iteration,
+    objective, seconds)` is called after each. Data whose log-likelihood is
+    not finite at A = 0 is a DivergenceError naming its first utterance."""
+    if not lr >= 0.0:
+        raise ValueError(f"lr must be at least 0, got {lr}")
+    batch = _TransitionBatch(dataset, num_classes)
+    n = len(batch.lengths)
+
+    def objective(a):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lls = batch.log_likelihoods(a)
+            return lls, float(lls.sum() / n - 0.5 * L2_PENALTY * np.vdot(a, a))
+
     a = np.zeros((num_classes, num_classes))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    history = []
-    for epoch in range(1, epochs + 1):
+    lls, f = objective(a)
+    if not np.isfinite(f):
+        u = batch.order[~np.isfinite(lls)].min()
+        raise DivergenceError("non-finite scores or an underflowing forward-backward "
+                              f"normaliser at utterance {u}")
+    step, history = lr * n, []
+    for iteration in range(1, epochs + 1):
         start = time.perf_counter()
-        order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
-        ll_sum = 0.0
-        for u in order:
-            e, _, y = _check(dataset[u][0], a, dataset[u][1])
-            alpha, _beta, w, q, log_z = _sum_product(e, a, f" at utterance {u}")
-            observed = transition_counts(y, num_classes)
-            grad = observed - q * (w.T @ alpha[:-1])
-            ll_sum += e[np.arange(len(y)), y].sum() + (observed * a).sum() - log_z
-            a += lr * grad
-        history.append((epoch, ll_sum / len(dataset)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = batch.gradient() / n - L2_PENALTY * a
+        rise = ARMIJO_C * np.vdot(g, g)
+        for _ in range(MAX_HALVINGS):
+            trial = a + step * g
+            _lls, f_trial = objective(trial)
+            if f_trial >= f + step * rise:  # False for NaN and -inf
+                break
+            step /= 2.0
+        else:
+            break
+        a, f = trial, f_trial
+        history.append((iteration, f))
         if on_epoch is not None:
-            on_epoch(epoch, history[-1][1], time.perf_counter() - start)
+            on_epoch(iteration, f, time.perf_counter() - start)
+        step *= 2.0
     return TransitionTrainResult(a, history)

@@ -8,7 +8,7 @@ in bounded groups.
 import numpy as np
 
 from .corpus import utterance_grid, utterance_windows
-from .crf import viterbi_batch
+from .crf import GROUP_FRAMES, viterbi_batch
 from .errors import DataError, NoLegalPathError
 from .framing import grid_windows, pad_features
 from .hmm import build_duration_graph, decode_batch
@@ -38,7 +38,7 @@ def compute_emissions(utt, params, hop_samples):
 # within this many padded frames, each utterance counted at least K frames
 # long because the CRF's candidate scores take N x K x K per step; an
 # utterance above it is decoded alone.
-DECODE_GROUP_FRAMES = 32768
+DECODE_GROUP_FRAMES = GROUP_FRAMES
 
 
 def padded(matrices):

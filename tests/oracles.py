@@ -381,22 +381,36 @@ def reference_crf_log_likelihood(emissions, transitions, path):
     )
 
 
-def reference_train_transitions(dataset, num_classes, lr=0.1, epochs=10, seed=0, shuffle=True):
-    """(A, history); history rows take each utterance after its own update."""
+def reference_train_transitions(dataset, num_classes, lr=0.1, epochs=10, l2=1e-3, c=1e-4,
+                                max_halvings=60):
+    """(A, history) by full-batch Armijo ascent on the mean log-likelihood
+    minus l2 * ||A||^2 / 2, each utterance in log space on its own. The first
+    trial step is lr * N; an accepted step is doubled for the next iteration's
+    first trial, a failed test halves it. History rows hold the objective
+    after each iteration."""
+    def objective(a):
+        lls = [reference_crf_log_likelihood(e, a, y) for e, y in dataset]
+        return np.mean(lls) - 0.5 * l2 * (a * a).sum()
+
+    def gradient(a):
+        total = sum(reference_transition_gradient(e, a, y) for e, y in dataset)
+        return total / len(dataset) - l2 * a
+
     a = np.zeros((num_classes, num_classes))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    history = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(dataset)) if shuffle else np.arange(len(dataset))
-        ll_sum = 0.0
-        for u in order:
-            emissions, path = dataset[u]
-            grad = reference_transition_gradient(emissions, a, path)
-            if not np.isfinite(grad).all():
-                raise DivergenceError(f"non-finite transition gradient at utterance {u}")
-            a += lr * grad
-            ll_sum += reference_crf_log_likelihood(emissions, a, path)
-        history.append((epoch, ll_sum / len(dataset)))
+    f, step, history = objective(a), lr * len(dataset), []
+    for iteration in range(1, epochs + 1):
+        g = gradient(a)
+        for _ in range(max_halvings):
+            trial = a + step * g
+            f_trial = objective(trial)
+            if np.isfinite(f_trial) and f_trial >= f + c * step * (g * g).sum():
+                break
+            step /= 2
+        else:
+            break
+        a, f = trial, f_trial
+        history.append((iteration, f))
+        step *= 2
     return a, history
 
 

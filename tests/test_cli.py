@@ -842,6 +842,14 @@ class TestExitCodes:
         else:
             assert len((tmp_path / "z" / "grid.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_crf_lr_below_zero_or_nan_is_usage_error(self, corpus, tmp_path, capsys, value):
+        argv = ["train", *split_args(corpus, "train", "cv"), *SMALL_NET, "--epochs", "1",
+                "--crf-lr", value, "--out", tmp_path / "o"]
+        assert run(argv) == 1
+        assert "usage error: --crf-lr must be at least 0, got " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
     @pytest.mark.parametrize("command, splits", [
         ("train", ("train", "cv")), ("ablate-pool", ("train", "cv", "test")),

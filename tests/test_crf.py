@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rawphone.crf import (
+    GROUP_FRAMES,
+    _TransitionBatch,
     crf_log_likelihood,
     forward_backward,
     log_partition,
@@ -20,6 +22,7 @@ from oracles import (
     crf_enum_viterbi,
     max_rel_error,
     numeric_gradient_inplace,
+    reference_crf_log_likelihood,
     reference_forward_backward,
     reference_log_partition,
     reference_train_transitions,
@@ -304,7 +307,7 @@ class TestTrainTransitions:
         data = [(np.zeros((8, 2)), np.array([0, 1] * 4)) for _ in range(3)]
         values = []
         for epochs in range(1, 5):
-            result = train_transitions(data, 2, lr=0.2, epochs=epochs, seed=0)
+            result = train_transitions(data, 2, lr=0.2, epochs=epochs)
             values.append((result.transitions[0, 0], result.transitions[1, 1]))
         for later, earlier in zip(values[1:], values[:-1]):
             assert later[0] < earlier[0]
@@ -314,14 +317,14 @@ class TestTrainTransitions:
         rng = np.random.default_rng(15)
         paths = [np.array([0, 0, 1, 1, 2, 2]) for _ in range(5)]
         data = [(rng.normal(scale=0.1, size=(6, 3)), p) for p in paths]
-        result = train_transitions(data, 3, lr=0.1, epochs=8, seed=1)
+        result = train_transitions(data, 3, lr=0.1, epochs=8)
         assert result.history[-1][1] > result.history[0][1]
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         data = [(rng.normal(size=(6, 3)), rng.integers(3, size=6)) for _ in range(4)]
-        a1 = train_transitions(data, 3, lr=0.05, epochs=4, seed=7).transitions
-        a2 = train_transitions(data, 3, lr=0.05, epochs=4, seed=7).transitions
+        a1 = train_transitions(data, 3, lr=0.05, epochs=4).transitions
+        a2 = train_transitions(data, 3, lr=0.05, epochs=4).transitions
         assert a1.tobytes() == a2.tobytes()
 
 
@@ -335,13 +338,86 @@ def k39_dataset(seed=39, utterances=12):
     return data
 
 
+def weak_dataset(seed, k=5, utterances=20):
+    """Labels in runs of 3-9 frames; emissions favour the label by 0.5 under
+    unit noise, so the transitions carry much of the likelihood."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = []
+    for _ in range(utterances):
+        t = int(rng.integers(60, 101))
+        y = np.repeat(rng.integers(k, size=t), rng.integers(3, 10, size=t))[:t]
+        e = rng.normal(size=(t, k))
+        e[np.arange(t), y] += 0.5
+        data.append((e, y))
+    return data
+
+
+class TestFullBatchTraining:
+    """The batched, time-major objective and its line-searched ascent."""
+
+    # one group holding lengths 1, 2 and T_max = 30; then groups of at most
+    # 47 frames, {30}, {30, 17} and {5, 2, 1}, split between equal lengths
+    @pytest.mark.parametrize("group_frames, groups", [(GROUP_FRAMES, 1), (47, 3)])
+    def test_batch_sums_match_per_utterance_reference(self, group_frames, groups):
+        rng = np.random.Generator(np.random.PCG64(50))
+        lengths = [30, 2, 1, 17, 30, 5]
+        data = [(rng.normal(scale=2.0, size=(t, 4)), rng.integers(4, size=t)) for t in lengths]
+        batch = _TransitionBatch(data, 4, group_frames=group_frames)
+        assert len(batch.groups) == groups
+        for _ in range(3):
+            a = rng.uniform(-3.0, 3.0, size=(4, 4))
+            lls = np.empty(len(data))
+            lls[batch.order] = batch.log_likelihoods(a)
+            gradient = batch.gradient()
+            for (e, y), ll in zip(data, lls):
+                assert ll == pytest.approx(reference_crf_log_likelihood(e, a, y), abs=1e-10)
+            reference = sum(reference_transition_gradient(e, a, y) for e, y in data)
+            np.testing.assert_allclose(gradient, reference, rtol=0, atol=1e-10)
+
+    def test_objective_never_decreases_on_weak_emissions(self):
+        data = weak_dataset(seed=60)
+        start = np.mean([crf_log_likelihood(e, np.zeros((5, 5)), y) for e, y in data])
+        result = train_transitions(data, 5, lr=0.05, epochs=20)
+        objective = [start] + [f for _i, f in result.history]
+        assert len(objective) == 21
+        for i, (before, after) in enumerate(zip(objective, objective[1:]), 1):
+            assert after >= before, f"iteration {i}"
+        assert objective[-1] > objective[0] + 10.0
+
+    def test_emission_noise_of_1e_7_moves_transitions_by_at_most_1e_5(self):
+        # per-utterance SGD steps at lr 0.05 moved A by 0.6 here
+        data = weak_dataset(seed=0)
+        rng = np.random.Generator(np.random.PCG64(61))
+        noisy = [(e + rng.normal(scale=1e-7, size=e.shape), y) for e, y in data]
+        a = train_transitions(data, 5, lr=0.05, epochs=5).transitions
+        a_noisy = train_transitions(noisy, 5, lr=0.05, epochs=5).transitions
+        assert np.abs(a).max() > 1.0
+        assert np.abs(a_noisy - a).max() <= 1e-5
+
+    def test_oversized_first_step_is_backtracked(self):
+        data = weak_dataset(seed=62)
+        result = train_transitions(data, 5, lr=1e6, epochs=3)
+        objective = [f for _i, f in result.history]
+        assert len(objective) == 3 and np.isfinite(objective).all()
+        assert objective == sorted(objective)
+        assert objective[0] > np.mean([crf_log_likelihood(e, np.zeros((5, 5)), y)
+                                       for e, y in data])
+        assert np.isfinite(result.transitions).all()
+
+    def test_bad_lr_rejected(self):
+        data = weak_dataset(seed=63, utterances=2)
+        for lr in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="lr must be at least 0"):
+                train_transitions(data, 5, lr=lr, epochs=1)
+
+
 class TestScaledRecursionAgainstLogSpace:
     """The scaled forward-backward against the log-space reference code."""
 
     def test_trained_transitions_match_reference(self):
         data = k39_dataset()
-        result = train_transitions(data, 39, lr=0.05, epochs=3, seed=0)
-        reference, _history = reference_train_transitions(data, 39, lr=0.05, epochs=3, seed=0)
+        result = train_transitions(data, 39, lr=0.05, epochs=3)
+        reference, _history = reference_train_transitions(data, 39, lr=0.05, epochs=3)
         assert np.abs(result.transitions - reference).max() <= 1e-9
 
     def test_wide_range_partition_and_marginals(self):
@@ -363,20 +439,13 @@ class TestScaledRecursionAgainstLogSpace:
                 rtol=1e-8, atol=1e-9,
             )
 
-    def test_history_is_pre_update_mean_log_likelihood(self):
+    def test_history_rows_are_the_reference_objective(self):
         data = k39_dataset(seed=40, utterances=5)
-        result = train_transitions(data, 39, lr=0.05, epochs=3, seed=2)
-        # replay the same visiting order with the reference gradient,
-        # taking each utterance's likelihood before its update
-        rng = np.random.Generator(np.random.PCG64(2))
-        a = np.zeros((39, 39))
-        for epoch, ll in result.history:
-            lls = []
-            for u in rng.permutation(len(data)):
-                e, y = data[u]
-                lls.append(crf_log_likelihood(e, a, y))
-                a += 0.05 * reference_transition_gradient(e, a, y)
-            assert ll == pytest.approx(np.mean(lls), abs=1e-9), f"epoch {epoch}"
+        result = train_transitions(data, 39, lr=0.05, epochs=3)
+        _a, reference = reference_train_transitions(data, 39, lr=0.05, epochs=3)
+        assert [i for i, _f in result.history] == [i for i, _f in reference] == [1, 2, 3]
+        for (i, f), (_i, ref) in zip(result.history, reference):
+            assert f == pytest.approx(ref, abs=1e-9), f"iteration {i}"
 
     def test_on_epoch_reports_each_history_row(self):
         data = k39_dataset(seed=41, utterances=2)
@@ -391,7 +460,7 @@ class TestScaledRecursionAgainstLogSpace:
         data = k39_dataset(seed=42, utterances=3)
         data[1][0][7, 3] = np.nan
         with pytest.raises(DivergenceError, match="utterance 1"):
-            train_transitions(data, 39, lr=0.05, epochs=1, shuffle=False)
+            train_transitions(data, 39, lr=0.05, epochs=1)
         with pytest.raises(DivergenceError):
             log_partition(data[1][0], np.zeros((39, 39)))
 
