@@ -17,7 +17,6 @@ from rawphone.corpus import (
     collect_alphabet,
     cycle_bias,
     synth_corpus,
-    utterance_frame_labels,
 )
 from rawphone.crf import train_transitions
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
@@ -31,7 +30,6 @@ spec = SynthSpec(noise_sigma=0.5, bigram_bias=cycle_bias(5, 10.0),
                  segments_range=(6, 10), duration_ms=(60.0, 140.0), seed=0)
 train_utts, cv_utts, test_utts = synth_corpus(spec, 120, 25, 30)
 alphabet = collect_alphabet(train_utts)
-label_to_index = {l: i for i, l in enumerate(alphabet)}
 print(f"corpus: {len(train_utts)} train / {len(cv_utts)} cv / {len(test_utts)} test, "
       f"classes {alphabet}, tone noise sigma {spec.noise_sigma}")
 
@@ -55,11 +53,7 @@ print(f"trained {len(history)} epochs in {time.time() - t0:.0f}s; "
 
 
 # CRF transitions trained on the frozen network's training emissions
-crf_data = [
-    (compute_emissions(u, best, HOP),
-     utterance_frame_labels(u, config.input_frames, HOP, label_to_index))
-    for u in train_utts
-]
+crf_data = [(compute_emissions(u, best, HOP), labels) for u, labels in train_set.by_utterance()]
 transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10).transitions
 print("learned transition matrix (rounded):")
 print(np.round(transitions, 2))

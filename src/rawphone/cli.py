@@ -30,7 +30,6 @@ from .corpus import (
     load_utterance,
     read_labels,
     synth_corpus,
-    utterance_frame_labels,
     utterance_grid,
     write_corpus,
 )
@@ -293,17 +292,22 @@ def _check_window(input_frames, train_utts, cfg=None):
 
 
 def _train_config(cfg):
+    if not 0 <= cfg["lr"] < float("inf"):
+        raise ValueError(f"--lr must be finite and at least 0, got {cfg['lr']}")
     return TrainConfig(
         learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
         patience=cfg["patience"], seed=cfg["seed"], shuffle=cfg["shuffle"],
     )
 
 
-def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage):
-    """Train one network, printing one progress line per epoch to stderr."""
+def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
+    """Train one network, printing one progress line per epoch to stderr.
+
+    Returns the best parameters, the history and the training set's
+    (utterance, frame labels) pairs; the set's padded signals are freed.
+    """
     train_set = build_frame_dataset(train_utts, net_config.input_frames, hop, alphabet, garbage)
     cv_set = build_frame_dataset(cv_utts, net_config.input_frames, hop, alphabet, garbage)
-    tc = _train_config(cfg)
 
     def report(epoch, ll, cv_acc, seconds):
         print(
@@ -313,13 +317,15 @@ def _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage):
             file=sys.stderr,
         )
 
-    return train_network(train_set, cv_set, net_config, tc, on_epoch=report)
+    best, history = train_network(train_set, cv_set, net_config, tc, on_epoch=report)
+    return best, history, train_set.by_utterance()
 
 
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
     _check_at_least(cfg, "crf_epochs", 0)
     _check_at_least(cfg, "crf_lr", 0)
+    tc = _train_config(cfg)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
@@ -327,21 +333,13 @@ def cmd_train(args):
     net_config = _network_config(cfg, sample_rate, len(alphabet))
     _check_window(net_config.input_frames, train_utts, cfg)
 
-    best, history = _train_once(cfg, train_utts, cv_utts, net_config, hop, alphabet, garbage)
+    best, history, train_labels = _train_once(
+        tc, train_utts, cv_utts, net_config, hop, alphabet, garbage
+    )
 
     transitions = np.zeros((len(alphabet), len(alphabet)))
     if cfg["crf_epochs"] > 0:
-        label_to_index = {l: i for i, l in enumerate(alphabet)}
-        garbage_index = label_to_index[garbage] if garbage else None
-        crf_data = []
-        for utt in train_utts:
-            if utterance_grid(utt, net_config.input_frames, hop).num_frames == 0:
-                continue  # shorter than one hop: no frames, no transitions
-            emissions = compute_emissions(utt, best, hop)
-            labels = utterance_frame_labels(
-                utt, net_config.input_frames, hop, label_to_index, garbage_index
-            )
-            crf_data.append((emissions, labels))
+        crf_data = [(compute_emissions(u, best, hop), labels) for u, labels in train_labels]
 
         def report(epoch, ll, seconds):
             print(
@@ -385,6 +383,8 @@ GRID_DEFAULTS = {
 def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
     _check_at_least(cfg, "max_configs", 0)
+    _check_at_least(cfg, "stages_count", 0)
+    tc = _train_config(cfg)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
@@ -406,9 +406,7 @@ def cmd_grid(args):
         return tuple(build_frame_dataset(utts, config.input_frames, hop, alphabet, garbage)
                      for utts in (train_utts, cv_utts))
 
-    results = grid_search(
-        dataset_for, configs, _train_config(cfg), max_configs=cfg["max_configs"] or None
-    )
+    results = grid_search(dataset_for, configs, tc, max_configs=cfg["max_configs"] or None)
 
     rows = []
     for r in results:
@@ -602,6 +600,7 @@ def _with_retained_pools(base, retained):
 
 def cmd_ablate_pool(args):
     cfg = _resolve(args, ABLATE_DEFAULTS)
+    tc = _train_config(cfg)
     out = Path(args.out)
     (train_utts, cv_utts, test_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest, args.test_manifest
@@ -616,7 +615,9 @@ def cmd_ablate_pool(args):
     for retained in (0, 1, 2, 3):
         try:
             config = _with_retained_pools(base_config, retained)
-            best, _history = _train_once(cfg, train_utts, cv_utts, config, hop, alphabet, garbage)
+            best, _history, _labels = _train_once(
+                tc, train_utts, cv_utts, config, hop, alphabet, garbage
+            )
             _report, acc = corpus_report(
                 (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
                 for u, hyp in zip(test_utts, decode_utterances(test_utts, best, hop, decode))

@@ -26,8 +26,6 @@ from .framing import (
     FrameGrid,
     SegmentAnnotation,
     Waveform,
-    extract_feature_windows,
-    extract_windows,
     frame_labels,
     grid_windows,
     pad_features,
@@ -375,15 +373,6 @@ def utterance_grid(utt, input_frames, hop_samples):
     return FrameGrid(1, input_frames, utt.features.shape[0])
 
 
-def utterance_windows(utt, input_frames, hop_samples, dtype=np.float32):
-    """Per-frame network input windows, shaped (T, input_frames, d)."""
-    if utt.waveform is not None:
-        grid = utterance_grid(utt, input_frames, hop_samples)
-        win = extract_windows(utt.waveform, grid)
-        return win[:, :, None].astype(dtype)
-    return extract_feature_windows(utt.features, input_frames).astype(dtype)
-
-
 def utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garbage_index=None):
     grid = utterance_grid(utt, input_frames, hop_samples)
     try:
@@ -405,8 +394,9 @@ class FrameDataset:
     which is t * hop (t for features). Raw windows are normalized when
     read, from each frame's float64 `mean` and `std` (framing.row_stats,
     taken in chunks of BATCH_BYTES); features are read as they are.
-    Utterances without frames are left out. Beside the signals, the
-    dataset holds at most 36 bytes per frame, whatever the window length.
+    Utterances without frames are left out; `by_utterance` pairs each
+    kept one with its labels. Beside the signals, the dataset holds at
+    most 36 bytes per frame, whatever the window length.
     """
 
     def __init__(self, utterances, labels, input_frames, hop_samples):
@@ -424,6 +414,7 @@ class FrameDataset:
         self.input_frames, self.hop = input_frames, hop_samples
         self.labels = np.concatenate([l for _u, l in kept])
         counts = [len(l) for _u, l in kept]
+        self.offsets = np.cumsum([0] + counts)  # utterance u's frames start at offsets[u]
         self.utts = np.repeat(np.arange(len(kept), dtype=np.int32), counts)
         self.starts = np.concatenate([np.arange(n) * g.hop_samples for n, g in zip(counts, grids)])
         if not self.raw:
@@ -434,7 +425,7 @@ class FrameDataset:
         self._window = np.empty((input_frames, 1))  # a step's float64 window
         chunk = max(1, BATCH_BYTES // (8 * input_frames))
         buf = np.empty((min(chunk, max(counts)), input_frames))
-        for utt, grid, first in zip(self.utterances, grids, np.cumsum([0] + counts)):
+        for utt, grid, first in zip(self.utterances, grids, self.offsets):
             signal, windows = grid_windows(utt.waveform, grid)
             self.signals.append(signal[:, None])
             for a in range(0, len(windows), chunk):
@@ -445,6 +436,11 @@ class FrameDataset:
 
     def __len__(self):
         return len(self.labels)
+
+    def by_utterance(self):
+        """(utterance, its frames' labels) for each kept utterance, in order; labels are views."""
+        return [(u, self.labels[a:b])
+                for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:])]
 
     @property
     def window_shape(self):

@@ -7,24 +7,22 @@ in bounded groups.
 
 import numpy as np
 
-from .corpus import utterance_grid, utterance_windows
+from .corpus import utterance_grid
 from .crf import GROUP_FRAMES, viterbi_batch
 from .errors import DataError, NoLegalPathError
 from .framing import grid_windows, pad_features
 from .hmm import build_duration_graph, decode_batch
-from .net import log_softmax, score_frames, score_windows
+from .net import log_softmax, score_frames
 from .scoring import collapse_path
 
 
 def compute_emissions(utt, params, hop_samples):
     """Per-frame network scores for one utterance, as a float64 T x K matrix.
 
-    Stage 0 is shared across overlapping windows (score_frames); a network
-    without stages scores each framed window.
+    Every network, with or without stages, is scored by score_frames,
+    which shares stage 0 across overlapping windows.
     """
     config = params.config
-    if not config.stages:
-        return score_windows(utterance_windows(utt, config.input_frames, hop_samples), params)
     if utt.waveform is None:
         signal = pad_features(utt.features, config.input_frames, params.hidden_weight.dtype)
         return score_frames(signal, 1, len(utt.features), params)

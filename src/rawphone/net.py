@@ -7,11 +7,11 @@ producing one score per class. Training runs in float32; gradient checks
 cast everything to float64 first.
 
 Training steps run one window at a time on a StepPlan. Inference scores
-batches of frames sized by BATCH_BYTES: every frame of a signal (a
-padded waveform or feature matrix) with stage 0 computed once per
-position of one grid and shared by the overlapping windows
-(score_frames), or, for networks without stages, stacks of windows
-(score_windows).
+every frame of a signal (a padded waveform or feature matrix) in batches
+sized by BATCH_BYTES, with stage 0 computed once per position of one
+grid and shared by the overlapping windows (score_frames). A network
+without stages runs its hidden layer there, as a stage 0 of one position
+per frame.
 """
 
 import math
@@ -308,34 +308,17 @@ def stage_forward(x, layer, pool_width):
     return np.tanh(_pool_blocks(conv, pool_width).max(axis=-2))
 
 
-def _head_forward(act, params, first_stage=0):
-    """Scores (N, K) from stage `first_stage` onward, for a batch of stage inputs."""
-    for layer, stage in zip(params.conv[first_stage:], params.config.stages[first_stage:]):
-        act = stage_forward(act, layer, stage.pool_width)
-    flat = act.reshape(act.shape[0], -1)
-    hidden = np.tanh(flat @ params.hidden_weight.T + params.hidden_bias)
-    return hidden @ params.output_weight.T + params.output_bias
+def _head_forward(act, params):
+    """Scores (N, K) of a batch of stage-0 outputs: later stages, hidden and output layers.
 
-
-def score_windows(windows, params):
-    """Class scores of a stack of input windows (N, T, d), as a float64 N x K matrix.
-
-    Runs the batched stages batch_frames windows at a time. Each row
-    matches forward_pass on that window up to float rounding.
+    Without stages, stage 0 is the hidden layer and only the output layer is left.
     """
     config = params.config
-    x = np.asarray(windows)
-    if x.shape[1:] != (config.input_frames, config.input_dim):
-        raise ValueError(
-            f"window shape {x.shape[1:]} != expected "
-            f"({config.input_frames}, {config.input_dim})"
-        )
-    dtype = params.hidden_weight.dtype
-    batch = batch_frames(config, dtype)
-    scores = np.empty((x.shape[0], config.num_classes), dtype=np.float64)
-    for a in range(0, x.shape[0], batch):
-        scores[a : a + batch] = _head_forward(x[a : a + batch].astype(dtype, copy=False), params)
-    return scores
+    if config.stages:
+        for layer, stage in zip(params.conv[1:], config.stages[1:]):
+            act = stage_forward(act, layer, stage.pool_width)
+        act = np.tanh(act.reshape(len(act), -1) @ params.hidden_weight.T + params.hidden_bias)
+    return act.reshape(len(act), -1) @ params.output_weight.T + params.output_bias
 
 
 def _pool_positions(conv, pool_width, stride, starts, t_pool):
@@ -358,8 +341,9 @@ def score_frames(signal, hop, num_frames, params, rows=None):
     `signal` is an L x input_dim matrix, and frame t's window is its rows
     t * hop .. t * hop + input_frames - 1. With `rows`, the frames' raw
     windows (num_frames x input_frames), each window is normalized to zero
-    mean and unit variance first. Equals score_windows on the (normalized)
-    windows up to float rounding; the config needs at least one stage.
+    mean and unit variance first. Equals forward_pass on each (normalized)
+    window up to float rounding. A network without stages runs its hidden
+    layer as stage 0: kernel input_frames, shift hop, pool width 1.
 
     Frame t's conv frame j starts at row t * hop + j * shift, a multiple
     of g = gcd(hop, shift), so the stage-0 positions of all frames lie on
@@ -383,11 +367,15 @@ def score_frames(signal, hop, num_frames, params, rows=None):
     x = np.asarray(signal)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"signal must be a T x {config.input_dim} matrix, got {x.shape}")
-    layer, stage = params.conv[0], config.stages[0]
-    kw, pw = layer.kernel_width, stage.pool_width
+    if config.stages:
+        layer, pw = params.conv[0], config.stages[0].pool_width
+        t_pool = config.frame_counts()[0][1]
+    else:  # the hidden layer, one position per frame
+        layer = ConvLayerParams(params.hidden_weight, params.hidden_bias, config.input_frames, hop)
+        pw = t_pool = 1
+    kw = layer.kernel_width
     g = math.gcd(hop, layer.shift)
     step, stride = hop // g, layer.shift // g  # grid positions per hop and per conv frame
-    t_pool = config.frame_counts()[0][1]
     reach = (t_pool * pw - 1) * stride + 1  # grid positions from a frame's first to last
     dtype = params.hidden_weight.dtype
     conv_dtype = dtype if rows is None else np.float64
@@ -420,7 +408,7 @@ def score_frames(signal, hop, num_frames, params, rows=None):
             pooled += bias
             pooled[std[:, 0] == 0.0] = bias
         act = np.tanh(pooled.astype(dtype, copy=False))
-        scores[a:b] = _head_forward(act, params, first_stage=1)
+        scores[a:b] = _head_forward(act, params)
     return scores
 
 

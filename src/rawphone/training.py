@@ -72,8 +72,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr 0 is legal: frozen-parameter runs are a documented baseline
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
@@ -85,12 +85,10 @@ def frame_accuracy_of(params, dataset):
 
     Each utterance is scored as decoding scores it (compute_emissions).
     """
-    correct = first = 0
-    for utt in dataset.utterances:
+    correct = 0
+    for utt, labels in dataset.by_utterance():
         predicted = compute_emissions(utt, params, dataset.hop).argmax(axis=1)
-        labels = dataset.labels[first : first + len(predicted)]
         correct += int(np.count_nonzero(predicted == labels))
-        first += len(predicted)
     return 100.0 * correct / len(dataset)
 
 
@@ -178,10 +176,16 @@ class GridSpec:
         for name in ("window_ms", "kernel_width", "num_filters", "hidden_units", "pool_width"):
             if not getattr(self, name):
                 raise ValueError(f"{name} candidates must be non-empty")
+        if self.num_stages < 0:
+            raise ValueError("num_stages must be >= 0")
 
     def configs(self, sample_rate, input_dim, num_classes):
-        """Materialize the Cartesian product as NetworkConfig values."""
-        out = []
+        """Materialize the Cartesian product as NetworkConfig values, each distinct one once.
+
+        Without stages, kernel, filter and pool candidates give the same
+        network; it keeps the position of its first occurrence.
+        """
+        out = {}  # insertion-ordered set
         for window_ms, kw, filters, hidden, pool in itertools.product(
             self.window_ms, self.kernel_width, self.num_filters,
             self.hidden_units, self.pool_width,
@@ -195,8 +199,8 @@ class GridSpec:
                 cfg = NetworkConfig(frames, input_dim, tuple(stages), hidden, num_classes)
             except ValueError:
                 continue  # infeasible shape combination
-            out.append(cfg)
-        return out
+            out.setdefault(cfg)
+        return list(out)
 
 
 def derive_seed(master_seed, ordinal):

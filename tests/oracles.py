@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from rawphone.errors import DataError, DivergenceError
+from rawphone.framing import FrameGrid, extract_feature_windows, extract_windows
 from rawphone.training import frame_loss
 
 
@@ -65,6 +66,22 @@ def reference_frame_labels(annotation, grid, label_to_index, garbage_index=None)
                 "and no garbage label is configured"
             )
     return out
+
+
+# --- network input windows -------------------------------------------------
+
+
+def utterance_windows(utt, input_frames, hop_samples, dtype=np.float32):
+    """Every frame's network input window, stacked (T, input_frames, d), as `dtype`.
+
+    Raw input: the normalized windows of extract_windows; features: the
+    context blocks of extract_feature_windows. The scorer reads windows
+    from the signal instead, and must equal forward_pass on these.
+    """
+    if utt.waveform is not None:
+        grid = FrameGrid.for_length(len(utt.waveform), hop_samples, input_frames)
+        return extract_windows(utt.waveform, grid)[:, :, None].astype(dtype)
+    return extract_feature_windows(utt.features, input_frames).astype(dtype)
 
 
 # --- per-example SGD step ---------------------------------------------------

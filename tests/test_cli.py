@@ -18,7 +18,7 @@ from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.model_io import load_model, save_model
-from rawphone.net import NetworkConfig, StageConfig, init_params
+from rawphone.net import NetworkConfig, StageConfig, init_params, param_count
 
 from oracles import naive_dft_magnitude
 
@@ -655,6 +655,24 @@ class TestGrid:
         assert json.loads((tmp_path / "flag" / "resolved.json").read_text())["shuffle"] is False
 
 
+    def test_stageless_grid_trains_each_window_and_hidden_size_once(self, corpus, tmp_path):
+        # the only CLI route to a network without stages
+        argv = ["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path,
+                "--stages-count", "0", "--window-ms-list", "30,50", "--kernel-list", "1,5,9",
+                "--filters-list", "4,8", "--hidden-list", "4,8", "--pool-list", "2,3",
+                "--epochs", "1", "--seed", "0"]
+        assert run(argv) == 0
+        rows = list(csv.DictReader((tmp_path / "grid.csv").open()))
+        assert len(rows) == 2 * 2  # windows x hidden sizes
+        assert sorted(int(r["ordinal"]) for r in rows) == [0, 1, 2, 3]
+        assert sorted((int(r["window_frames"]), int(r["hidden"])) for r in rows) == [
+            (480, 4), (480, 8), (800, 4), (800, 8)]
+        for r in rows:
+            assert r["kernels"] == r["shifts"] == r["pools"] == "" and r["filters"] == "0"
+            assert r["error"] == "" and 0.0 <= float(r["cv_accuracy"]) <= 100.0
+            assert int(r["param_count"]) == param_count(
+                NetworkConfig(int(r["window_frames"]), 1, (), int(r["hidden"]), 5))
+
     def test_raw_float_input_with_raw_sample_rate(self, corpus, tmp_path):
         raw = write_raw_float_corpus(corpus, tmp_path / "raw")
         assert run(["grid", *split_args(raw, "train", "cv"), "--out", tmp_path / "f32",
@@ -827,6 +845,8 @@ class TestExitCodes:
         ("train", "--crf-epochs", [*SMALL_NET, "--epochs", "1"]),
         ("grid", "--max-configs", ["--window-ms-list", "50", "--kernel-list", "3,5",
                                    "--filters-list", "4", "--hidden-list", "8", "--epochs", "1"]),
+        ("grid", "--stages-count", ["--window-ms-list", "50", "--kernel-list", "3,5",
+                                    "--filters-list", "4", "--hidden-list", "8", "--epochs", "1"]),
     ])
     def test_negative_count_is_usage_error(self, corpus, tmp_path, capsys, command, option,
                                            args):
@@ -834,13 +854,15 @@ class TestExitCodes:
         assert run([*argv, "--out", tmp_path / "o", option, "-1"]) == 1
         assert f"usage error: {option} must be at least 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-        # 0 keeps its meaning: no CRF training, or every configuration of the grid
+        # 0 keeps its meaning: no CRF training, every configuration of the grid,
+        # or networks without stages, which both kernels leave the same
         assert run([*argv, "--out", tmp_path / "z", option, "0"]) == 0
         if command == "train":
             _params, _alphabet, _meta, transitions = load_model(tmp_path / "z" / "model.rcn")
             assert not transitions.any()
         else:
-            assert len((tmp_path / "z" / "grid.csv").read_text().splitlines()) == 3
+            rows = 2 if option == "--max-configs" else 1
+            assert len((tmp_path / "z" / "grid.csv").read_text().splitlines()) == 1 + rows
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_crf_lr_below_zero_or_nan_is_usage_error(self, corpus, tmp_path, capsys, value):
@@ -848,6 +870,20 @@ class TestExitCodes:
                 "--crf-lr", value, "--out", tmp_path / "o"]
         assert run(argv) == 1
         assert "usage error: --crf-lr must be at least 0, got " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, splits", [
+        ("train", ("train", "cv")), ("grid", ("train", "cv")),
+        ("ablate-pool", ("train", "cv", "test")),
+    ])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_lr_below_zero_or_not_finite_is_usage_error(self, corpus, tmp_path, capsys,
+                                                        command, splits, value):
+        argv = [command, *split_args(corpus, *splits), "--epochs", "1", "--lr", value,
+                "--out", tmp_path / "o"]
+        assert run(argv) == 1
+        assert (f"usage error: --lr must be finite and at least 0, got {float(value)}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
 

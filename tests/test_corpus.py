@@ -18,7 +18,6 @@ from rawphone.corpus import (
     read_wav,
     synth_corpus,
     utterance_frame_labels,
-    utterance_windows,
     write_corpus,
     write_labels,
     write_wav,
@@ -33,6 +32,8 @@ from rawphone.framing import (
 )
 from rawphone.net import BATCH_BYTES
 from rawphone.scoring import collapse_path
+
+from oracles import utterance_windows
 
 
 class TestWavIO:
@@ -423,6 +424,20 @@ class TestFrameDatasetAssembly:
         assert win.shape == (20, 5, 4)
         ds = build_frame_dataset([utt], 5, 160, ["a", "b"])
         np.testing.assert_array_equal(ds.labels, [0] * 10 + [1] * 10)
+
+    def test_by_utterance_pairs_kept_utterances_with_their_labels(self):
+        train, _, _ = synth_corpus(SynthSpec(seed=6), 3, 0, 0)
+        short = LabeledUtterance("short", SegmentAnnotation(((0, 100, "c0"),)),
+                                 waveform=Waveform(np.zeros(100), 16000))
+        alphabet = collect_alphabet(train)
+        index = {l: i for i, l in enumerate(alphabet)}
+        ds = build_frame_dataset([train[0], short, *train[1:]], 400, 160, alphabet)
+        pairs = ds.by_utterance()
+        assert [u.id for u, _l in pairs] == [u.id for u in train]  # no frames: left out
+        for utt, labels in pairs:
+            np.testing.assert_array_equal(labels, utterance_frame_labels(utt, 400, 160, index))
+            assert labels.base is ds.labels  # views, not copies
+        assert sum(len(l) for _u, l in pairs) == len(ds)
 
     def test_reference_sequence_collapses_segments(self):
         ann = SegmentAnnotation(((0, 10, "a"), (10, 20, "a"), (20, 30, "b")))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rawphone import decoding, net
-from rawphone.corpus import FrameDataset, LabeledUtterance, utterance_windows
+from rawphone import net
+from rawphone.corpus import FrameDataset, LabeledUtterance
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
 from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
@@ -15,9 +15,10 @@ from rawphone.net import (
     forward_pass,
     init_params,
     score_frames,
-    score_windows,
 )
 from rawphone.training import frame_accuracy_of
+
+from oracles import utterance_windows
 
 HOP = 160
 TOL = 1e-5
@@ -46,10 +47,6 @@ def feature_utterance(length, dim, seed):
 def feature_config(context, stages, dim=4):
     return NetworkConfig(context, dim, tuple(StageConfig(k, s, 6, p) for k, s, p in stages),
                          hidden_units=10, num_classes=5)
-
-
-def not_called(*args):
-    raise AssertionError("this scoring path must not run")
 
 
 def per_frame_scores(utt, params, hop):
@@ -93,7 +90,7 @@ class TestComputeEmissions:
         constant = ~rows.any(axis=1)
         assert constant.sum() >= 30
         got = compute_emissions(utt, params, HOP)
-        expected = score_windows(rows[:, :, None], params)
+        expected = np.array([forward_pass(row[:, None], params)[0] for row in rows])
         assert np.abs(got - expected).max() <= TOL
         # every constant window scores like an all-zero window
         zero = forward_pass(np.zeros((1600, 1)), params)[0]
@@ -122,9 +119,8 @@ class TestComputeEmissions:
         assert utterance_windows(utt, 400, hop).shape[0] > 32
         assert_matches_loop(utt, init_params(cfg, 9, dtype=np.float64), hop)
 
-    def test_feature_input_shares_first_stage(self, monkeypatch):
+    def test_feature_input_shares_first_stage(self):
         cfg = feature_config(9, ((3, 1, 1),))
-        monkeypatch.setattr(decoding, "score_windows", not_called)
         assert_matches_loop(feature_utterance(45, 4, 7), init_params(cfg, 7), 1)
 
     @pytest.mark.parametrize("stages", [DEFAULT, ((160, 7, 3), (5, 1, 3))])
@@ -155,7 +151,8 @@ class TestComputeEmissions:
 # The stage-0 grid sweep: (input, window, stages as (kernel, shift, pool), hop).
 # For raw input the hop is a multiple of stage 0's shift, not a multiple,
 # below it, or wider than the window; feature input always hops one row,
-# so its shift sets the grid instead.
+# so its shift sets the grid instead. Without stages the hidden layer is
+# stage 0, one position per frame: hop below and above the window.
 SWEEP_CONFIGS = [
     ("raw", 400, ((40, 10, 3), (3, 1, 2)), 160),  # multiple: grid = shift
     ("raw", 401, ((30, 7, 2), (3, 1, 1)), 160),  # not a multiple, gcd 1
@@ -167,6 +164,9 @@ SWEEP_CONFIGS = [
     ("feat", 10, ((3, 2, 2), (2, 1, 1)), 1),
     ("feat", 12, ((2, 3, 3),), 1),
     ("feat", 7, ((3, 2, 1), (2, 1, 2)), 1),
+    ("raw", 300, (), 160),
+    ("raw", 200, (), 450),
+    ("feat", 9, (), 1),
 ]
 # (dtype, frames, frames per batch: None keeps batch_frames)
 SWEEP_RUNS = [("float32", 1, None), ("float64", 23, 1), ("float32", 40, 3), ("float64", 9, None)]
@@ -174,7 +174,7 @@ SWEEP_RUNS = [("float32", 1, None), ("float64", 23, 1), ("float32", 40, 3), ("fl
 
 @pytest.mark.parametrize("run", SWEEP_RUNS, ids=lambda r: f"{r[0]}-{r[1]}x{r[2]}")
 @pytest.mark.parametrize("case", range(len(SWEEP_CONFIGS)), ids=[
-    f"{kind}{window}-{'-'.join(f'{k}:{s}:{p}' for k, s, p in stages)}-hop{hop}"
+    f"{kind}{window}-{'-'.join(f'{k}:{s}:{p}' for k, s, p in stages) or 'nostages'}-hop{hop}"
     for kind, window, stages, hop in SWEEP_CONFIGS
 ])
 def test_stage0_grid_sweep(case, run, monkeypatch):
@@ -189,7 +189,6 @@ def test_stage0_grid_sweep(case, run, monkeypatch):
     else:
         cfg = feature_config(window, stages)
         utt = feature_utterance(frames, 4, seed)
-    monkeypatch.setattr(decoding, "score_windows", not_called)
     if batch is not None:
         monkeypatch.setattr(net, "batch_frames", lambda config, dt: batch)
     assert_matches_loop(utt, init_params(cfg, seed, dtype=np.dtype(dtype)), hop)
@@ -247,13 +246,6 @@ class TestFrameAccuracy:
         windows = np.concatenate([utterance_windows(u, 1600, HOP) for u in utts])
         labels = np.arange(len(windows)) % 5
         loop = np.array([forward_pass(w, params)[0] for w in windows])
-        batched = score_windows(windows, params)
-        assert np.abs(batched - loop).max() <= TOL
         expected = 100.0 * np.count_nonzero(loop.argmax(axis=1) == labels) / len(labels)
         dataset = FrameDataset(utts, np.split(labels, [len(windows) // 2]), 1600, HOP)
         assert frame_accuracy_of(params, dataset) == expected
-
-    def test_window_shape_checked(self):
-        params = init_params(raw_config(DEFAULT), 0)
-        with pytest.raises(ValueError, match="window shape"):
-            score_windows(np.zeros((3, 1599, 1), dtype=np.float32), params)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rawphone import decoding
 from rawphone.corpus import (
     FrameDataset,
     LabeledUtterance,
@@ -297,6 +296,11 @@ class TestTrainNetwork:
         assert history[-1][0] <= first_best + 2
         assert best_epoch <= history[-1][0]
 
+    @pytest.mark.parametrize("lr", [-1e-4, float("nan"), float("inf")])
+    def test_negative_or_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and >= 0"):
+            TrainConfig(learning_rate=lr)
+
     def test_label_out_of_range_rejected(self):
         data = separable_toy()
         bad = FrameDataset(data.utterances, [data.labels + 5], 1, 1)
@@ -315,14 +319,7 @@ def loop_accuracy(params, dataset):
 
 
 class TestFrameAccuracyOnSharedScorer:
-    """CV accuracy scores utterances through compute_emissions, never stacked windows."""
-
-    @pytest.fixture(autouse=True)
-    def no_window_stacks(self, monkeypatch):
-        def not_called(*args):
-            raise AssertionError("CV accuracy must not score stacked windows")
-
-        monkeypatch.setattr(decoding, "score_windows", not_called)
+    """CV accuracy scores utterances through compute_emissions, as decoding does."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_raw_set_matches_forward_pass_loop(self, seed):
@@ -439,3 +436,14 @@ class TestGridSpecDefaults:
                         hidden_units=(100,), pool_width=(3,))
         # 16 samples cannot survive three 9-wide convs with pooling
         assert spec.configs(16000, 1, 5) == []
+
+    def test_stageless_grid_keeps_each_network_once(self):
+        spec = GridSpec(window_ms=(50.0, 100.0), kernel_width=(1, 5, 9), num_filters=(10, 50),
+                        hidden_units=(8, 16), pool_width=(2, 3), num_stages=0)
+        cfgs = spec.configs(16000, 1, 5)
+        # kernels, filters and pools do not apply: windows x hidden sizes remain,
+        # in the order of their first occurrence
+        assert [(c.input_frames, c.hidden_units, c.stages) for c in cfgs] == [
+            (800, 8, ()), (800, 16, ()), (1600, 8, ()), (1600, 16, ())]
+        with pytest.raises(ValueError, match="num_stages must be >= 0"):
+            GridSpec(num_stages=-1)
