@@ -56,6 +56,7 @@ from .training import (
     random_check_config,
     train_network,
 )
+from .workers import ordered_map
 
 DEFAULT_STAGES = "160:10:3,5:1:3,9:1:3"
 
@@ -472,10 +473,13 @@ def cmd_decode(args):
         except DataError as e:
             return e
 
+    def decode_share(share):  # each worker loads, scores and decodes its own share
+        return decode_utterances((checked(ref) for ref in share), params, hop, decode)
+
     hyp_dir = out / "hyp"
     hyp_dir.mkdir(parents=True, exist_ok=True)
     log_rows = []
-    outcomes = decode_utterances((checked(ref) for ref in refs), params, hop, decode)
+    outcomes = ordered_map(decode_share, refs)
     for ref, outcome in zip(refs, outcomes):
         if isinstance(outcome, Exception):
             log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
@@ -611,8 +615,9 @@ def cmd_ablate_pool(args):
     _check_window(base_config.input_frames, train_utts, cfg)
 
     decode = decoder("hmm", alphabet, None, cfg["min_duration"])
-    rows = []
-    for retained in (0, 1, 2, 3):
+
+    def row(retained):
+        """Train with `retained` pooled stages, then decode and score the test split."""
         try:
             config = _with_retained_pools(base_config, retained)
             best, _history, _labels = _train_once(
@@ -622,9 +627,11 @@ def cmd_ablate_pool(args):
                 (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
                 for u, hyp in zip(test_utts, decode_utterances(test_utts, best, hop, decode))
             )
-            rows.append([retained, param_count(config), f"{acc:.6f}", ""])
+            return [retained, param_count(config), f"{acc:.6f}", ""]
         except (ValueError, DataError, NoLegalPathError, DivergenceError) as e:
-            rows.append([retained, "", "", str(e).replace(",", ";")])
+            return [retained, "", "", str(e).replace(",", ";")]
+
+    rows = ordered_map(lambda share: map(row, share), (0, 1, 2, 3))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "ablation.csv",

@@ -35,7 +35,7 @@ from .net import BATCH_BYTES
 
 
 def read_wav(path):
-    """Read a mono 16-bit PCM RIFF/WAVE file into [-1, 1) floats."""
+    """Read a mono 16-bit PCM RIFF/WAVE file into [-1, 1) float32 samples, exactly."""
     try:
         with wave.open(str(path), "rb") as w:
             if w.getnchannels() != 1:
@@ -48,7 +48,7 @@ def read_wav(path):
             raw = w.readframes(w.getnframes())
     except (wave.Error, EOFError, RuntimeError) as e:  # EOFError, RuntimeError: bad chunk sizes
         raise DataError(f"{path}: not a PCM WAV file: {e or type(e).__name__}") from e
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / np.float32(32768.0)
     if samples.size < 1:
         raise DataError(f"{path}: empty waveform")
     return Waveform(samples, rate)
@@ -65,8 +65,8 @@ def write_wav(path, waveform):
 
 
 def read_raw_float(path, sample_rate):
-    """Read a headerless little-endian float32 sample stream."""
-    samples = np.fromfile(str(path), dtype="<f4").astype(np.float64)
+    """Read a headerless little-endian float32 sample stream, kept as float32."""
+    samples = np.fromfile(str(path), dtype="<f4").astype(np.float32, copy=False)
     if samples.size < 1:
         raise DataError(f"{path}: empty waveform")
     if not np.isfinite(samples).all():

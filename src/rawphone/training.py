@@ -24,6 +24,7 @@ from .net import (
     softmax_terms,
     step_plan,
 )
+from .workers import ordered_map
 
 
 def frame_loss(scores, target):
@@ -229,7 +230,9 @@ def grid_search(dataset_for_config, configs, train_config, max_configs=None):
     for that config's window size. Ties break toward fewer parameters,
     then lower config ordinal. Per-config failures become failure
     records instead of aborting the sweep. `max_configs` subsamples the
-    grid by seeded random choice.
+    grid by seeded random choice. The candidates train in worker
+    processes (workers.ordered_map), each from its ordinal's seed, so the
+    results do not depend on how many workers run.
     """
     if not configs:
         raise ValueError("empty grid")
@@ -239,18 +242,20 @@ def grid_search(dataset_for_config, configs, train_config, max_configs=None):
         keep = sorted(rng.choice(len(candidates), size=max_configs, replace=False))
         candidates = [candidates[i] for i in keep]
 
-    results = []
-    for ordinal, cfg in candidates:
-        seed = derive_seed(train_config.seed, ordinal)
-        run_cfg = replace(train_config, seed=seed)
-        res = GridResult(ordinal=ordinal, config=cfg, seed=seed)
+    def outcome(candidate):
+        """(best cv accuracy, "") of one candidate, or (nan, its error)."""
+        ordinal, cfg = candidate
         try:
             train_set, cv_set = dataset_for_config(cfg)
+            run_cfg = replace(train_config, seed=derive_seed(train_config.seed, ordinal))
             history = train_network(train_set, cv_set, cfg, run_cfg)[1]
-            res.cv_accuracy = max(h[2] for h in history)
+            return max(h[2] for h in history), ""
         except Exception as e:  # recorded, sweep continues
-            res.error = f"{type(e).__name__}: {e}"
-        results.append(res)
+            return float("nan"), f"{type(e).__name__}: {e}"
+
+    outcomes = ordered_map(lambda share: map(outcome, share), candidates)
+    results = [GridResult(ordinal, cfg, derive_seed(train_config.seed, ordinal), acc, error)
+               for (ordinal, cfg), (acc, error) in zip(candidates, outcomes)]
 
     def rank_key(r):
         acc = -1.0 if r.failed else r.cv_accuracy
