@@ -8,7 +8,8 @@ defaulting to True is turned off by `--no-<key>` (False: on by
 `--<key>`). Flags beat config-file values, which are checked against the
 same table; the fully resolved configuration is echoed to
 <out>/resolved.json. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric/divergence error. Identical invocations produce byte-identical
+3 numeric/divergence error, 4 resource error (a lost worker process, out
+of memory). Identical invocations produce byte-identical
 outputs.
 """
 
@@ -27,15 +28,23 @@ from .corpus import (
     collect_alphabet,
     cycle_bias,
     load_manifest,
+    load_signal,
     load_utterance,
     read_labels,
+    stored_length,
     synth_corpus,
     utterance_grid,
     write_corpus,
 )
 from .crf import train_transitions
-from .decoding import compute_emissions, decode_utterances, decoder
-from .errors import DataError, DivergenceError, NoLegalPathError
+from .decoding import (
+    compute_emissions,
+    decode_seconds,
+    decode_utterances,
+    decoder,
+    decoder_units,
+)
+from .errors import DataError, DivergenceError, NoLegalPathError, WorkerLostError
 from .model_io import load_model, save_model
 from .net import (
     NetworkConfig,
@@ -462,7 +471,7 @@ def cmd_decode(args):
     def checked(ref):
         """The loaded utterance, or the DataError that makes it undecodable."""
         try:
-            utt = load_utterance(ref, feature_dim, cfg["raw_sample_rate"] or None)
+            utt = load_signal(ref, feature_dim, cfg["raw_sample_rate"] or None)
             if utt.waveform is not None and feature_dim is not None:
                 raise DataError("waveform utterance for a feature-input model")
             if utt.waveform is not None and model_rate and utt.waveform.sample_rate != model_rate:
@@ -476,10 +485,14 @@ def cmd_decode(args):
     def decode_share(share):  # each worker loads, scores and decodes its own share
         return decode_utterances((checked(ref) for ref in share), params, hop, decode)
 
+    seconds = decode_seconds(
+        params.config, hop, decoder_units(cfg["decoder"], len(alphabet), cfg["min_duration"])
+    )
+
     hyp_dir = out / "hyp"
     hyp_dir.mkdir(parents=True, exist_ok=True)
     log_rows = []
-    outcomes = ordered_map(decode_share, refs)
+    outcomes = ordered_map(decode_share, refs, lambda ref: seconds(stored_length(ref, feature_dim)))
     for ref, outcome in zip(refs, outcomes):
         if isinstance(outcome, Exception):
             log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
@@ -768,6 +781,9 @@ def main(argv=None):
     except NoLegalPathError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
+    except (WorkerLostError, MemoryError) as e:
+        print(f"resource error: {e or 'out of memory'}", file=sys.stderr)
+        return 4
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ so corpora are reproducible sample-for-sample and generation could be
 parallelized per utterance without changing output.
 """
 
+import dataclasses
 import json
 import wave
 from dataclasses import dataclass
@@ -131,6 +132,9 @@ class UtteranceRef:
 
 @dataclass
 class LabeledUtterance:
+    """One utterance's signal and its segment labels; `annotation` is None
+    for an utterance read without its labels (load_signal)."""
+
     id: str
     annotation: SegmentAnnotation
     waveform: Waveform = None
@@ -139,7 +143,7 @@ class LabeledUtterance:
     def __post_init__(self):
         if (self.waveform is None) == (self.features is None):
             raise ValueError("utterance needs exactly one of waveform or features")
-        if self.annotation.segments:
+        if self.annotation is not None and self.annotation.segments:
             # spans are samples for waveforms, frames for feature matrices
             length = len(self.waveform) if self.waveform is not None else self.features.shape[0]
             end = self.annotation.segments[-1][1]
@@ -185,13 +189,26 @@ def load_manifest(path):
 
 
 def load_utterance(ref, feature_dim=None, raw_sample_rate=None):
-    """Materialize one manifest row.
+    """Materialize one manifest row: its labels, then its signal (see load_signal)."""
+    try:
+        annotation = read_labels(ref.labels_path)
+    except OSError as e:
+        raise DataError(f"cannot read utterance {ref.id}: {e}") from e
+    try:
+        return dataclasses.replace(load_signal(ref, feature_dim, raw_sample_rate),
+                                   annotation=annotation)
+    except ValueError as e:  # labels that run past the signal
+        raise DataError(str(e)) from e
+
+
+def load_signal(ref, feature_dim=None, raw_sample_rate=None):
+    """One manifest row's waveform or feature matrix, without its labels.
 
     `feature_dim` is required for feature utterances. A `wav` path ending
     in .f32 is read as a headerless float32 stream at `raw_sample_rate`.
+    The label file is not opened: the utterance's annotation is None.
     """
     try:
-        annotation = read_labels(ref.labels_path)
         if ref.wav_path is not None:
             if str(ref.wav_path).endswith(".f32"):
                 if raw_sample_rate is None:
@@ -201,15 +218,33 @@ def load_utterance(ref, feature_dim=None, raw_sample_rate=None):
                 wav = read_raw_float(ref.wav_path, raw_sample_rate)
             else:
                 wav = read_wav(ref.wav_path)
-            return LabeledUtterance(ref.id, annotation, waveform=wav)
+            return LabeledUtterance(ref.id, None, waveform=wav)
         if feature_dim is None:
             raise DataError(f"{ref.feat_path}: feature input needs --feature-dim")
         feats = load_feature_matrix(ref.feat_path, feature_dim)
-        return LabeledUtterance(ref.id, annotation, features=feats)
+        return LabeledUtterance(ref.id, None, features=feats)
     except OSError as e:
         raise DataError(f"cannot read utterance {ref.id}: {e}") from e
     except ValueError as e:
         raise DataError(str(e)) from e
+
+
+def stored_length(ref, feature_dim=None):
+    """The samples (frames of a feature matrix) one manifest row's file holds,
+    judged from its size alone without reading it; 0 if it cannot be stat'ed.
+
+    A WAV file is taken as a 44-byte header and 16-bit samples.
+    """
+    path = ref.wav_path if ref.wav_path is not None else ref.feat_path
+    try:
+        size = path.stat().st_size
+    except OSError:
+        return 0
+    if ref.feat_path is not None:
+        return size // (4 * (feature_dim or 1))
+    if str(path).endswith(".f32"):
+        return size // 4
+    return max(0, size - 44) // 2
 
 
 def write_manifest(path, rows):

@@ -12,7 +12,7 @@ from .crf import GROUP_FRAMES, viterbi_batch
 from .errors import DataError, NoLegalPathError
 from .framing import grid_windows, pad_features
 from .hmm import build_duration_graph, decode_batch
-from .net import log_softmax, score_frames
+from .net import frame_multiply_adds, log_softmax, score_frames
 from .scoring import collapse_path
 
 
@@ -68,6 +68,42 @@ def decoder(name, alphabet, transitions, min_duration):
         return [collapse_path([alphabet[i] for i in path]) for path in paths]
 
     return decode
+
+
+# The inline seconds of a decode, which workers.ordered_map weighs against
+# the price of a fork: per frame, MULTIPLY_ADD_S per multiply-add of the
+# network plus DECODER_UNIT_S per unit of the decoder's work. Measured on
+# a 2 vCPU VM (Python 3.11, OPENBLAS_NUM_THREADS=1), loading, scoring and
+# argmax-decoding the benchmark's test splits inline, interleaved in one
+# process: 7,654 frames of a 39-class feature network (11,290
+# multiply-adds a frame) in 14.5 ms, and 878 and 3,742 frames of the
+# acceptance raw network (329,900) in 54.6 and 234 ms: 0.2 ns a
+# multiply-add fits all three within 20%.
+# A decoder unit costs about 4 ns inline in the CRF and 20-35 ns in the HMM,
+# but a fork takes off less than that: both batched Viterbis step once
+# per frame of a group's longest utterance, which a share keeps. The unit
+# price is set where the gate decides the K = 39 decodes of the `feat39`
+# benchmark as interleaved A/B runs of its 24-utterance test split did:
+# inline for argmax (1.16x faster than forked, 19 of 21 pairs) and HMM
+# (1.06x, 16 of 21), forked for the CRF (1.37x, 11 of 11). Any price
+# from 0.3 to 2.5 ns gives those three decisions.
+MULTIPLY_ADD_S = 0.2e-9
+DECODER_UNIT_S = 1e-9
+
+
+def decoder_units(name, num_classes, min_duration):
+    """The work per frame of a decoder beyond scoring: 0 for argmax, K^2 for
+    the CRF's candidate scores, K * min_duration for the HMM's chain states."""
+    return {"argmax": 0, "crf": num_classes**2, "hmm": num_classes * min_duration}[name]
+
+
+def decode_seconds(config, hop, units):
+    """The function from an utterance's length in samples (frames of a
+    feature matrix) to the estimated seconds of scoring and decoding it
+    inline, for a network of `config` framed every `hop` samples and a
+    decoder doing `units` of work per frame (decoder_units)."""
+    per_frame = MULTIPLY_ADD_S * frame_multiply_adds(config, hop) + DECODER_UNIT_S * units
+    return lambda length: length // hop * per_frame
 
 
 def decode_utterances(utts, params, hop, decode):

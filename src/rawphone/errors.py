@@ -15,3 +15,8 @@ class DivergenceError(RawphoneError):
 
 class NoLegalPathError(RawphoneError):
     """The decoder graph admits no path for the given sequence length."""
+
+
+class WorkerLostError(RawphoneError):
+    """A worker process ended before it sent its results (killed, or out of
+    memory), or raised an exception that could not be sent to the parent."""

@@ -244,6 +244,25 @@ def batch_frames(config, dtype):
     return max(1, BATCH_BYTES // (max(widths) * np.dtype(dtype).itemsize))
 
 
+def frame_multiply_adds(config, hop):
+    """Multiply-adds score_frames spends per frame of a signal framed every `hop` rows.
+
+    Stage 0 runs once per position of its shared grid, hop / gcd(hop,
+    shift) positions per frame; every later layer runs once per frame. A
+    network without stages runs its hidden layer as stage 0.
+    """
+    if not config.stages:
+        return config.hidden_units * (config.input_frames * config.input_dim + config.num_classes)
+    first = config.stages[0]
+    positions = hop // math.gcd(hop, first.shift)
+    total = positions * first.kernel_width * config.input_dim * first.out_dim
+    d_in = first.out_dim
+    for (t_conv, _t_pool), stage in zip(config.frame_counts()[1:], config.stages[1:]):
+        total += t_conv * stage.kernel_width * d_in * stage.out_dim
+        d_in = stage.out_dim
+    return total + config.hidden_units * (config.flattened_size() + config.num_classes)
+
+
 def _window_view(x, kernel_width, shift):
     """Read-only view of the kW-frame windows at each shift: (N, T, d) -> (N, T', kW*d).
 

@@ -7,8 +7,6 @@ from one deterministic minimal alignment (preference match > sub > del >
 ins during backtrace) since the split itself need not be unique.
 """
 
-import numpy as np
-
 from .errors import DataError
 
 
@@ -60,42 +58,58 @@ def levenshtein(ref, hyp):
 
     The distance is unique; the breakdown follows the deterministic
     backtrace preference match > substitution > deletion > insertion.
-    Each DP row takes three array operations: X[0] = i and
-    X[k] = min(D[i-1, k-1] + cost, D[i-1, k] + 1) cover substitution and
-    deletion, and the running minimum D[i, j] = j + min_{k<=j} (X[k] - k)
-    adds the insertion chains, all in exact integers.
+    Each DP column is held as two bit vectors along the reference, in
+    Python ints (Myers 1999, in Hyyrö's 2001 form for the global
+    distance): bit i-1 of vp[j] (vn[j]) is set where D[i][j] - D[i-1][j]
+    is +1 (-1). A column costs a dozen integer operations whatever the
+    reference length, and the backtrace reads each cell it visits as
+    D[i][j] = j + popcount(vp[j] & low_i) - popcount(vn[j] & low_i),
+    with low_i = 2^i - 1, all in exact integers.
     """
-    codes = {}
-    r = [codes.setdefault(x, len(codes)) for x in ref]
-    h = [codes.setdefault(x, len(codes)) for x in hyp]
-    n, m = len(r), len(h)
-    h_codes = np.array(h, dtype=np.int64)
-    d = np.zeros((n + 1, m + 1), dtype=np.int64)
-    k = np.arange(m + 1)
-    d[0] = k
-    x = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        x[0] = i
-        np.minimum(d[i - 1, :-1] + (h_codes != r[i - 1]), d[i - 1, 1:] + 1, out=x[1:])
-        x -= k
-        np.minimum.accumulate(x, out=d[i])
-        d[i] += k
-    d = d.tolist()
+    n, m = len(ref), len(hyp)
+    mask = (1 << n) - 1
+    peq = {}  # symbol -> the bits of its positions in ref
+    for i, x in enumerate(ref):
+        peq[x] = peq.get(x, 0) | (1 << i)
+    pv, mv = mask, 0  # column 0: D[i][0] = i
+    vp, vn = [pv], [mv]
+    for y in hyp:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) << 1) | 1  # row 0 steps by +1: D[0][j] = j
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        vp.append(pv)
+        vn.append(mv)
+
+    def cell(i, j):
+        low = (1 << i) - 1
+        return j + (vp[j] & low).bit_count() - (vn[j] & low).bit_count()
+
     subs = dels = ins = 0
     i, j = n, m
+    dist = d = cell(n, m)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and r[i - 1] == h[j - 1] and d[i][j] == d[i - 1][j - 1]:
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + 1:
-            subs += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return d[n][m], (subs, dels, ins)
+        if i > 0 and j > 0:
+            if ref[i - 1] == hyp[j - 1]:  # a match: then D[i][j] == D[i-1][j-1]
+                i, j = i - 1, j - 1
+                continue
+            diag = cell(i - 1, j - 1)
+            if d == diag + 1:
+                subs += 1
+                i, j, d = i - 1, j - 1, diag
+                continue
+        if i > 0:
+            up = d - (vp[j] >> (i - 1) & 1) + (vn[j] >> (i - 1) & 1)
+            if d == up + 1:
+                dels += 1
+                i, d = i - 1, up
+                continue
+        ins += 1
+        j, d = j - 1, d - 1
+    return dist, (subs, dels, ins)
 
 
 def corpus_report(sequences):

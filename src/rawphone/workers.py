@@ -1,35 +1,59 @@
 """An ordered map over forked worker processes.
 
-`ordered_map(work, items)` cuts `items` into one run of consecutive
-items per worker and returns what `work` yields for each item, in item
-order, whatever the number of workers. The number of workers is the
-number of usable cores, capped at the number of items; the calling
-process runs the first share itself and forks one child per further
-share, each started on a core of its own. With one worker nothing is
-forked.
+`ordered_map(work, items, cost)` cuts `items` into one run of
+consecutive items per worker and returns what `work` yields for each
+item, in item order, whatever the number of workers. The number of
+workers is the number of usable cores, capped at the number of items;
+the calling process runs the first share itself and forks one child per
+further share, each started on a core of its own. With one worker
+nothing is forked.
+
+Fork gate: a fork has a price (FORK_PRICE_S, about 10 ms a child on a
+2 vCPU VM), so a caller that can estimate each item's inline seconds
+passes `cost`, and the map keeps only as many workers as have later
+shares that outweigh the price of their forks, down to none. `decode`
+estimates from file sizes and the model before it loads anything;
+`grid` and `ablate-pool`, whose items are whole trainings, pass none and
+always fork.
 
 Start method: `fork`. A forked child starts with the parent's loaded
-model, closures and monkeypatches in about 1 ms, where `spawn` would
+model, closures and monkeypatches in about 1.6 ms, where `spawn` would
 start an interpreter and import numpy and rawphone again (about 0.4 s on
 a 2 vCPU VM, twice a whole decode of the benchmark's 48-utterance test
 split) and would have to pickle every closure. Fork has a cost of its
 own: each process then takes a copy-on-write fault the first time it
-writes to a page it had before the fork, about 3.5 ms in a 7 ms decode
-share of small feature utterances.
+writes to a page it had before the fork.
 Fork copies only the calling thread, so a lock held by another thread
 would stay locked in the child. Hence a process that runs any Python
 thread besides the main one maps inline, and OpenBLAS stops its own
 thread pool in a `pthread_atfork` handler before each fork, so the
 process forks while single-threaded (and Python 3.12 has no threads to
 warn about). A child runs its share, pickles its outputs to the parent
-through a pipe and exits; it writes no files. A child maps its own
-inner `ordered_map` calls inline, so workers never fork again.
+through a pipe and exits; it writes no files. An exception it raises is
+sent as it is, or as its class and message where pickle cannot send it;
+a child that ends without sending (killed, out of memory) is a
+WorkerLostError. A child maps its own inner `ordered_map` calls inline,
+so workers never fork again.
 """
-
 import contextlib
 import io
 import os
+import pickle
+import signal
 import sys
+
+from .errors import WorkerLostError
+
+# The price of one forked child, in wall seconds that a map run inline
+# would not spend. Measured on a 2 vCPU VM (Linux, Python 3.11,
+# OPENBLAS_NUM_THREADS=1) as forked minus inline `decode` wall time of 2
+# utterances, 1 per share, in 21 interleaved pairs: 8.1 ms with a
+# feature-input model, whose child utterance takes about 0.5 ms, and
+# 2.7 ms with the acceptance raw model, whose child utterance takes about
+# 7 ms beside the parent's. Starting the child takes about 1.6 ms; the
+# rest is copy-on-write faults (900-1,400 in each process, against 23 in
+# an inline run), the child's exit and the join.
+FORK_PRICE_S = 0.010
 
 
 def usable_cores():
@@ -52,7 +76,7 @@ def worker_count(num_items):
     return max(1, min(usable_cores(), num_items))
 
 
-def ordered_map(work, items):
+def ordered_map(work, items, cost=None):
     """The outputs of `work` over consecutive shares of `items`, in item order.
 
     `work(share)` takes a list of consecutive items and yields one output
@@ -60,16 +84,28 @@ def ordered_map(work, items):
     failing share is raised here, after the stderr its workers wrote
     before it; a worker's stderr is buffered and written out in share
     order. Every child is joined before this returns or raises.
+
+    `cost(item)`, where the caller can estimate it, is the seconds `work`
+    would take over the item inline. The map then forks only where the
+    split pays: it takes the most workers, up to worker_count, whose
+    later shares are estimated at more than FORK_PRICE_S per forked
+    child, and runs inline when no count passes. Without `cost` it takes
+    worker_count workers. A worker that ends before it sends its results
+    is a WorkerLostError.
     """
     items = list(items)
     workers = worker_count(len(items))
+    if workers > 1 and cost is not None:
+        costs = [cost(item) for item in items]
+        while workers > 1 and sum(costs[len(items) // workers :]) <= FORK_PRICE_S * (workers - 1):
+            workers -= 1
     if workers == 1:
         return list(work(items))
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
     cores = sorted(os.sched_getaffinity(0))
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
     children = []
     try:
         _move_to(cores[0])
@@ -85,15 +121,14 @@ def ordered_map(work, items):
             try:
                 done, error, stderr = receive.recv()
             except EOFError:
-                done = None
+                child.join()
+                raise WorkerLostError(f"a worker process {_ending(child.exitcode)} "
+                                      "before sending its results") from None
             child.join()
-            if done is None:
-                raise RuntimeError(
-                    f"a worker process ended with exit code {child.exitcode} "
-                    "before sending its results"
-                )
             sys.stderr.write(stderr)
             outputs += done
+            if isinstance(error, tuple):
+                error = _rebuilt(*error)
             if error is not None:
                 raise error
         return outputs
@@ -104,6 +139,44 @@ def ordered_map(work, items):
             child.join()
             child.close()
             receive.close()
+
+
+def _ending(exitcode):
+    """How a child process with this exit code ended, in words."""
+    if exitcode is not None and exitcode < 0:
+        try:
+            return f"was killed by signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"was killed by signal {-exitcode}"
+    return f"ended with exit code {exitcode}"
+
+
+def _sendable(error):
+    """`error` if it pickles and unpickles, else (its class, or the class's
+    name where the class does not pickle, and its message)."""
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:  # an attribute or constructor that pickle cannot handle
+        pass
+    cls = type(error)
+    try:
+        pickle.loads(pickle.dumps(cls))
+    except Exception:  # a class defined inside a function
+        cls = cls.__qualname__
+    return cls, str(error)
+
+
+def _rebuilt(cls, message):
+    """A worker's exception that could not be sent as it was, rebuilt from its
+    class and message, or a WorkerLostError naming its type."""
+    if isinstance(cls, type):
+        try:
+            return cls(message)
+        except Exception:  # a constructor that takes no message
+            cls = cls.__qualname__
+    return WorkerLostError(f"a worker process raised {cls}, which could not be sent "
+                           f"to the parent: {message}")
 
 
 def _move_to(core):
@@ -127,6 +200,6 @@ def _run_share(work, share, core, send):
         try:
             outputs = list(work(share))
         except Exception as e:  # raised again by the parent, in share order
-            error = e
+            error = _sendable(e)
     send.send((outputs, error, stderr.getvalue()))
     send.close()

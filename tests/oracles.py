@@ -511,7 +511,7 @@ def reference_decode_scores(log_emissions, k, d):
 
 
 def reference_levenshtein(ref, hyp):
-    """The cell-by-cell DP and backtrace the row-vectorized `levenshtein` replaced."""
+    """The cell-by-cell DP and backtrace that the bit-parallel `levenshtein` must reproduce."""
     ref = list(ref)
     hyp = list(hyp)
     n, m = len(ref), len(hyp)

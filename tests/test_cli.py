@@ -314,6 +314,28 @@ class TestDecode:
         assert rows["wide"]["status"] == "ok"
         assert not (tmp_path / "d" / "hyp" / "narrow.txt").exists()
 
+    @pytest.mark.parametrize("labels", ["missing", "corrupt"])
+    def test_labels_are_not_read_by_decode_but_by_eval(self, corpus, trained, tmp_path,
+                                                       capsys, labels):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [json.loads(line) for line in (corpus / "test.jsonl").read_text().splitlines()]
+        rows = [{**r, "wav": str(corpus / r["wav"]), "labels": str(corpus / r["labels"])}
+                for r in rows]
+        rows[0]["labels"] = str(data / "bad.txt")
+        if labels == "corrupt":
+            (data / "bad.txt").write_text("0 100\n")
+        manifest = data / "m.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(["decode", "--manifest", manifest, "--model", trained / "model.rcn",
+                    "--decoder", "argmax", "--out", tmp_path / "d"]) == 0
+        log = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").open()))
+        assert [r["status"] for r in log] == ["ok"] * len(rows)
+        capsys.readouterr()
+        assert run(["eval", "--ref-manifest", manifest, "--hyp-dir", tmp_path / "d" / "hyp",
+                    "--out", tmp_path / "e"]) == 2
+        assert str(data / "bad.txt") in capsys.readouterr().err
+
     def test_every_utterance_failing_exits_data_error(self, trained, tmp_path, capsys):
         wav_dir = tmp_path / "data"
         wav_dir.mkdir()

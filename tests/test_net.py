@@ -8,6 +8,7 @@ from rawphone.net import (
     StageConfig,
     backward_pass,
     forward_pass,
+    frame_multiply_adds,
     init_params,
     log_softmax,
     maxpool_forward,
@@ -310,6 +311,23 @@ class TestParamCount:
         base = NetworkConfig(90, 1, (StageConfig(5, 1, 8, 1),), 16, 5)
         pooled = NetworkConfig(90, 1, (StageConfig(5, 1, 8, 3),), 16, 5)
         assert param_count(pooled) < param_count(base)
+
+
+class TestFrameMultiplyAdds:
+    def test_shared_stage_zero_runs_once_per_grid_position(self):
+        # hop 160, shift 10: 16 positions a frame of 160 taps x 30 filters; then
+        # 44 x 5 x 30 x 30, 6 x 9 x 30 x 30, 60 x 100 and 100 x 5 per frame
+        cfg = NetworkConfig(1600, 1, (StageConfig(160, 10, 30, 3), StageConfig(5, 1, 30, 3),
+                                      StageConfig(9, 1, 30, 3)), 100, 5)
+        assert frame_multiply_adds(cfg, 160) == 76800 + 198000 + 48600 + 6000 + 500
+
+    def test_feature_network(self):
+        cfg = NetworkConfig(9, 39, (StageConfig(3, 1, 20, 1),), 50, 39)
+        assert frame_multiply_adds(cfg, 1) == 3 * 39 * 20 + 7 * 20 * 50 + 50 * 39
+
+    def test_network_without_stages(self):
+        cfg = NetworkConfig(9, 39, (), 50, 39)
+        assert frame_multiply_adds(cfg, 1) == 9 * 39 * 50 + 50 * 39
 
 
 class TestBackwardPass:

@@ -80,6 +80,33 @@ class TestLevenshtein:
             hyp = [f"p{x}" for x in rng.integers(0, symbols, size=rng.integers(0, 16))]
             assert levenshtein(ref, hyp) == reference_levenshtein(ref, hyp), (ref, hyp)
 
+    @pytest.mark.parametrize("symbols, lengths", [
+        (39, (30, 91)),  # feat39-sized references and hypotheses
+        (3, (65, 120)),  # past one 64-bit word, few symbols: many tied alignments
+    ])
+    def test_long_pairs_identical_to_cell_by_cell_reference(self, symbols, lengths):
+        rng = np.random.default_rng(symbols)
+        for trial in range(150):
+            alphabet = [f"p{x}" for x in range(int(rng.integers(1, symbols + 1)))]
+
+            def draw():
+                return [alphabet[x] for x in rng.integers(0, len(alphabet),
+                                                          size=rng.integers(*lengths))]
+
+            ref = draw()
+            if trial % 2:  # an unrelated hypothesis
+                hyp = draw()
+            else:  # the reference with up to len/2 random edits
+                hyp = list(ref)
+                for _edit in range(int(rng.integers(0, len(ref) // 2))):
+                    at = int(rng.integers(0, len(hyp) + 1))
+                    del hyp[at : at + int(rng.integers(0, 2))]
+                    if rng.integers(0, 2):
+                        hyp.insert(at, alphabet[rng.integers(0, len(alphabet))])
+            assert levenshtein(ref, hyp) == reference_levenshtein(ref, hyp), (ref, hyp)
+            deletions = (len(ref), (0, len(ref), 0))
+            assert levenshtein(ref, []) == reference_levenshtein(ref, []) == deletions
+
 
 def phoneme_accuracy(ref, hyp):
     """The accuracy `eval` reports for a one-utterance corpus, checked against its row."""

@@ -3,12 +3,15 @@
 Every output of `decode`, `eval`, `grid` and `ablate-pool` must be
 byte-identical whatever the number of workers, and a failure inside a
 worker must end the subcommand as it ends the same run on one worker.
-The worker count is set through `workers.usable_cores`.
+The worker count is set through `workers.usable_cores`, and the fork
+gate is forced open or shut through `workers.FORK_PRICE_S`: the decodes
+here are small enough that the gate would run them inline.
 """
 
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 
@@ -18,8 +21,10 @@ import pytest
 from rawphone import decoding, workers
 from rawphone.cli import main
 from rawphone.corpus import write_labels, write_wav
-from rawphone.errors import DivergenceError
+from rawphone.decoding import decode_seconds, decoder_units
+from rawphone.errors import DataError, DivergenceError, WorkerLostError
 from rawphone.framing import SegmentAnnotation, Waveform
+from rawphone.net import NetworkConfig, StageConfig
 from rawphone.workers import ordered_map, worker_count
 
 SMALL_NET = ["--window-ms", "50", "--stages", "80:10:3,5:1:3,3:1:2",
@@ -36,6 +41,15 @@ def cores(monkeypatch):
     def set_cores(n):
         monkeypatch.setattr(workers, "usable_cores", lambda: n)
     return set_cores
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Force the fork gate open (fork whatever the estimate) or shut (never fork)."""
+    def set_gate(state):
+        price = {"open": -float("inf"), "shut": float("inf")}[state]
+        monkeypatch.setattr(workers, "FORK_PRICE_S", price)
+    return set_gate
 
 
 def tree_bytes(root):
@@ -101,7 +115,38 @@ class TestOrderedMap:
                 os._exit(7)
             yield from share
 
-        with pytest.raises(RuntimeError, match="exit code 7"):
+        with pytest.raises(WorkerLostError, match="exit code 7"):
+            ordered_map(work, range(4))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_that_does_not_pickle_arrives_as_its_class_and_message(self, cores):
+        cores(2)
+
+        def work(share):
+            for x in share:
+                if x == 3:
+                    error = DataError(f"item {x} is bad")
+                    error.hook = lambda: None  # pickle cannot send a lambda
+                    raise error
+                yield x
+
+        with pytest.raises(DataError, match="^item 3 is bad$"):
+            ordered_map(work, range(4))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_whose_class_does_not_pickle_is_a_lost_worker_naming_it(self, cores):
+        cores(2)
+
+        class LocalError(Exception):  # defined in a function: pickle cannot find it
+            pass
+
+        def work(share):
+            for x in share:
+                if x == 3:
+                    raise LocalError("no way home")
+                yield x
+
+        with pytest.raises(WorkerLostError, match="LocalError.*no way home"):
             ordered_map(work, range(4))
         assert multiprocessing.active_children() == []
 
@@ -118,6 +163,60 @@ class TestOrderedMap:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+def pids(share):
+    return (os.getpid() for _item in share)
+
+
+# the benchmark's networks: 39-dim features in 39 classes, and the
+# acceptance architecture on 16 kHz audio in 5 classes
+FEAT39_NET = NetworkConfig(9, 39, (StageConfig(3, 1, 20, 1),), 50, 39)
+RAW_NET = NetworkConfig(1600, 1, (StageConfig(160, 10, 30, 3), StageConfig(5, 1, 30, 3),
+                                  StageConfig(9, 1, 30, 3)), 100, 5)
+
+
+class TestForkGate:
+    """The gate forks only when the later shares' estimated work is worth a fork."""
+
+    def forks(self, config, hop, decoder, frames):
+        """Whether a decode of utterances `frames` long forks on 2 cores."""
+        seconds = decode_seconds(config, hop, decoder_units(decoder, config.num_classes, 3))
+        lengths = [f * hop for f in frames]
+        return len(set(ordered_map(pids, lengths, seconds))) > 1
+
+    # the benchmark's test splits: feat39 24 utterances of about 319
+    # frames, train_raw 12 of about 73, decode_raw 48 of about 78
+    @pytest.mark.parametrize("decoder, forks", [("argmax", False), ("hmm", False),
+                                                ("crf", True)])
+    def test_feat39_sized_decode(self, cores, decoder, forks):
+        cores(2)
+        assert self.forks(FEAT39_NET, 1, decoder, [319] * 24) == forks
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("decoder", ["argmax", "hmm", "crf"])
+    @pytest.mark.parametrize("utterances, frames", [(12, 73), (48, 78)])
+    def test_raw_sized_decodes_fork(self, cores, decoder, utterances, frames):
+        cores(2)
+        assert self.forks(RAW_NET, 160, decoder, [frames] * utterances)
+
+    def test_map_without_an_estimate_forks(self, cores):
+        cores(2)
+        assert len(set(ordered_map(pids, range(2)))) == 2
+
+    def test_forks_only_when_the_later_shares_cost_more_than_the_price(self, cores,
+                                                                      monkeypatch):
+        cores(2)  # shares [0, 1] and [2, 3]: the later share costs 2 + 3 seconds
+        monkeypatch.setattr(workers, "FORK_PRICE_S", 5.0)
+        assert ordered_map(pids, range(4), float) == [os.getpid()] * 4
+        monkeypatch.setattr(workers, "FORK_PRICE_S", 4.9)
+        assert len(set(ordered_map(pids, range(4), float))) == 2
+
+    def test_takes_the_most_workers_whose_forks_pay(self, cores, monkeypatch):
+        cores(4)  # 8 items of 1 s: 4 workers leave 6 s to 3 children, 3 leave 6 s to 2
+        monkeypatch.setattr(workers, "FORK_PRICE_S", 2.5)
+        outputs = ordered_map(pids, [1.0] * 8, float)
+        assert len(set(outputs)) == 3 and outputs[:2] == [os.getpid()] * 2
 
 
 @pytest.fixture(scope="module")
@@ -158,22 +257,25 @@ class TestWorkerCountIndependence:
     # positions 1 and 2 put the failing one on each side of a share boundary
     @pytest.mark.parametrize("position", [1, 2])
     @pytest.mark.parametrize("decoder", ["argmax", "crf", "hmm"])
-    def test_decode_and_eval(self, corpus, model, cores, tmp_path, decoder, position):
+    def test_decode_and_eval(self, corpus, model, cores, gate, tmp_path, decoder, position):
         manifest = manifest_with_bad_rate(corpus, tmp_path / "data", position)
         outputs = {}
-        for count in (1, 2, 3):
-            cores(count)
-            out = tmp_path / f"w{count}"
-            assert run(["decode", "--manifest", manifest, "--model", model,
-                        "--decoder", decoder, "--out", out / "dec"]) == 0
-            assert run(["eval", "--ref-manifest", manifest, "--hyp-dir", out / "dec" / "hyp",
-                        "--out", out / "ev"]) == 0
-            assert multiprocessing.active_children() == []
-            outputs[count] = tree_bytes(out)
-        assert outputs[1] == outputs[2] == outputs[3]
-        log = outputs[1]["dec/decode_log.csv"].decode().splitlines()
+        for state in ("open", "shut"):
+            gate(state)
+            for count in (1, 2, 3):
+                cores(count)
+                out = tmp_path / f"{state}{count}"
+                assert run(["decode", "--manifest", manifest, "--model", model,
+                            "--decoder", decoder, "--out", out / "dec"]) == 0
+                assert run(["eval", "--ref-manifest", manifest,
+                            "--hyp-dir", out / "dec" / "hyp", "--out", out / "ev"]) == 0
+                assert multiprocessing.active_children() == []
+                outputs[state, count] = tree_bytes(out)
+        assert all(tree == outputs["shut", 1] for tree in outputs.values())
+        log = outputs["shut", 1]["dec/decode_log.csv"].decode().splitlines()
         assert log[1 + position].startswith("narrow,error,sample rate 8000 Hz")
-        assert len(log) == 6 and len([p for p in outputs[1] if p.startswith("dec/hyp/")]) == 4
+        hyps = [p for p in outputs["shut", 1] if p.startswith("dec/hyp/")]
+        assert len(log) == 6 and len(hyps) == 4
 
     def test_grid(self, corpus, cores, tmp_path):
         outputs = {}
@@ -208,10 +310,19 @@ class TestWorkerCountIndependence:
         assert outputs[1] == outputs[2]
 
 
+def last_test_utterance(corpus):
+    """The id of the test split's last utterance, in the last share for any worker count."""
+    return json.loads((corpus / "test.jsonl").read_text().splitlines()[-1])["id"]
+
+
 class TestFailuresInsideWorkers:
+    @pytest.fixture(autouse=True)
+    def open_gate(self, gate):
+        gate("open")
+
     def test_scorer_divergence_exits_as_on_one_worker(self, corpus, model, cores, tmp_path,
                                                       monkeypatch, capsys):
-        last = json.loads((corpus / "test.jsonl").read_text().splitlines()[-1])["id"]
+        last = last_test_utterance(corpus)
         score = decoding.compute_emissions
 
         def diverging(utt, params, hop):
@@ -228,6 +339,68 @@ class TestFailuresInsideWorkers:
             assert multiprocessing.active_children() == []
             ends[count] = rc, capsys.readouterr().err
         assert ends[1] == ends[2] == (3, f"numeric error: scores of {last} are not finite\n")
+
+    def test_scorer_error_that_does_not_pickle_exits_as_on_one_worker(
+            self, corpus, model, cores, tmp_path, monkeypatch, capsys):
+        last = last_test_utterance(corpus)
+        score = decoding.compute_emissions
+
+        def failing(utt, params, hop):
+            if utt.id == last:
+                error = DataError(f"utterance {utt.id} is unreadable")
+                error.retry = lambda: score(utt, params, hop)  # pickle cannot send a lambda
+                raise error
+            return score(utt, params, hop)
+
+        monkeypatch.setattr(decoding, "compute_emissions", failing)
+        ends = {}
+        for count in (1, 2):
+            cores(count)
+            rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model", model,
+                      "--out", tmp_path / f"d{count}"])
+            assert multiprocessing.active_children() == []
+            ends[count] = rc, capsys.readouterr().err
+        assert ends[1] == ends[2] == (2, f"data error: utterance {last} is unreadable\n")
+
+    def test_worker_killed_exits_with_a_resource_error(self, corpus, model, cores, tmp_path,
+                                                       monkeypatch, capsys):
+        score = decoding.compute_emissions
+
+        def killed_in_a_worker(utt, params, hop):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return score(utt, params, hop)
+
+        monkeypatch.setattr(decoding, "compute_emissions", killed_in_a_worker)
+        cores(2)
+        rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model", model,
+                  "--out", tmp_path / "d"])
+        err = capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert rc == 4
+        assert err == ("resource error: a worker process was killed by signal SIGKILL "
+                       "before sending its results\n")
+
+    def test_memory_error_exits_with_a_resource_error_on_any_worker_count(
+            self, corpus, model, cores, tmp_path, monkeypatch, capsys):
+        last = last_test_utterance(corpus)
+        score = decoding.compute_emissions
+
+        def exhausted(utt, params, hop):
+            if utt.id == last:
+                raise MemoryError("Unable to allocate 64.0 GiB for an array")
+            return score(utt, params, hop)
+
+        monkeypatch.setattr(decoding, "compute_emissions", exhausted)
+        ends = {}
+        for count in (1, 2):
+            cores(count)
+            rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model", model,
+                      "--out", tmp_path / f"d{count}"])
+            assert multiprocessing.active_children() == []
+            ends[count] = rc, capsys.readouterr().err
+        assert ends[1] == ends[2] == (
+            4, "resource error: Unable to allocate 64.0 GiB for an array\n")
 
     def test_data_error_rows_in_ablate_pool(self, corpus, cores, tmp_path, capsys):
         data = tmp_path / "data"
@@ -256,7 +429,7 @@ class TestFailuresInsideWorkers:
 
     def test_error_outside_the_handled_kinds_propagates(self, corpus, model, cores, tmp_path,
                                                         monkeypatch):
-        last = json.loads((corpus / "test.jsonl").read_text().splitlines()[-1])["id"]
+        last = last_test_utterance(corpus)
         score = decoding.compute_emissions
 
         def failing(utt, params, hop):
