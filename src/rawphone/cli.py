@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .corpus import (
     load_utterance,
     read_labels,
     stored_length,
-    synth_corpus,
+    synth_splits,
     utterance_grid,
     write_corpus,
 )
@@ -145,9 +146,11 @@ def _check_config(path, values, defaults):
 
 
 def _check_at_least(cfg, key, low):
-    """A usage error naming the option unless its resolved value is >= low."""
+    """A usage error naming the option unless its resolved value is finite and >= low."""
     if not cfg[key] >= low:
         raise ValueError(f"{_flag(key)} must be at least {low}, got {cfg[key]}")
+    if cfg[key] == math.inf:
+        raise ValueError(f"{_flag(key)} must be finite, got {cfg[key]}")
 
 
 def _echo_resolved(out_dir, subcommand, resolved):
@@ -178,6 +181,7 @@ def _load_data(cfg, *manifests):
     Returns (splits, alphabet, garbage, sample_rate, hop). The alphabet
     covers all given splits plus the garbage label.
     """
+    _check_at_least(cfg, "raw_sample_rate", 0)
     feature_dim = cfg["feature_dim"] or None
     raw_rate = cfg["raw_sample_rate"] or None
     splits = []
@@ -198,7 +202,7 @@ def _load_data(cfg, *manifests):
         raise DataError("raw input needs waveform utterances")
     else:
         samples = cfg["hop_ms"] * sample_rate / 1000.0
-        if not 0.5 < samples < float("inf"):  # round(0.5) == 0
+        if not 0.5 < samples < math.inf:  # round(0.5) == 0
             raise ValueError(
                 f"--hop-ms {cfg['hop_ms']:g} is {samples:g} samples at {sample_rate} Hz; "
                 "the hop must round to at least one sample"
@@ -226,6 +230,8 @@ SYNTH_DEFAULTS = {
 
 def cmd_synth(args):
     cfg = _resolve(args, SYNTH_DEFAULTS)
+    for key in ("train", "cv", "test", "cycle_bias"):
+        _check_at_least(cfg, key, 0)
     out = Path(args.out)
     bias = None
     if cfg["cycle_bias"] > 0:
@@ -243,9 +249,8 @@ def cmd_synth(args):
         sample_rate=cfg["sample_rate"],
         seed=cfg["seed"],
     )
-    train, cv, test = synth_corpus(spec, cfg["train"], cfg["cv"], cfg["test"])
     out.mkdir(parents=True, exist_ok=True)
-    manifests = write_corpus(out, {"train": train, "cv": cv, "test": test})
+    manifests = write_corpus(out, synth_splits(spec, cfg["train"], cfg["cv"], cfg["test"]))
     _echo_resolved(out, "synth", cfg)
     for name, path in manifests.items():
         print(f"{name}: {path}")
@@ -271,9 +276,12 @@ def _network_config(cfg, sample_rate, num_classes):
         if not cfg["window_frames"]:
             raise ValueError("feature input needs --window-frames")
         input_frames, input_dim = cfg["window_frames"], cfg["feature_dim"]
+    elif cfg["window_frames"]:
+        input_frames, input_dim = cfg["window_frames"], 1
     else:
-        input_frames = cfg["window_frames"] or int(round(cfg["window_ms"] * sample_rate / 1000.0))
-        input_dim = 1
+        if not 0 < cfg["window_ms"] < math.inf:
+            raise ValueError(f"--window-ms must be finite and positive, got {cfg['window_ms']}")
+        input_frames, input_dim = int(round(cfg["window_ms"] * sample_rate / 1000.0)), 1
     return NetworkConfig(
         input_frames=input_frames,
         input_dim=input_dim,
@@ -291,7 +299,7 @@ def _check_window(input_frames, train_utts, cfg=None):
     With `cfg`, the message names the option that set the window.
     """
     raw = train_utts[0].waveform is not None
-    longest = max(len(u.waveform) if raw else len(u.features) for u in train_utts)
+    longest = max(u.length for u in train_utts)
     if input_frames > longest:
         unit, what = ("samples" if raw else "frames"), "window"
         if cfg is not None:
@@ -302,8 +310,9 @@ def _check_window(input_frames, train_utts, cfg=None):
 
 
 def _train_config(cfg):
-    if not 0 <= cfg["lr"] < float("inf"):
+    if not 0 <= cfg["lr"] < math.inf:
         raise ValueError(f"--lr must be finite and at least 0, got {cfg['lr']}")
+    _check_at_least(cfg, "seed", 0)
     return TrainConfig(
         learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
         patience=cfg["patience"], seed=cfg["seed"], shuffle=cfg["shuffle"],
@@ -331,6 +340,13 @@ def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
     return best, history, train_set.by_utterance()
 
 
+def _handed_over(items):
+    """The items of a list in order, each dropped from the list as it is taken."""
+    for i in range(len(items)):
+        item, items[i] = items[i], None
+        yield item
+
+
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
     _check_at_least(cfg, "crf_epochs", 0)
@@ -349,7 +365,10 @@ def cmd_train(args):
 
     transitions = np.zeros((len(alphabet), len(alphabet)))
     if cfg["crf_epochs"] > 0:
-        crf_data = [(compute_emissions(u, best, hop), labels) for u, labels in train_labels]
+        seconds = decode_seconds(net_config, hop, 0)
+        emissions = ordered_map(lambda share: (compute_emissions(u, best, hop) for u, _l in share),
+                                train_labels, lambda pair: seconds(pair[0].length))
+        crf_data = zip(_handed_over(emissions), (labels for _u, labels in train_labels))
 
         def report(epoch, ll, seconds):
             print(
@@ -454,6 +473,7 @@ DECODE_DEFAULTS = {
 
 def cmd_decode(args):
     cfg = _resolve(args, DECODE_DEFAULTS)
+    _check_at_least(cfg, "raw_sample_rate", 0)
     out = Path(args.out)
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
@@ -669,8 +689,9 @@ CHECKGRAD_DEFAULTS = {
 def cmd_check_grad(args):
     cfg = _resolve(args, CHECKGRAD_DEFAULTS)
     _check_at_least(cfg, "configs", 1)
-    if not 0 < cfg["eps"] < float("inf"):
-        raise ValueError(f"--eps must be finite and positive, got {cfg['eps']}")
+    for key in ("eps", "tolerance"):
+        if not 0 < cfg[key] < math.inf:
+            raise ValueError(f"{_flag(key)} must be finite and positive, got {cfg[key]}")
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     all_pass = True
     report = []

@@ -16,6 +16,7 @@ parallelized per utterance without changing output.
 
 import dataclasses
 import json
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,12 +146,16 @@ class LabeledUtterance:
             raise ValueError("utterance needs exactly one of waveform or features")
         if self.annotation is not None and self.annotation.segments:
             # spans are samples for waveforms, frames for feature matrices
-            length = len(self.waveform) if self.waveform is not None else self.features.shape[0]
             end = self.annotation.segments[-1][1]
-            if end > length:
+            if end > self.length:
                 raise ValueError(
-                    f"utterance {self.id}: annotation ends at {end}, input has {length}"
+                    f"utterance {self.id}: annotation ends at {end}, input has {self.length}"
                 )
+
+    @property
+    def length(self):
+        """Samples of the waveform, or frames of the feature matrix."""
+        return len(self.waveform) if self.waveform is not None else self.features.shape[0]
 
 
 def load_manifest(path):
@@ -281,8 +286,14 @@ class SynthSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.duration_ms[0] <= 0 or self.duration_ms[1] < self.duration_ms[0]:
-            raise ValueError("duration_ms must be a positive (lo, hi) range")
+        for name in ("base_freq_hz", "freq_step_hz", "tone_amplitude"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("harmonic_gain", "noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
+        if not 0 < self.duration_ms[0] <= self.duration_ms[1] < math.inf:
+            raise ValueError("duration_ms must be a finite positive (lo, hi) range")
         if self.segments_range[0] < 1 or self.segments_range[1] < self.segments_range[0]:
             raise ValueError("segments_range must be a (lo, hi) range with lo >= 1")
         top = 2.0 * self.class_frequency(self.num_classes - 1)
@@ -296,8 +307,11 @@ class SynthSpec:
             k = self.num_classes
             if b.shape != (k, k):
                 raise ValueError(f"bigram_bias must be {k} x {k}")
-            if b.min() < 0 or (b.sum(axis=1) <= 0).any():
-                raise ValueError("bigram_bias rows must be non-negative with positive sum")
+            if b.min() < 0 or (b.sum(axis=1) <= 0).any() or not np.isfinite(b).all():
+                raise ValueError("bigram_bias rows must be finite and non-negative "
+                                 "with positive sum")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     def class_frequency(self, k):
         return self.base_freq_hz + self.freq_step_hz * k
@@ -355,24 +369,36 @@ def _synth_utterance(spec, rng, utt_id):
     )
 
 
+def _synth_split(spec, split_index, name, count):
+    for i in range(count):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([spec.seed, split_index, i]))
+        )
+        yield _synth_utterance(spec, rng, f"{name}-{i:04d}")
+
+
+def synth_splits(spec, n_train, n_cv, n_test):
+    """Split name -> an iterator over its utterances, each generated when it is taken.
+
+    Every utterance draws from its own seed, so the splits hold the same
+    utterances however they are consumed.
+    """
+    counts = {"train": n_train, "cv": n_cv, "test": n_test}
+    return {name: _synth_split(spec, index, name, count)
+            for index, (name, count) in enumerate(counts.items())}
+
+
 def synth_corpus(spec, n_train, n_cv, n_test):
     """Generate disjoint train/cv/test utterance lists, deterministic per seed."""
-    splits = {}
-    for split_idx, (name, count) in enumerate(
-        [("train", n_train), ("cv", n_cv), ("test", n_test)]
-    ):
-        utts = []
-        for i in range(count):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([spec.seed, split_idx, i]))
-            )
-            utts.append(_synth_utterance(spec, rng, f"{name}-{i:04d}"))
-        splits[name] = utts
-    return splits["train"], splits["cv"], splits["test"]
+    return tuple(list(split) for split in synth_splits(spec, n_train, n_cv, n_test).values())
 
 
 def write_corpus(out_dir, splits):
-    """Write WAVs, label files, and one manifest per split under out_dir."""
+    """Write WAVs, label files, and one manifest per split under out_dir.
+
+    `splits` maps a split name to its utterances, any iterable: each is
+    written, then dropped, before the next is taken.
+    """
     out = Path(out_dir)
     (out / "wav").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)

@@ -189,8 +189,11 @@ class _TransitionBatch:
     A group stores frame t of each utterance still running at t in
     consecutive rows, and those utterances are a prefix of the ones running
     at t - 1: each step of a pass works on contiguous rows, and no padding
-    is stored or computed. p is computed once. One alpha buffer, sized for
-    the largest group, holds the forward pass of the group that ran last.
+    is stored or computed. p is computed once, and each utterance's
+    emissions are dropped once packed into it: data handed over by an
+    iterator that keeps no reference is held once. One alpha buffer, sized
+    for the largest group, holds the forward pass of the group that ran
+    last.
     """
 
     def __init__(self, dataset, num_classes, group_frames=GROUP_FRAMES):
@@ -229,7 +232,8 @@ class _TransitionBatch:
         first = [0, *accumulate(running)]
         p = np.empty((first[-1], alpha_buffer.shape[1]))
         owner = np.empty(first[-1], dtype=np.int64)
-        for j, (e, _y) in enumerate(utts[start:stop]):
+        for j in range(stop - start):
+            e, utts[start + j] = utts[start + j][0], None
             rows = np.array(first[: len(e)]) + j
             top = e.max(axis=1)
             self.top[start + j] = top.sum()

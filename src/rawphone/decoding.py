@@ -129,9 +129,8 @@ def decode_utterances(utts, params, hop, decode):
             outcomes.append(utt)
             continue
         if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
-            length = len(utt.waveform) if utt.waveform is not None else utt.features.shape[0]
             outcomes.append(DataError(
-                f"utterance of {length} samples is shorter than one hop ({hop} samples)"
+                f"utterance of {utt.length} samples is shorter than one hop ({hop} samples)"
             ))
             continue
         emissions = compute_emissions(utt, params, hop)

@@ -15,6 +15,7 @@ per frame.
 """
 
 import math
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -512,6 +513,8 @@ class _StagePlan:
         width = shift * d_in
         pad = np.zeros((blocks + taps - 1, taps * width), dtype)
         self.dwin = pad[taps - 1 : taps - 1 + t_conv, : kw * d_in]
+        # np.dot is matmul's BLAS call with less dispatch, but writes only C-contiguous outputs
+        self.dwin_product = np.dot if self.dwin.flags.c_contiguous else np.matmul
         # A reduced axis that is numpy's innermost is summed pairwise, out
         # of tap order; a repeated lane keeps it outer when width is 1.
         lanes = 2 if width == 1 else 1
@@ -525,7 +528,7 @@ class _StagePlan:
 
     def forward(self, layer):
         np.copyto(self.windows, self.src_windows)
-        np.matmul(self.windows, layer.weight.T, out=self.conv)
+        np.dot(self.windows, layer.weight.T, out=self.conv)
         np.add(self.conv, layer.bias, out=self.conv)
         out = self.out
         if self.pool_width > 1:
@@ -548,11 +551,11 @@ class _StagePlan:
         if self.pool_width > 1:
             self.dconv.fill(0.0)
             self.dconv_flat[self.winner] = dpool
-        np.matmul(self.dconv.T, self.windows, out=self.dweight)
+        np.dot(self.dconv.T, self.windows, out=self.dweight)
         np.add.reduce(self.dbias_terms, axis=0, out=self.dbias)
         if not input_grad:
             return None
-        np.matmul(self.dconv, layer.weight, out=self.dwin)
+        self.dwin_product(self.dconv, layer.weight, out=self.dwin)
         np.add.reduce(self.dwin_taps, axis=1, out=self.din_lanes)
         return self.din
 
@@ -561,11 +564,14 @@ class StepPlan:
     """Preallocated buffers for per-example SGD steps of one (NetworkConfig, dtype).
 
     forward_pass copies the window into `x` and runs every stage into
-    the plan's own buffers, so a step allocates only its scores and its
-    gradients. Gradients live in one flat array `grad` in serialization
-    order (`slots` gives each tensor's slice); `step` is sgd_step's
-    buffer of the same layout. Every matmul and reduction has the
-    operands, shapes and order of the plain array formulation, so steps
+    the plan's own buffers, so a step allocates only its scores.
+    Gradients live in one flat array `grad` in serialization order
+    (`slots` gives each tensor's slice), which backward_pass lends to the
+    Gradients it returns; `lent` is a weak reference to the last one, so
+    the next backward_pass copies it away only if a caller still holds
+    it. `step` is sgd_step's buffer of the same layout. Every matmul and
+    reduction has the operands, shapes and order of the plain array
+    formulation (np.dot runs matmul's BLAS call), so steps
     are bit-for-bit those of conv/argmax-pool/put-along-axis code.
     `generation` counts forward passes; a cache from an earlier one is
     stale, because its activations have been overwritten.
@@ -578,6 +584,7 @@ class StepPlan:
         self.slots = tensor_slots(config)
         size = param_count(config)
         self.grad = np.empty(size, self.dtype)  # written by backward_pass
+        self.lent = None
         self.step = np.empty(size, self.dtype)  # lr * gradient, in sgd_step
         grads = tensor_views(config, self.grad)
         self.x = np.empty((config.input_frames, config.input_dim), self.dtype)
@@ -607,7 +614,7 @@ class Gradients(Mapping):
     Laid out as the plan's slots, i.e. in serialization order.
     """
 
-    __slots__ = ("plan", "flat")
+    __slots__ = ("plan", "flat", "__weakref__")
 
     def __init__(self, plan, flat):
         self.plan = plan
@@ -667,7 +674,7 @@ def forward_pass(window, params):
     for stage, layer in zip(plan.stages, params.conv):
         stage.forward(layer)
     hidden = plan.hidden
-    np.matmul(params.hidden_weight, plan.flat, out=hidden)
+    np.dot(params.hidden_weight, plan.flat, out=hidden)
     np.add(hidden, params.hidden_bias, out=hidden)
     np.tanh(hidden, out=hidden)
     scores = params.output_weight @ hidden + params.output_bias
@@ -679,10 +686,14 @@ def backward_pass(cache, params, dscores, compute_input_grad=True):
 
     Returns (grads, d_input) where grads maps tensor names (as in
     NetworkParams.named_tensors) to arrays of matching shape, all views
-    of one flat buffer `grads.flat`. Max-pooling routes gradient only to
-    the recorded winner positions. Raises if the cache does not belong
-    to `params` at its current version, or if a later forward_pass on
-    `params` has overwritten the activations it refers to.
+    of one flat buffer `grads.flat`: the step plan's gradient buffer,
+    which the next backward_pass on the plan copies away first if grads
+    is still referenced then, so it keeps its values. dscores may be the
+    plan's `doutput_bias`, filled in place (frame_loss's `out`).
+    Max-pooling routes gradient only to the recorded winner positions.
+    Raises if the cache does not belong to `params` at its current
+    version, or if a later forward_pass on `params` has overwritten the
+    activations it refers to.
     """
     plan = cache.plan
     if (
@@ -696,20 +707,24 @@ def backward_pass(cache, params, dscores, compute_input_grad=True):
     if ds.shape != (config.num_classes,):
         raise ValueError(f"dscores must have shape ({config.num_classes},)")
 
-    np.copyto(plan.doutput_bias, ds)
+    if plan.lent is not None and (lent := plan.lent()) is not None:
+        lent.flat = plan.grad.copy()  # still held by a caller, which keeps its values
+    if ds is not plan.doutput_bias:
+        np.copyto(plan.doutput_bias, ds)
     np.multiply(plan.doutput_col, plan.hidden_row, out=plan.doutput_weight)
-    np.matmul(params.output_weight.T, plan.doutput_bias, out=plan.dh)
+    np.dot(params.output_weight.T, plan.doutput_bias, out=plan.dh)
     dpre = plan.dhidden_bias
     np.multiply(plan.hidden, plan.hidden, out=dpre)
     np.subtract(1.0, dpre, out=dpre)
     np.multiply(plan.dh, dpre, out=dpre)
     np.multiply(plan.dhidden_col, plan.flat_row, out=plan.dhidden_weight)
-    np.matmul(params.hidden_weight.T, dpre, out=plan.dflat)
+    np.dot(params.hidden_weight.T, dpre, out=plan.dflat)
 
     dact = plan.dlast
     for i in range(len(plan.stages) - 1, -1, -1):
         dact = plan.stages[i].backward(params.conv[i], dact, input_grad=i > 0 or compute_input_grad)
-    grads = Gradients(plan, plan.grad.copy())
+    grads = Gradients(plan, plan.grad)
+    plan.lent = weakref.ref(grads)
     if not compute_input_grad:
         return grads, None
     return grads, dact.reshape(config.input_frames, config.input_dim).copy()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoding import compute_emissions
+from .decoding import compute_emissions, decode_seconds
 from .errors import DivergenceError
 from .net import (
     NetworkConfig,
@@ -27,20 +27,22 @@ from .net import (
 from .workers import ordered_map
 
 
-def frame_loss(scores, target):
+def frame_loss(scores, target, out=None):
     """Log-probability of `target` under the per-frame score softmax, and its gradient.
 
     Returns (log_likelihood, dscores). The log-likelihood is <= 0, a
     float computed in float64, and not finite when the scores are not.
     dscores = one_hot(target) - softmax(scores), in the scores' dtype;
-    both come from one exponentiation of the shifted scores.
+    both come from one exponentiation of the shifted scores. With `out`,
+    dscores is written there: train_network passes its step plan's
+    `doutput_bias`, which backward_pass then need not fill.
     """
     f = np.asarray(scores)
     if not 0 <= target < f.shape[0]:
         raise ValueError(f"target {target} out of range for {f.shape[0]} classes")
     shifted, e, total = softmax_terms(f)
     total = float(total[0])  # exact; a Python float divides e in e's dtype
-    dscores = np.divide(e, -total, out=e)  # -(e / total), bit for bit
+    dscores = np.divide(e, -total, out=e if out is None else out)  # -(e / total), bit for bit
     dscores[target] += 1.0
     return float(shifted[target]) - math.log(total), dscores
 
@@ -52,11 +54,16 @@ def sgd_step(params, grads, lr):
     are each one flat buffer in serialization order, so finiteness is
     checked, and the step scaled and added, once for all tensors. A
     non-finite gradient raises, naming its tensor, before any update.
+    A finite sum of squares means every entry is finite; only a sum that
+    is not (a non-finite entry, or squares that overflow) is checked
+    tensor by tensor. np.vdot, unlike np.dot, does not warn when the
+    squares overflow.
     """
     flat = grads.flat
-    if not np.isfinite(flat).all():
-        name = next(n for n in grads if not np.isfinite(grads[n]).all())
-        raise DivergenceError(f"non-finite gradient for {name}")
+    if not math.isfinite(np.vdot(flat, flat)):
+        name = next((n for n in grads if not np.isfinite(grads[n]).all()), None)
+        if name is not None:
+            raise DivergenceError(f"non-finite gradient for {name}")
     step = np.multiply(flat, lr, out=grads.plan.step)
     np.add(params.flat, step, out=params.flat)
     params.version += 1
@@ -84,13 +91,19 @@ class TrainConfig:
 def frame_accuracy_of(params, dataset):
     """Percent of dataset frames whose argmax score matches the label.
 
-    Each utterance is scored as decoding scores it (compute_emissions).
+    Each utterance is scored as decoding scores it (compute_emissions),
+    in worker processes where the fork gate finds that the split pays
+    (workers.ordered_map, each utterance costed as an argmax decode).
     """
-    correct = 0
-    for utt, labels in dataset.by_utterance():
-        predicted = compute_emissions(utt, params, dataset.hop).argmax(axis=1)
-        correct += int(np.count_nonzero(predicted == labels))
-    return 100.0 * correct / len(dataset)
+    seconds = decode_seconds(params.config, dataset.hop, 0)
+
+    def correct(share):
+        for utt, labels in share:
+            predicted = compute_emissions(utt, params, dataset.hop).argmax(axis=1)
+            yield int(np.count_nonzero(predicted == labels))
+
+    counts = ordered_map(correct, dataset.by_utterance(), lambda pair: seconds(pair[0].length))
+    return 100.0 * sum(counts) / len(dataset)
 
 
 def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
@@ -123,21 +136,24 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
     history = []
     n = len(train_set)
     labels = train_set.labels.tolist()
+    plan = step_plan(params)
+    x, dscores = plan.x, plan.doutput_bias
     for epoch in range(1, train_config.max_epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(n) if train_config.shuffle else np.arange(n)
-        x = step_plan(params).x
         ll_sum = 0.0
         for step, i in enumerate(order.tolist()):
             train_set.read_window(i, x)
             scores, cache = forward_pass(x, params)
-            ll, dscores = frame_loss(scores, labels[i])
+            ll, _ = frame_loss(scores, labels[i], dscores)
             if not math.isfinite(ll):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, frame {step}")
             ll_sum += ll
-            grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
             try:
-                sgd_step(params, grads, train_config.learning_rate)
+                # held by no name, the gradients die after the step: the next
+                # backward_pass overwrites their buffer without copying it away
+                sgd_step(params, backward_pass(cache, params, dscores, compute_input_grad=False)[0],
+                         train_config.learning_rate)
             except DivergenceError as e:
                 raise DivergenceError(f"epoch {epoch}, frame {step}: {e}") from e
 

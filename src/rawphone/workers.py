@@ -12,7 +12,8 @@ Fork gate: a fork has a price (FORK_PRICE_S, about 10 ms a child on a
 2 vCPU VM), so a caller that can estimate each item's inline seconds
 passes `cost`, and the map keeps only as many workers as have later
 shares that outweigh the price of their forks, down to none. `decode`
-estimates from file sizes and the model before it loads anything;
+estimates from file sizes and the model before it loads anything, and
+`train` its CV scoring and CRF emissions from the utterances' lengths;
 `grid` and `ablate-pool`, whose items are whole trainings, pass none and
 always fork.
 
@@ -94,11 +95,14 @@ def ordered_map(work, items, cost=None):
     is a WorkerLostError.
     """
     items = list(items)
-    workers = worker_count(len(items))
+    # the gate first: a map it keeps inline never imports multiprocessing
+    workers = max(1, min(usable_cores(), len(items)))
     if workers > 1 and cost is not None:
         costs = [cost(item) for item in items]
         while workers > 1 and sum(costs[len(items) // workers :]) <= FORK_PRICE_S * (workers - 1):
             workers -= 1
+    if workers > 1:
+        workers = min(workers, worker_count(len(items)))
     if workers == 1:
         return list(work(items))
     bounds = [len(items) * w // workers for w in range(workers + 1)]

@@ -17,6 +17,7 @@ from rawphone.corpus import (
     read_raw_float,
     read_wav,
     synth_corpus,
+    synth_splits,
     utterance_frame_labels,
     write_corpus,
     write_labels,
@@ -258,6 +259,19 @@ class TestWriteCorpus:
         utt = load_utterance(refs[0])
         assert utt.waveform is not None
         assert utt.annotation.segments == train[0].annotation.segments
+
+    def test_streamed_splits_write_the_corpus_of_the_lists(self, tmp_path):
+        spec = SynthSpec(seed=4)
+        streamed = synth_splits(spec, 3, 2, 1)
+        assert all(not isinstance(split, list) for split in streamed.values())
+        write_corpus(tmp_path / "streamed", streamed)
+        write_corpus(tmp_path / "lists", dict(zip(("train", "cv", "test"),
+                                                  synth_corpus(spec, 3, 2, 1))))
+        files = sorted(p.relative_to(tmp_path / "lists")
+                       for p in (tmp_path / "lists").rglob("*") if p.is_file())
+        assert len(files) == 3 + 2 * 6
+        for rel in files:
+            assert (tmp_path / "streamed" / rel).read_bytes() == (tmp_path / "lists" / rel).read_bytes()
 
     def test_rewriting_is_byte_identical(self, tmp_path):
         train, cv, test = synth_corpus(SynthSpec(seed=0), 2, 1, 1)

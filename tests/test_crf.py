@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,24 @@ class TestFullBatchTraining:
         assert objective[0] > np.mean([crf_log_likelihood(e, np.zeros((5, 5)), y)
                                        for e, y in data])
         assert np.isfinite(result.transitions).all()
+
+    def test_handed_over_emissions_are_released_once_packed(self):
+        data = weak_dataset(seed=64, utterances=6)
+        pairs = [(e.copy(), y) for e, y in data]
+        alive = [weakref.ref(e) for e, _y in pairs]
+
+        def handed_over():  # keeps no reference to a pair it has yielded
+            for i in range(len(pairs)):
+                pair, pairs[i] = pairs[i], None
+                yield pair
+
+        batch = _TransitionBatch(handed_over(), 5, group_frames=200)
+        assert len(batch.groups) > 1
+        assert [ref() for ref in alive] == [None] * len(data)
+        reference = _TransitionBatch(data, 5, group_frames=200)
+        a = np.random.default_rng(64).normal(size=(5, 5))
+        assert batch.log_likelihoods(a).tobytes() == reference.log_likelihoods(a).tobytes()
+        assert batch.gradient().tobytes() == reference.gradient().tobytes()
 
     def test_bad_lr_rejected(self):
         data = weak_dataset(seed=63, utterances=2)

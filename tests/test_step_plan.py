@@ -1,5 +1,7 @@
 """The step plan against the per-call SGD step it replaced: bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rawphone.net import (
     forward_pass,
     init_params,
     param_count,
+    step_plan,
     tensor_shapes,
     tensor_slots,
 )
@@ -28,10 +31,12 @@ NO_STAGE = NetworkConfig(12, 2, (), 7, 4)
 
 
 def plan_step(window, target, params, lr):
+    """One step as train_network takes it: dscores written into the plan, and
+    the gradients passed straight to sgd_step."""
     scores, cache = forward_pass(window, params)
-    ll, dscores = frame_loss(scores, target)
-    grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
-    sgd_step(params, grads, lr)
+    dscores = step_plan(params).doutput_bias
+    ll, _ = frame_loss(scores, target, dscores)
+    sgd_step(params, backward_pass(cache, params, dscores, compute_input_grad=False)[0], lr)
     return ll
 
 
@@ -139,6 +144,41 @@ def test_gradients_stay_valid_after_later_backward_pass():
     s2, c2 = forward_pass(rng.normal(size=(12, 2)), params)
     backward_pass(c2, params, frame_loss(s2, 1)[1])
     assert g1.flat.tobytes() == kept.tobytes()
+
+
+class TestLentGradients:
+    """backward_pass lends the plan's gradient buffer, copied away only if still held."""
+
+    def backward(self, params, rng):
+        """(gradients of a fresh window, peak bytes their backward_pass allocated)."""
+        scores, cache = forward_pass(rng.normal(size=(1600, 1)), params)
+        dscores = frame_loss(scores, 0)[1]
+        tracemalloc.start()
+        try:
+            grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
+            return grads, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_held_gradients_are_copied_away_before_the_buffer_is_overwritten(self):
+        params, rng = init_params(TRAIN_RAW, 0), np.random.default_rng(4)
+        plan = step_plan(params)
+        held, _ = self.backward(params, rng)
+        assert held.flat is plan.grad
+        kept = held.flat.copy()
+        later, allocated = self.backward(params, rng)
+        assert held.flat.tobytes() == kept.tobytes()
+        assert not np.shares_memory(held.flat, plan.grad)
+        assert later.flat is plan.grad
+        assert allocated >= plan.grad.nbytes
+
+    def test_released_gradients_are_not_copied(self):
+        params, rng = init_params(TRAIN_RAW, 0), np.random.default_rng(5)
+        plan = step_plan(params)
+        self.backward(params, rng)
+        grads, allocated = self.backward(params, rng)
+        assert grads.flat is plan.grad
+        assert allocated < plan.grad.nbytes  # its own temporaries only
 
 
 class TestStaleCache:

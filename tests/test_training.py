@@ -32,6 +32,7 @@ from rawphone.training import (
     train_network,
 )
 
+import oracles
 from oracles import logadd, max_rel_error, perceptron_separates
 
 
@@ -197,6 +198,32 @@ class TestSgdStep:
             # nothing moved: the check runs before the update
             assert params.flat.tobytes() == before
             assert params.version == version
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_in_any_tensor_raises_before_any_update(self, bad):
+        params = tiny_params(2)
+        for name, tensor in params.named_tensors():
+            for position in (0, tensor.size - 1):
+                for fill in (1.0, 1e20):  # 1e20 ** 2 overflows float32: the tensor scan decides
+                    grads = filled_gradients(params, fill)
+                    grads[name].reshape(-1)[position] = bad
+                    before, version = params.flat.tobytes(), params.version
+                    with pytest.raises(DivergenceError, match=f"non-finite gradient for {name}$"):
+                        sgd_step(params, grads, 0.1)
+                    assert params.flat.tobytes() == before
+                    assert params.version == version
+
+    def test_finite_gradient_whose_squares_overflow_steps_as_before(self):
+        params = tiny_params(3)
+        reference = params.copy()
+        rng = np.random.default_rng(3)
+        grads = filled_gradients(params, 0.0)
+        grads.flat[...] = rng.uniform(-1.5e20, 1.5e20, size=grads.flat.size)
+        assert (grads.flat.astype(np.float64) ** 2).sum() > np.finfo(np.float32).max
+        sgd_step(params, grads, 1e-21)
+        oracles.sgd_step(reference, grads, 1e-21)
+        assert params.flat.tobytes() == reference.flat.tobytes()
+        assert params.version == reference.version
 
     def test_two_steps_differ_from_combined_step_on_tanh_net(self):
         cfg = NetworkConfig(6, 1, (), 4, 2)

@@ -1,7 +1,7 @@
 """The ordered map over forked workers, and the subcommands that run on it.
 
-Every output of `decode`, `eval`, `grid` and `ablate-pool` must be
-byte-identical whatever the number of workers, and a failure inside a
+Every output of `train`, `decode`, `eval`, `grid` and `ablate-pool` must
+be byte-identical whatever the number of workers, and a failure inside a
 worker must end the subcommand as it ends the same run on one worker.
 The worker count is set through `workers.usable_cores`, and the fork
 gate is forced open or shut through `workers.FORK_PRICE_S`: the decodes
@@ -11,6 +11,7 @@ here are small enough that the gate would run them inline.
 import json
 import multiprocessing
 import os
+import re
 import signal
 import sys
 import threading
@@ -200,6 +201,19 @@ class TestForkGate:
         cores(2)
         assert self.forks(RAW_NET, 160, decoder, [frames] * utterances)
 
+    # train prices its CV and CRF-emission utterances as argmax decodes:
+    # feat39's 4 CV and 12 training utterances of about 319 frames and
+    # train_raw's 2 CV utterances of about 73 stay inline; train_raw's 10
+    # training utterances fork
+    @pytest.mark.parametrize("config, hop, frames, forks", [
+        (FEAT39_NET, 1, [319] * 4, False), (FEAT39_NET, 1, [319] * 12, False),
+        (RAW_NET, 160, [73] * 2, False), (RAW_NET, 160, [73] * 10, True),
+    ], ids=["feat39_cv", "feat39_crf", "train_raw_cv", "train_raw_crf"])
+    def test_train_sized_maps(self, cores, config, hop, frames, forks):
+        cores(2)
+        assert self.forks(config, hop, "argmax", frames) == forks
+        assert multiprocessing.active_children() == []
+
     def test_map_without_an_estimate_forks(self, cores):
         cores(2)
         assert len(set(ordered_map(pids, range(2)))) == 2
@@ -276,6 +290,28 @@ class TestWorkerCountIndependence:
         assert log[1 + position].startswith("narrow,error,sample rate 8000 Hz")
         hyps = [p for p in outputs["shut", 1] if p.startswith("dec/hyp/")]
         assert len(log) == 6 and len(hyps) == 4
+
+    def test_train(self, corpus, cores, gate, tmp_path, capsys):
+        """CV scoring and the CRF's emissions, mapped over the worker count."""
+        outputs = {}
+        for state in ("open", "shut"):
+            gate(state)
+            for count in (1, 2, 3):
+                cores(count)
+                out = tmp_path / f"{state}{count}"
+                assert run(["train", "--train-manifest", corpus / "train.jsonl",
+                            "--cv-manifest", corpus / "cv.jsonl", "--out", out, *SMALL_NET,
+                            "--lr", "3e-4", "--epochs", "2", "--crf-epochs", "2",
+                            "--seed", "3"]) == 0
+                assert multiprocessing.active_children() == []
+                # each epoch line without its timings
+                lines = [re.sub(r", [0-9.]+ s(, [0-9]+ frames/s)?$", "", line)
+                         for line in capsys.readouterr().err.splitlines()]
+                outputs[state, count] = ((out / "model.rcn").read_bytes(),
+                                         (out / "history.csv").read_bytes(), lines)
+        assert all(output == outputs["shut", 1] for output in outputs.values())
+        assert [line.split(":")[0] for line in outputs["shut", 1][2]] == [
+            "epoch 1/2", "epoch 2/2", "crf epoch 1/2", "crf epoch 2/2"]
 
     def test_grid(self, corpus, cores, tmp_path):
         outputs = {}
