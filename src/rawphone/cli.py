@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import (
     SynthSpec,
+    SynthSpecError,
     build_frame_dataset,
     collect_alphabet,
     cycle_bias,
@@ -228,27 +229,41 @@ SYNTH_DEFAULTS = {
 }
 
 
+# SynthSpec field -> the synth options that set it
+SYNTH_OPTIONS = {
+    "num_classes": ["classes"], "base_freq_hz": ["base_freq"], "freq_step_hz": ["freq_step"],
+    "harmonic_gain": ["harmonic_gain"], "tone_amplitude": ["tone_amplitude"],
+    "noise_sigma": ["noise_sigma"], "duration_ms": ["min_duration_ms", "max_duration_ms"],
+    "segments_range": ["min_segments", "max_segments"], "bigram_bias": ["cycle_bias"],
+    "sample_rate": ["sample_rate"], "seed": ["seed"],
+}
+
+
 def cmd_synth(args):
     cfg = _resolve(args, SYNTH_DEFAULTS)
     for key in ("train", "cv", "test", "cycle_bias"):
         _check_at_least(cfg, key, 0)
     out = Path(args.out)
-    bias = None
-    if cfg["cycle_bias"] > 0:
-        bias = cycle_bias(cfg["classes"], cfg["cycle_bias"])
-    spec = SynthSpec(
-        num_classes=cfg["classes"],
-        base_freq_hz=cfg["base_freq"],
-        freq_step_hz=cfg["freq_step"],
-        harmonic_gain=cfg["harmonic_gain"],
-        tone_amplitude=cfg["tone_amplitude"],
-        noise_sigma=cfg["noise_sigma"],
-        duration_ms=(cfg["min_duration_ms"], cfg["max_duration_ms"]),
-        segments_range=(cfg["min_segments"], cfg["max_segments"]),
-        bigram_bias=bias,
-        sample_rate=cfg["sample_rate"],
-        seed=cfg["seed"],
-    )
+    try:
+        spec = SynthSpec(
+            num_classes=cfg["classes"],
+            base_freq_hz=cfg["base_freq"],
+            freq_step_hz=cfg["freq_step"],
+            harmonic_gain=cfg["harmonic_gain"],
+            tone_amplitude=cfg["tone_amplitude"],
+            noise_sigma=cfg["noise_sigma"],
+            duration_ms=(cfg["min_duration_ms"], cfg["max_duration_ms"]),
+            segments_range=(cfg["min_segments"], cfg["max_segments"]),
+            sample_rate=cfg["sample_rate"],
+            seed=cfg["seed"],
+        )
+        if cfg["cycle_bias"] > 0:
+            spec = dataclasses.replace(
+                spec, bigram_bias=cycle_bias(cfg["classes"], cfg["cycle_bias"])
+            )
+    except SynthSpecError as e:  # name the options, not the spec's fields
+        flags = [_flag(key) for field in e.fields for key in SYNTH_OPTIONS[field]]
+        raise ValueError(f"{' and '.join(flags)} {e.problem}") from None
     out.mkdir(parents=True, exist_ok=True)
     manifests = write_corpus(out, synth_splits(spec, cfg["train"], cfg["cv"], cfg["test"]))
     _echo_resolved(out, "synth", cfg)

@@ -112,7 +112,7 @@ def viterbi_batch(emissions, lengths, transitions):
     if lengths.min() < 1 or lengths.max() > t_max:
         raise ValueError(f"lengths must lie in [1, {t_max}]")
     rows = np.arange(n)
-    ends_at = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
+    ends_at = {t_len - 1: np.flatnonzero(lengths == t_len) for t_len in set(lengths.tolist())}
     back = np.zeros((n, t_max, k), dtype=np.min_scalar_type(k - 1))
     final = np.empty((n, k))
     cand = np.empty((n, k, k))  # cand[n, i, j]: arrive at i from j
@@ -124,13 +124,15 @@ def viterbi_batch(emissions, lengths, transitions):
             best = cand.argmax(axis=2)
             back[:, t] = best
             alpha = cand.reshape(-1)[row_starts + best.reshape(-1)].reshape(n, k) + e[:, t]
-        final[ends_at[t]] = alpha[ends_at[t]]
+        if t in ends_at:
+            final[ends_at[t]] = alpha[ends_at[t]]
 
     paths = np.zeros((n, t_max), dtype=np.int64)
     label = np.zeros(n, dtype=back.dtype)
     last = final.argmax(axis=1)
     for t in range(t_max - 1, -1, -1):
-        label[ends_at[t]] = last[ends_at[t]]
+        if t in ends_at:
+            label[ends_at[t]] = last[ends_at[t]]
         paths[:, t] = label
         if t:
             label = back[rows, t, label]

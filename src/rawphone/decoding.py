@@ -56,9 +56,13 @@ def decoder(name, alphabet, transitions, min_duration):
 
     def decode(group):
         if name == "hmm":
-            # log_softmax per utterance, then pad: on the padded batch, its large
-            # temporaries and the padding rows cost about 2.5x as much at K = 39
-            results = decode_batch(*padded([log_softmax(e) for e in group]), graph)
+            # each utterance's log_softmax lands in one zero-padded time-major
+            # batch, which decode_batch steps through frame by frame
+            lengths = [len(e) for e in group]
+            frames = np.zeros((max(lengths), len(group), group[0].shape[1]))
+            for u, e in enumerate(group):
+                log_softmax(e, out=frames[: len(e), u])
+            results = decode_batch(frames.transpose(1, 0, 2), lengths, graph)
             return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
                     for r in results]
         if name == "crf":
@@ -79,14 +83,15 @@ def decoder(name, alphabet, transitions, min_duration):
 # multiply-adds a frame) in 14.5 ms, and 878 and 3,742 frames of the
 # acceptance raw network (329,900) in 54.6 and 234 ms: 0.2 ns a
 # multiply-add fits all three within 20%.
-# A decoder unit costs about 4 ns inline in the CRF and 20-35 ns in the HMM,
-# but a fork takes off less than that: both batched Viterbis step once
-# per frame of a group's longest utterance, which a share keeps. The unit
-# price is set where the gate decides the K = 39 decodes of the `feat39`
-# benchmark as interleaved A/B runs of its 24-utterance test split did:
-# inline for argmax (1.16x faster than forked, 19 of 21 pairs) and HMM
-# (1.06x, 16 of 21), forked for the CRF (1.37x, 11 of 11). Any price
-# from 0.3 to 2.5 ns gives those three decisions.
+# A decoder unit costs about 4 ns inline in the CRF and 7-13 ns in the HMM
+# (its log-softmax included), but a fork takes off less than that: both
+# batched Viterbis step once per frame of a group's longest utterance,
+# which a share keeps. The unit price is set where the gate decides the
+# K = 39 decodes of the `feat39` benchmark as interleaved A/B runs of its
+# 24-utterance test split did: inline for argmax (1.16x faster than
+# forked, 19 of 21 pairs) and HMM (1.18x, 55 of 75), forked for the CRF
+# (1.37x, 11 of 11). Any price from 0.3 to 2.5 ns gives those three
+# decisions.
 MULTIPLY_ADD_S = 0.2e-9
 DECODER_UNIT_S = 1e-9
 

@@ -6,8 +6,15 @@ allowed: state s to s+1 inside a phoneme, a self-loop on the last state
 only, and last state of any phoneme to first state of any phoneme. All
 transitions score 0 (phonemes equally probable), so every decoded
 phoneme occupies at least D frames with no upper bound.
+
+`decode_batch` runs the Viterbi over a padded batch of utterances with
+each chain state held as one (N, K) slab: the entering and middle states
+in a ring of slabs, the last state updated in place. Its back-pointers
+are time-major (the entering argmax and the last states' come-or-stay
+bits per frame), and its backtrace takes one step per decoded segment.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +69,19 @@ def decode_batch(log_emissions, lengths, graph):
     NoLegalPathError `decode_scores` would raise for it. Every utterance
     gets the same adds and tie rules as alone: the entering state takes
     the first best completed phoneme, and the last state of a chain
-    prefers arriving (`come >= stay`) over its self-loop. One Python step
-    per frame of the longest utterance; the back-pointers are the
-    entering argmax per (utterance, frame) and the come-or-stay choice per
-    (utterance, frame, phoneme), as the middle states have one
-    predecessor.
+    prefers arriving (`come >= stay`) over its self-loop.
+
+    The batch is read through its time-major view, so a (T_max, N, K)
+    array passed as `.transpose(1, 0, 2)` is stepped without a copy. The
+    states are (N, K) slabs: the D - 1 entering and middle states of every
+    chain sit in a ring whose head moves back one slab per frame, so the
+    middle states are never copied, and the last state is updated in place.
+    Each frame of the longest utterance takes seven numpy calls (five at
+    D = 1) and no allocation. The back-pointers are the entering argmax per
+    (frame, utterance) and the come-or-stay bit per (frame, utterance,
+    phoneme), as the middle states have one predecessor; the backtrace
+    takes one step per decoded segment: from a phoneme's last frame, its
+    latest come bit lies D - 1 frames after the phoneme was entered.
     """
     e = np.asarray(log_emissions, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -85,57 +100,68 @@ def decode_batch(log_emissions, lengths, graph):
     live = np.flatnonzero(lengths >= d)
     if len(live) == 0:
         return results
-    if len(live) < n:
-        e, lengths = e[live], lengths[live]
-    n, t_max = len(live), int(lengths.max())
-    rows = np.arange(n)
-    ends_at = [np.flatnonzero(lengths == t + 1) for t in range(t_max)]
+    t_max = int(lengths.max())
+    frames = e.transpose(1, 0, 2)  # frames[t]: frame t of every utterance
+    # frame -> the live utterances whose last frame it is
+    ends_at = {t_len - 1: live[lengths[live] == t_len] for t_len in set(lengths[live].tolist())}
 
-    # alpha[:, s, :] holds state s of every phoneme chain
-    alpha = np.full((n, d, k), -np.inf)
-    alpha[:, 0] = e[:, 0]
-    final = np.empty((n, k))
-    enter = np.zeros((n, t_max), dtype=np.min_scalar_type(k - 1))
-    come = np.zeros((n, t_max, k), dtype=bool)
+    # alpha[D - 1] holds the last state of every chain and alpha[: D - 1] the
+    # ring of the others: at frame t, state s < D - 1 is in slab (s - t) % (D - 1)
+    alpha = np.full((d, n, k), -np.inf)
+    alpha[0] = frames[0]
+    ring, last = list(alpha[: d - 1]), alpha[d - 1]
+    final = np.full((n, k), -np.inf)
+    enter = np.zeros((t_max, n), dtype=np.min_scalar_type(k - 1))
+    # come[t, u, c]: the last state of c at frame t was arrived at, not stayed in;
+    # at D = 1 every frame enters the single state of its chain
+    come = np.full((t_max, n, k), d == 1)
+    row_starts = np.arange(n) * k
+    flat = np.empty(n, dtype=np.int64)
+    entering = np.empty((n, 1))
+    entering_row = entering[:, 0]
     for t in range(t_max):
         if t:
-            last = alpha[:, d - 1]
-            new_alpha = np.empty_like(alpha)
-            j = last.argmax(axis=1)
-            enter[:, t] = j
-            new_alpha[:, 0] = last[rows, j][:, None]
-            new_alpha[:, 1 : d - 1] = alpha[:, : d - 2]
-            if d >= 2:
-                use_come = np.greater_equal(alpha[:, d - 2], last, out=come[:, t])
-                new_alpha[:, d - 1] = np.where(use_come, alpha[:, d - 2], last)
-            new_alpha += e[:, t, None, :]
-            alpha = new_alpha
-        final[ends_at[t]] = alpha[ends_at[t], d - 1]
+            enter_t, come_t = enter[t], come[t]
+            last.argmax(axis=1, out=enter_t)
+            np.add(row_starts, enter_t, out=flat)
+            last.take(flat, out=entering_row)
+            if d > 1:
+                prev = ring[-t % (d - 1)]  # state D - 2 at frame t - 1, state 0 at t
+                np.greater_equal(prev, last, out=come_t)
+                np.putmask(last, come_t, prev)
+            else:
+                prev = last
+            np.copyto(prev, entering)
+            alpha += frames[t]
+        if t in ends_at:
+            final[ends_at[t]] = last[ends_at[t]]
 
     best_k = final.argmax(axis=1)
-    score = final[rows, best_k]
-    labels = np.zeros((n, t_max), dtype=np.int64)
-    state_k = np.zeros(n, dtype=np.int64)
-    state_s = np.zeros(n, dtype=np.int64)
-    for t in range(t_max - 1, -1, -1):
-        starts = ends_at[t]
-        state_k[starts] = best_k[starts]
-        state_s[starts] = d - 1
-        labels[:, t] = state_k
-        if t == 0:
-            break
-        entering = state_s == 0
-        stays = (state_s == d - 1) & ~come[rows, t, state_k]
-        state_k = np.where(entering, enter[:, t], state_k)
-        state_s = np.where(entering | stays, d - 1, state_s - 1)
-
-    for u, t_len, frame_labels, best in zip(live.tolist(), lengths.tolist(), labels, score):
-        if not np.isfinite(best):
+    score = final[np.arange(n), best_k].tolist()
+    best_k = best_k.tolist()
+    entered_from = enter.T.tolist()
+    # each (utterance, phoneme)'s come bits, frame by frame, as one bytes object
+    bits = come.transpose(1, 2, 0).tobytes()
+    for u, t_len in zip(live.tolist(), lengths[live].tolist()):
+        best = score[u]
+        if not math.isfinite(best):
             results[u] = NoLegalPathError("no finite-score legal path")
             continue
-        frame_labels = frame_labels[:t_len].copy()
-        phonemes = collapse_path(frame_labels.tolist())
-        results[u] = HmmDecodeResult(phonemes, frame_labels, float(best))
+        # segment by segment from the end: a phoneme's last state at frame stop - 1
+        # was arrived at on its latest come bit, D - 1 frames after its start
+        entered, row0 = entered_from[u], u * k
+        phoneme, stop = best_k[u], t_len
+        segments, runs = [], []
+        while stop:
+            row = (row0 + phoneme) * t_max
+            start = bits.rfind(1, row, row + stop) - row - (d - 1)
+            segments.append(phoneme)
+            runs.append(stop - start)
+            phoneme, stop = entered[start], start
+        segments.reverse()
+        runs.reverse()
+        frame_labels = np.repeat(np.array(segments, dtype=np.int64), runs)
+        results[u] = HmmDecodeResult(collapse_path(segments), frame_labels, best)
     return results
 
 

@@ -450,13 +450,14 @@ def softmax(scores):
     return e / total
 
 
-def log_softmax(scores):
+def log_softmax(scores, out=None):
     """Stable log-softmax over the last axis: (f - max) - log(sum exp(f - max)) per row.
 
     Finite wherever the scores are, even where softmax underflows to 0.
+    Written into `out` when given.
     """
     shifted, _, total = softmax_terms(scores)
-    return shifted - np.log(total)
+    return np.subtract(shifted, np.log(total), out=out)
 
 
 class _StagePlan:

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
 from rawphone.hmm import build_duration_graph, decode_batch, decode_scores, hmm_decode
+from rawphone.net import log_softmax
 
 from oracles import hmm_enum_best_score, min_duration_sequences, reference_decode_scores
 
@@ -99,15 +101,16 @@ class TestDecodeScores:
             assert result.phonemes == [int(x) for x in collapsed]
 
 
-def ragged_batch(rng, k, lengths, integer=False, neg_inf=0.0):
+def ragged_batch(rng, k, lengths, integer=False, neg_inf=0.0, nan=0.0):
     """Zero-padded (N, T_max, K) batch of seeded emissions, and its utterances.
 
     Integer-valued scores force ties; `neg_inf` is the share of -inf entries
-    (zero posteriors)."""
+    (zero posteriors) and `nan` the share of NaN entries."""
     utts = []
     for t in lengths:
         x = rng.integers(-2, 1, size=(t, k)).astype(float) if integer else rng.normal(size=(t, k))
         x[rng.random(x.shape) < neg_inf] = -np.inf
+        x[rng.random(x.shape) < nan] = np.nan
         utts.append(x)
     batch = np.zeros((len(lengths), max(lengths), k))
     for row, x in zip(batch, utts):
@@ -115,31 +118,59 @@ def ragged_batch(rng, k, lengths, integer=False, neg_inf=0.0):
     return batch, utts
 
 
+def time_major(batch):
+    """The batch as the (N, T_max, K) view of a (T_max, N, K) array, as decoder("hmm") passes it."""
+    return np.ascontiguousarray(batch.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
 class TestDecodeBatch:
     @pytest.mark.parametrize("k", [1, 5, 39])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_bit_identical_to_per_utterance_reference(self, k, d):
         rng = np.random.Generator(np.random.PCG64(100 * k + d))
         graph = build_duration_graph(k, d)
         checked = 0
         for trial in range(12):
-            lengths = [1, d, *rng.integers(1, 30, size=int(rng.integers(1, 6)))]
+            # lengths of 0 and below d sit among the decodable ones
+            lengths = [0, 1, d - 1, d, *rng.integers(1, 30, size=int(rng.integers(1, 6)))]
             rng.shuffle(lengths)
             batch, utts = ragged_batch(rng, k, lengths, integer=trial % 2 == 0,
-                                       neg_inf=0.3 if trial % 3 == 0 else 0.0)
-            for x, got in zip(utts, decode_batch(batch, lengths, graph)):
-                expected = reference_decode_scores(x, k, d)
-                if expected is None:
-                    assert isinstance(got, NoLegalPathError)
-                    continue
-                labels, score = expected
-                assert got.frame_labels.dtype == labels.dtype
-                np.testing.assert_array_equal(got.frame_labels, labels)
-                assert got.score == score and type(got.score) is float
-                single = decode_scores(x, graph)
-                assert single.phonemes == got.phonemes and single.score == got.score
-                checked += 1
+                                       neg_inf=0.3 if trial % 3 == 0 else 0.0,
+                                       nan=0.02 if trial % 4 == 1 else 0.0)
+            for layout in (batch, time_major(batch)):
+                for t, x, got in zip(lengths, utts, decode_batch(layout, lengths, graph)):
+                    expected = reference_decode_scores(x, k, d)
+                    if expected is None:
+                        assert isinstance(got, NoLegalPathError)
+                        assert str(got) == (
+                            f"sequence of {t} frames admits no path with minimum duration {d}"
+                            if t < d else "no finite-score legal path"
+                        )
+                        continue
+                    labels, score = expected
+                    assert got.frame_labels.dtype == labels.dtype
+                    np.testing.assert_array_equal(got.frame_labels, labels)
+                    assert got.score == score and type(got.score) is float
+                    single = decode_scores(x, graph)
+                    assert single.phonemes == got.phonemes and single.score == got.score
+                    checked += 1
         assert checked > 0
+
+    def test_decoder_on_a_group_equals_each_utterance_alone(self):
+        rng = np.random.default_rng(7)
+        alphabet = [f"p{i}" for i in range(5)]
+        group = [rng.normal(scale=3.0, size=(t, 5)) for t in (7, 2, 12, 3, 1, 9)]
+        group[3][1, 2] = -np.inf
+        graph = build_duration_graph(5, 3)
+        decoded = decoder("hmm", alphabet, None, 3)(group)
+        assert len(decoded) == len(group)
+        for e, got in zip(group, decoded):
+            try:
+                alone = decode_scores(log_softmax(e), graph)
+            except NoLegalPathError as err:
+                assert isinstance(got, NoLegalPathError) and str(got) == str(err)
+                continue
+            assert got == [alphabet[i] for i in alone.phonemes]
 
     def test_errors_stay_with_their_utterance(self):
         graph = build_duration_graph(2, 3)

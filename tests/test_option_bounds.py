@@ -95,3 +95,5 @@ def test_numeric_option_at_its_boundaries(base_args, tmp_path, capsys, subcomman
         assert rc in (0, 1, 2, 3), case
         assert "Traceback" not in err, case
         assert (rc == 0) == ((subcommand, key, value) in ALLOWED), case
+        if subcommand == "synth" and rc == 1:  # a usage error names the option
+            assert flag in err, case
