@@ -6,7 +6,8 @@ option is a key of the subcommand's defaults table: its flag is `--`
 plus the key with `_` as `-`, its type is the default's type, and a bool
 defaulting to True is turned off by `--no-<key>` (False: on by
 `--<key>`). Flags beat config-file values, which are checked against the
-same table; the fully resolved configuration is echoed to
+same table; every numeric value, whatever its source, must meet its bound
+in LEAST or POSITIVE. The fully resolved configuration is echoed to
 <out>/resolved.json. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numeric/divergence error, 4 resource error (a lost worker process, out
 of memory). Identical invocations produce byte-identical
@@ -25,7 +26,6 @@ import numpy as np
 
 from .corpus import (
     SynthSpec,
-    SynthSpecError,
     build_frame_dataset,
     collect_alphabet,
     cycle_bias,
@@ -83,6 +83,24 @@ HELP = {
     "crf_epochs": "CRF transition-training iterations (0: no CRF training)",
 }
 
+# Each numeric option's least value, whatever its source; a string names
+# the option whose value is the least. Where 0 is the least it keeps its
+# documented meaning (an empty split, no bias, the model's rate, no
+# `.f32` input, no CRF training, every configuration, ...).
+LEAST = {
+    "train": 0, "cv": 0, "test": 0, "classes": 2, "harmonic_gain": 0, "noise_sigma": 0,
+    "max_duration_ms": "min_duration_ms", "min_segments": 1, "max_segments": "min_segments",
+    "sample_rate": 0, "seed": 0, "cycle_bias": 0, "window_frames": 0, "filters": 1,
+    "hidden": 1, "feature_dim": 0, "raw_sample_rate": 0, "lr": 0, "epochs": 1, "patience": 1,
+    "crf_lr": 0, "crf_epochs": 0, "stages_count": 0, "max_configs": 0, "min_duration": 1,
+    "n_fft": 1, "configs": 1,
+}
+
+# Numeric options that must be finite and above 0. `hop_ms` is in neither
+# table: it must round to a sample at the corpus's rate (_load_data).
+POSITIVE = ("base_freq", "freq_step", "tone_amplitude", "min_duration_ms", "window_ms", "eps",
+            "tolerance")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -124,6 +142,18 @@ def _resolve(args, defaults):
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():  # in table order, so a min is checked before its max
+        if key in POSITIVE and not 0 < value < math.inf:
+            raise ValueError(f"{_flag(key)} must be finite and positive, got {value}")
+        if key not in LEAST:
+            continue
+        low = least = LEAST[key]
+        if isinstance(low, str):  # another option's value
+            low, least = merged[low], f"{_flag(low)} ({merged[low]})"
+        if not value >= low:
+            raise ValueError(f"{_flag(key)} must be at least {least}, got {value}")
+        if value == math.inf:
+            raise ValueError(f"{_flag(key)} must be finite, got {value}")
     return merged
 
 
@@ -144,14 +174,6 @@ def _check_config(path, values, defaults):
             raise ValueError(f"{path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
         if key in CHOICES and value not in CHOICES[key]:
             raise ValueError(f"{path}: {key} must be one of {list(CHOICES[key])}, got {value!r}")
-
-
-def _check_at_least(cfg, key, low):
-    """A usage error naming the option unless its resolved value is finite and >= low."""
-    if not cfg[key] >= low:
-        raise ValueError(f"{_flag(key)} must be at least {low}, got {cfg[key]}")
-    if cfg[key] == math.inf:
-        raise ValueError(f"{_flag(key)} must be finite, got {cfg[key]}")
 
 
 def _echo_resolved(out_dir, subcommand, resolved):
@@ -182,7 +204,6 @@ def _load_data(cfg, *manifests):
     Returns (splits, alphabet, garbage, sample_rate, hop). The alphabet
     covers all given splits plus the garbage label.
     """
-    _check_at_least(cfg, "raw_sample_rate", 0)
     feature_dim = cfg["feature_dim"] or None
     raw_rate = cfg["raw_sample_rate"] or None
     splits = []
@@ -229,20 +250,8 @@ SYNTH_DEFAULTS = {
 }
 
 
-# SynthSpec field -> the synth options that set it
-SYNTH_OPTIONS = {
-    "num_classes": ["classes"], "base_freq_hz": ["base_freq"], "freq_step_hz": ["freq_step"],
-    "harmonic_gain": ["harmonic_gain"], "tone_amplitude": ["tone_amplitude"],
-    "noise_sigma": ["noise_sigma"], "duration_ms": ["min_duration_ms", "max_duration_ms"],
-    "segments_range": ["min_segments", "max_segments"], "bigram_bias": ["cycle_bias"],
-    "sample_rate": ["sample_rate"], "seed": ["seed"],
-}
-
-
 def cmd_synth(args):
     cfg = _resolve(args, SYNTH_DEFAULTS)
-    for key in ("train", "cv", "test", "cycle_bias"):
-        _check_at_least(cfg, key, 0)
     out = Path(args.out)
     try:
         spec = SynthSpec(
@@ -261,9 +270,8 @@ def cmd_synth(args):
             spec = dataclasses.replace(
                 spec, bigram_bias=cycle_bias(cfg["classes"], cfg["cycle_bias"])
             )
-    except SynthSpecError as e:  # name the options, not the spec's fields
-        flags = [_flag(key) for field in e.fields for key in SYNTH_OPTIONS[field]]
-        raise ValueError(f"{' and '.join(flags)} {e.problem}") from None
+    except ValueError as e:  # within the bounds, only the Nyquist limit is left to break
+        raise ValueError(f"--sample-rate: {e}") from None
     out.mkdir(parents=True, exist_ok=True)
     manifests = write_corpus(out, synth_splits(spec, cfg["train"], cfg["cv"], cfg["test"]))
     _echo_resolved(out, "synth", cfg)
@@ -294,8 +302,6 @@ def _network_config(cfg, sample_rate, num_classes):
     elif cfg["window_frames"]:
         input_frames, input_dim = cfg["window_frames"], 1
     else:
-        if not 0 < cfg["window_ms"] < math.inf:
-            raise ValueError(f"--window-ms must be finite and positive, got {cfg['window_ms']}")
         input_frames, input_dim = int(round(cfg["window_ms"] * sample_rate / 1000.0)), 1
     return NetworkConfig(
         input_frames=input_frames,
@@ -325,9 +331,6 @@ def _check_window(input_frames, train_utts, cfg=None):
 
 
 def _train_config(cfg):
-    if not 0 <= cfg["lr"] < math.inf:
-        raise ValueError(f"--lr must be finite and at least 0, got {cfg['lr']}")
-    _check_at_least(cfg, "seed", 0)
     return TrainConfig(
         learning_rate=cfg["lr"], max_epochs=cfg["epochs"],
         patience=cfg["patience"], seed=cfg["seed"], shuffle=cfg["shuffle"],
@@ -364,8 +367,6 @@ def _handed_over(items):
 
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
-    _check_at_least(cfg, "crf_epochs", 0)
-    _check_at_least(cfg, "crf_lr", 0)
     tc = _train_config(cfg)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
@@ -426,8 +427,6 @@ GRID_DEFAULTS = {
 
 def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
-    _check_at_least(cfg, "max_configs", 0)
-    _check_at_least(cfg, "stages_count", 0)
     tc = _train_config(cfg)
     out = Path(args.out)
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
@@ -488,7 +487,6 @@ DECODE_DEFAULTS = {
 
 def cmd_decode(args):
     cfg = _resolve(args, DECODE_DEFAULTS)
-    _check_at_least(cfg, "raw_sample_rate", 0)
     out = Path(args.out)
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
@@ -596,7 +594,6 @@ FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0}
 
 def cmd_filters(args):
     cfg = _resolve(args, FILTERS_DEFAULTS)
-    _check_at_least(cfg, "sample_rate", 0)
     out = Path(args.out)
     params, _alphabet, metadata, _a = load_model(args.model)
     if params.config.input_dim != 1:
@@ -703,10 +700,6 @@ CHECKGRAD_DEFAULTS = {
 
 def cmd_check_grad(args):
     cfg = _resolve(args, CHECKGRAD_DEFAULTS)
-    _check_at_least(cfg, "configs", 1)
-    for key in ("eps", "tolerance"):
-        if not 0 < cfg[key] < math.inf:
-            raise ValueError(f"{_flag(key)} must be finite and positive, got {cfg[key]}")
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     all_pass = True
     report = []
@@ -805,7 +798,7 @@ def main(argv=None):
     args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
-    except DataError as e:
+    except (DataError, NoLegalPathError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
@@ -814,9 +807,6 @@ def main(argv=None):
     except (DivergenceError, FloatingPointError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
-    except NoLegalPathError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
     except (WorkerLostError, MemoryError) as e:
         print(f"resource error: {e or 'out of memory'}", file=sys.stderr)
         return 4

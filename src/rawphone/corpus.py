@@ -263,22 +263,12 @@ def write_manifest(path, rows):
 # synthetic tone corpus
 
 
-class SynthSpecError(ValueError):
-    """A SynthSpec rejection: `fields` are the fields at fault and `problem`
-    what is wrong with them; the message is the two joined."""
-
-    def __init__(self, fields, problem):
-        self.fields, self.problem = fields, problem
-        super().__init__(f"{' and '.join(fields)} {problem}")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the tone-phoneme generator.
 
     Class k is a sinusoid at base + step*k Hz plus one harmonic at twice
     that frequency and half amplitude. Both must stay under Nyquist.
-    Rejected parameters raise SynthSpecError.
     """
 
     num_classes: int = 5
@@ -295,35 +285,33 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise SynthSpecError(["num_classes"], f"must be at least 2, got {self.num_classes}")
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
         for name in ("base_freq_hz", "freq_step_hz", "tone_amplitude"):
             if not 0 < getattr(self, name) < math.inf:
-                raise SynthSpecError([name], f"must be finite and positive, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("harmonic_gain", "noise_sigma"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise SynthSpecError([name], f"must be finite and at least 0, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
         if not 0 < self.duration_ms[0] <= self.duration_ms[1] < math.inf:
-            raise SynthSpecError(["duration_ms"], "must be a finite positive (lo, hi) range, "
-                                 f"got {tuple(self.duration_ms)}")
+            raise ValueError("duration_ms must be a finite positive (lo, hi) range, "
+                             f"got {tuple(self.duration_ms)}")
         if self.segments_range[0] < 1 or self.segments_range[1] < self.segments_range[0]:
-            raise SynthSpecError(["segments_range"], "must be a (lo, hi) range with lo >= 1, "
-                                 f"got {tuple(self.segments_range)}")
+            raise ValueError("segments_range must be a (lo, hi) range with lo >= 1, "
+                             f"got {tuple(self.segments_range)}")
         top = 2.0 * self.class_frequency(self.num_classes - 1)
         if top >= self.sample_rate / 2:
-            raise SynthSpecError(
-                ["sample_rate"],
-                f"must exceed twice the top harmonic at {top:.1f} Hz (Nyquist), got {self.sample_rate}",
-            )
+            raise ValueError(f"sample_rate must exceed twice the top harmonic at {top:.1f} Hz "
+                             f"(Nyquist), got {self.sample_rate}")
         if self.bigram_bias is not None:
             b = np.asarray(self.bigram_bias, dtype=np.float64)
             k = self.num_classes
             if b.shape != (k, k):
-                raise SynthSpecError(["bigram_bias"], f"must be {k} x {k}")
+                raise ValueError(f"bigram_bias must be {k} x {k}")
             if b.min() < 0 or (b.sum(axis=1) <= 0).any() or not np.isfinite(b).all():
-                raise SynthSpecError(["bigram_bias"], "rows must be finite and non-negative "
-                                     "with positive sum")
+                raise ValueError("bigram_bias rows must be finite and non-negative "
+                                 "with positive sum")
         if self.seed < 0:
-            raise SynthSpecError(["seed"], f"must be at least 0, got {self.seed}")
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     def class_frequency(self, k):
         return self.base_freq_hz + self.freq_step_hz * k

@@ -39,15 +39,6 @@ def compute_emissions(utt, params, hop_samples):
 DECODE_GROUP_FRAMES = GROUP_FRAMES
 
 
-def padded(matrices):
-    """(N, T_max, K) zero-padded batch of T x K matrices, and their lengths."""
-    lengths = [len(m) for m in matrices]
-    batch = np.zeros((len(matrices), max(lengths), matrices[0].shape[1]))
-    for row, m in zip(batch, matrices):
-        row[: len(m)] = m
-    return batch, lengths
-
-
 def decoder(name, alphabet, transitions, min_duration):
     """The function from a group of T x K emission matrices to each one's
     phoneme labels, or the NoLegalPathError it decodes to."""
@@ -55,21 +46,23 @@ def decoder(name, alphabet, transitions, min_duration):
         graph = build_duration_graph(len(alphabet), min_duration)
 
     def decode(group):
-        if name == "hmm":
-            # each utterance's log_softmax lands in one zero-padded time-major
-            # batch, which decode_batch steps through frame by frame
-            lengths = [len(e) for e in group]
-            frames = np.zeros((max(lengths), len(group), group[0].shape[1]))
-            for u, e in enumerate(group):
+        if name == "argmax":
+            return [collapse_path([alphabet[i] for i in e.argmax(axis=1)]) for e in group]
+        # each utterance's emissions (the HMM's: their log_softmax) land in one
+        # zero-padded time-major batch, which either Viterbi steps through frame by frame
+        lengths = [len(e) for e in group]
+        frames = np.zeros((max(lengths), len(group), group[0].shape[1]))
+        for u, e in enumerate(group):
+            if name == "hmm":
                 log_softmax(e, out=frames[: len(e), u])
-            results = decode_batch(frames.transpose(1, 0, 2), lengths, graph)
+            else:
+                frames[: len(e), u] = e
+        batch = frames.transpose(1, 0, 2)
+        if name == "hmm":
             return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
-                    for r in results]
-        if name == "crf":
-            paths = [path for path, _score in viterbi_batch(*padded(group), transitions)]
-        else:
-            paths = [e.argmax(axis=1) for e in group]
-        return [collapse_path([alphabet[i] for i in path]) for path in paths]
+                    for r in decode_batch(batch, lengths, graph)]
+        return [collapse_path([alphabet[i] for i in path])
+                for path, _score in viterbi_batch(batch, lengths, transitions)]
 
     return decode
 

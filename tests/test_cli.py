@@ -353,12 +353,15 @@ class TestDecode:
 
     def test_min_duration_zero_is_usage_error_before_any_hypothesis(
             self, corpus, trained, tmp_path, capsys):
-        rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model",
-                  trained / "model.rcn", "--decoder", "hmm", "--min-duration", "0",
-                  "--out", tmp_path / "d"])
-        assert rc == 1
-        assert "min_duration" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
+        # the bound holds for every decoder, though only the HMM reads the value
+        for name in ("hmm", "argmax"):
+            rc = run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                      trained / "model.rcn", "--decoder", name, "--min-duration", "0",
+                      "--out", tmp_path / "d"])
+            assert rc == 1
+            assert "usage error: --min-duration must be at least 1, got 0" in (
+                capsys.readouterr().err)
+            assert not (tmp_path / "d").exists()
 
     def test_unknown_decoder_in_config_is_usage_error(self, corpus, trained, tmp_path, capsys):
         cfg_file = write_config(tmp_path / "beam.json", {"decoder": "beam"})
@@ -904,8 +907,10 @@ class TestExitCodes:
         argv = [command, *split_args(corpus, *splits), "--epochs", "1", "--lr", value,
                 "--out", tmp_path / "o"]
         assert run(argv) == 1
-        assert (f"usage error: --lr must be finite and at least 0, got {float(value)}"
-                in capsys.readouterr().err)
+        expected = {"-1": "--lr must be at least 0, got -1.0",
+                    "nan": "--lr must be at least 0, got nan",
+                    "inf": "--lr must be finite, got inf"}[value]
+        assert f"usage error: {expected}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

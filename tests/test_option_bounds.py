@@ -3,13 +3,16 @@
 The cases come from `cli.SUBCOMMANDS`' option tables, so a new option is
 covered without a new test. Each run must end in a documented exit code
 (0 success, 1 usage, 2 data, 3 numeric) without a traceback, and may
-succeed only where ALLOWED gives the reason the value is meaningful.
-Every run is sized to take milliseconds.
+succeed only where ALLOWED gives the reason the value is meaningful; a
+usage error names the option's flag. Every run is sized to take
+milliseconds.
 """
+
+import json
 
 import pytest
 
-from rawphone.cli import SUBCOMMANDS, main
+from rawphone.cli import LEAST, POSITIVE, SUBCOMMANDS, main
 
 VALUES = ("-1", "0", "nan", "inf")
 
@@ -84,6 +87,26 @@ def test_every_subcommand_with_a_numeric_option_has_a_tiny_run(base_args):
     assert {name for name, _key in numeric_options()} == set(base_args)
 
 
+def test_every_numeric_option_has_a_bound():
+    numeric = {key for _name, key in numeric_options()}
+    # hop_ms alone is bounded by the sample rate: it must round to one sample
+    assert numeric - set(LEAST) - set(POSITIVE) == {"hop_ms"}
+    assert set(LEAST) | set(POSITIVE) <= numeric
+    assert not set(LEAST) & set(POSITIVE)
+    assert {low for low in LEAST.values() if isinstance(low, str)} <= numeric
+
+
+def test_config_file_value_is_checked_as_a_flag_value(base_args, tmp_path, capsys):
+    config = tmp_path / "epochs.json"
+    config.write_text(json.dumps({"epochs": 0}))
+    splits = base_args["train"][:4]  # the manifests; --epochs 1 would beat the file
+    rc = exit_code(["train", *splits, "--config", config, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "usage error: --epochs must be at least 1, got 0" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("subcommand, key", list(numeric_options()))
 def test_numeric_option_at_its_boundaries(base_args, tmp_path, capsys, subcommand, key):
     flag = "--" + key.replace("_", "-")
@@ -95,5 +118,5 @@ def test_numeric_option_at_its_boundaries(base_args, tmp_path, capsys, subcomman
         assert rc in (0, 1, 2, 3), case
         assert "Traceback" not in err, case
         assert (rc == 0) == ((subcommand, key, value) in ALLOWED), case
-        if subcommand == "synth" and rc == 1:  # a usage error names the option
+        if rc == 1:
             assert flag in err, case
