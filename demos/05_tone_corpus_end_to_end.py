@@ -19,8 +19,8 @@ from rawphone.corpus import (
     synth_corpus,
 )
 from rawphone.crf import train_transitions
-from rawphone.decoding import compute_emissions, decode_utterances, decoder
-from rawphone.net import NetworkConfig, StageConfig, param_count
+from rawphone.decoding import decode_utterances, decoder
+from rawphone.net import NetworkConfig, StageConfig, param_count, score_frames
 from rawphone.scoring import collapse_path, corpus_report
 from rawphone.training import TrainConfig, train_network
 
@@ -52,8 +52,9 @@ print(f"trained {len(history)} epochs in {time.time() - t0:.0f}s; "
       f"cv frame accuracy per epoch: {[round(h[2], 1) for h in history]}")
 
 
-# CRF transitions trained on the frozen network's training emissions
-crf_data = [(compute_emissions(u, best, HOP), labels) for u, labels in train_set.by_utterance()]
+# CRF transitions trained on the frozen network's training emissions, scored
+# from the utterances as the training set framed them
+crf_data = [(score_frames(framed, best), labels) for framed, labels in train_set.by_utterance()]
 transitions = train_transitions(crf_data, len(alphabet), lr=0.05, epochs=10).transitions
 print("learned transition matrix (rounded):")
 print(np.round(transitions, 2))

@@ -6,12 +6,12 @@ option is a key of the subcommand's defaults table: its flag is `--`
 plus the key with `_` as `-`, its type is the default's type, and a bool
 defaulting to True is turned off by `--no-<key>` (False: on by
 `--<key>`). Flags beat config-file values, which are checked against the
-same table; every numeric value, whatever its source, must meet its bound
-in LEAST or POSITIVE. The fully resolved configuration is echoed to
-<out>/resolved.json. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric/divergence error, 4 resource error (a lost worker process, out
-of memory). Identical invocations produce byte-identical
-outputs.
+same table; every numeric value, whatever its source, and each number in
+a comma list, must meet its bound in LEAST or POSITIVE. The fully resolved
+configuration is echoed to <out>/resolved.json. Exit codes: 0 success, 1
+usage error, 2 data error, 3 numeric/divergence error, 4 resource error
+(a lost worker process, out of memory). Identical invocations produce
+byte-identical outputs.
 """
 
 import argparse
@@ -40,11 +40,11 @@ from .corpus import (
 )
 from .crf import train_transitions
 from .decoding import (
-    compute_emissions,
-    decode_seconds,
+    compute_emissions,  # not called here: bound for perfbench/run.py, which traces it by this name
     decode_utterances,
     decoder,
     decoder_units,
+    seconds_per_frame,
 )
 from .errors import DataError, DivergenceError, NoLegalPathError, WorkerLostError
 from .model_io import load_model, save_model
@@ -60,6 +60,7 @@ from .scoring import collapse_path, corpus_report, map_labels, read_mapping
 from .training import (
     GridSpec,
     TrainConfig,
+    dataset_scores,
     frame_loss,
     grid_search,
     history_csv_lines,
@@ -78,7 +79,6 @@ HELP = {
     "cycle_bias": "favor class (k+1) mod K by this factor, forbid self",
     "mapping": "label mapping file: `source target` lines",
     "configs": "number of random configurations",
-    "corrupt": "test hook: perturb this analytic tensor",
     "crf_lr": "first trial step of the CRF line search, on the summed log-likelihood",
     "crf_epochs": "CRF transition-training iterations (0: no CRF training)",
 }
@@ -108,23 +108,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _out_of_bounds(key, value, merged):
+    """How `value` breaks option `key`'s bound ("must be ..."), or None; `merged`
+    holds the options that bound others. A stage width (kernel, shift, pool) is >= 1."""
+    if key in POSITIVE:
+        return None if 0 < value < math.inf else "must be finite and positive"
+    low = least = LEAST.get(key, 1)
+    if isinstance(low, str):  # another option's value
+        low, least = merged[low], f"{_flag(low)} ({merged[low]})"
+    if not value >= low:
+        return f"must be at least {least}"
+    return "must be finite" if value == math.inf else None
+
+
+def _element(key, text, kind, bound, what):
+    """`text`, a part of option `key` that errors call `what`, as a `kind`
+    within the bound of option (or stage width) `bound`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        problem = f"is not {'an integer' if kind is int else 'a number'}"
+    else:
+        problem = _out_of_bounds(bound, value, None)
+    if problem:
+        raise ValueError(f"{_flag(key)}: {what} {problem}")
+    return value
+
+
 def _parse_stages(text, filters):
     stages = []
     for part in text.split(","):
         fields = part.split(":")
         if len(fields) != 3:
-            raise ValueError(f"stage {part!r} must be kernel:shift:pool")
-        kw, dw, pool = (int(x) for x in fields)
+            raise ValueError(f"--stages: stage {part!r} must be kernel:shift:pool")
+        kw, dw, pool = (_element("stages", x, int, width, f"{width} {x!r} of stage {part!r}")
+                        for x, width in zip(fields, ("kernel", "shift", "pool")))
         stages.append(StageConfig(kw, dw, filters, pool))
     return tuple(stages)
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(","))
+def _list(cfg, key, kind):
+    """Comma-list option `key`'s elements, each a `kind` within the bound of
+    the option (or stage width) that `key` names before `_list`."""
+    return tuple(_element(key, x, kind, key[:-5], f"element {x!r}") for x in cfg[key].split(","))
 
 
-def _float_list(text):
-    return tuple(float(x) for x in text.split(","))
+def _samples(key, ms, sample_rate):
+    """Option `key`'s `ms` milliseconds in samples; a usage error naming it
+    if they round to none or are not finite."""
+    samples = ms * sample_rate / 1000.0
+    if not 0.5 < samples < math.inf:  # round(0.5) == 0
+        raise ValueError(f"{_flag(key)} {ms:g} is {samples:g} samples at {sample_rate} Hz; "
+                         f"the {key.split('_')[0]} must round to at least one sample")
+    return int(round(samples))
 
 
 def _resolve(args, defaults):
@@ -143,17 +179,12 @@ def _resolve(args, defaults):
         if value is not None:
             merged[key] = value
     for key, value in merged.items():  # in table order, so a min is checked before its max
-        if key in POSITIVE and not 0 < value < math.inf:
-            raise ValueError(f"{_flag(key)} must be finite and positive, got {value}")
-        if key not in LEAST:
-            continue
-        low = least = LEAST[key]
-        if isinstance(low, str):  # another option's value
-            low, least = merged[low], f"{_flag(low)} ({merged[low]})"
-        if not value >= low:
-            raise ValueError(f"{_flag(key)} must be at least {least}, got {value}")
-        if value == math.inf:
-            raise ValueError(f"{_flag(key)} must be finite, got {value}")
+        if key == "stages":
+            _parse_stages(value, 1)  # checks each stage's widths
+        elif key in LEAST or key in POSITIVE:
+            problem = _out_of_bounds(key, value, merged)
+            if problem:
+                raise ValueError(f"{_flag(key)} {problem}, got {value}")
     return merged
 
 
@@ -223,13 +254,7 @@ def _load_data(cfg, *manifests):
     elif sample_rate is None:
         raise DataError("raw input needs waveform utterances")
     else:
-        samples = cfg["hop_ms"] * sample_rate / 1000.0
-        if not 0.5 < samples < math.inf:  # round(0.5) == 0
-            raise ValueError(
-                f"--hop-ms {cfg['hop_ms']:g} is {samples:g} samples at {sample_rate} Hz; "
-                "the hop must round to at least one sample"
-            )
-        hop = int(round(samples))
+        hop = _samples("hop_ms", cfg["hop_ms"], sample_rate)
     for manifest, split in zip(manifests, splits):  # frames do not depend on the window
         if not any(utterance_grid(u, 1, hop).num_frames for u in split):
             raise DataError(f"{manifest}: every utterance is shorter than one hop ({hop} samples)")
@@ -295,21 +320,12 @@ TRAIN_DEFAULTS = {
 
 def _network_config(cfg, sample_rate, num_classes):
     """The NetworkConfig of a resolved train or ablate-pool config."""
-    if cfg["feature_dim"]:
-        if not cfg["window_frames"]:
-            raise ValueError("feature input needs --window-frames")
-        input_frames, input_dim = cfg["window_frames"], cfg["feature_dim"]
-    elif cfg["window_frames"]:
-        input_frames, input_dim = cfg["window_frames"], 1
-    else:
-        input_frames, input_dim = int(round(cfg["window_ms"] * sample_rate / 1000.0)), 1
-    return NetworkConfig(
-        input_frames=input_frames,
-        input_dim=input_dim,
-        stages=_parse_stages(cfg["stages"], cfg["filters"]),
-        hidden_units=cfg["hidden"],
-        num_classes=num_classes,
-    )
+    if cfg["feature_dim"] and not cfg["window_frames"]:
+        raise ValueError("feature input needs --window-frames")
+    input_frames = cfg["window_frames"] or _samples("window_ms", cfg["window_ms"], sample_rate)
+    return NetworkConfig(input_frames=input_frames, input_dim=cfg["feature_dim"] or 1,
+                         stages=_parse_stages(cfg["stages"], cfg["filters"]),
+                         hidden_units=cfg["hidden"], num_classes=num_classes)
 
 
 def _check_window(input_frames, train_utts, cfg=None):
@@ -340,8 +356,8 @@ def _train_config(cfg):
 def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
     """Train one network, printing one progress line per epoch to stderr.
 
-    Returns the best parameters, the history and the training set's
-    (utterance, frame labels) pairs; the set's padded signals are freed.
+    Returns the best parameters, the history and the training set, whose
+    framed utterances the CRF emissions score without framing them again.
     """
     train_set = build_frame_dataset(train_utts, net_config.input_frames, hop, alphabet, garbage)
     cv_set = build_frame_dataset(cv_utts, net_config.input_frames, hop, alphabet, garbage)
@@ -355,7 +371,7 @@ def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
         )
 
     best, history = train_network(train_set, cv_set, net_config, tc, on_epoch=report)
-    return best, history, train_set.by_utterance()
+    return best, history, train_set
 
 
 def _handed_over(items):
@@ -375,16 +391,13 @@ def cmd_train(args):
     net_config = _network_config(cfg, sample_rate, len(alphabet))
     _check_window(net_config.input_frames, train_utts, cfg)
 
-    best, history, train_labels = _train_once(
+    best, history, train_set = _train_once(
         tc, train_utts, cv_utts, net_config, hop, alphabet, garbage
     )
 
     transitions = np.zeros((len(alphabet), len(alphabet)))
     if cfg["crf_epochs"] > 0:
-        seconds = decode_seconds(net_config, hop, 0)
-        emissions = ordered_map(lambda share: (compute_emissions(u, best, hop) for u, _l in share),
-                                train_labels, lambda pair: seconds(pair[0].length))
-        crf_data = zip(_handed_over(emissions), (labels for _u, labels in train_labels))
+        crf_data = _handed_over(dataset_scores(best, train_set, lambda *pair: pair))
 
         def report(epoch, ll, seconds):
             print(
@@ -429,17 +442,20 @@ def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
     tc = _train_config(cfg)
     out = Path(args.out)
+    spec = GridSpec(
+        window_ms=_list(cfg, "window_ms_list", float),
+        kernel_width=_list(cfg, "kernel_list", int),
+        num_filters=_list(cfg, "filters_list", int),
+        hidden_units=_list(cfg, "hidden_list", int),
+        pool_width=_list(cfg, "pool_list", int),
+        num_stages=cfg["stages_count"],
+    )
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
     )
-    spec = GridSpec(
-        window_ms=_float_list(cfg["window_ms_list"]),
-        kernel_width=_int_list(cfg["kernel_list"]),
-        num_filters=_int_list(cfg["filters_list"]),
-        hidden_units=_int_list(cfg["hidden_list"]),
-        pool_width=_int_list(cfg["pool_list"]),
-        num_stages=cfg["stages_count"],
-    )
+    if not cfg["feature_dim"]:  # feature windows are counted in frames
+        for ms in spec.window_ms:
+            _samples("window_ms_list", ms, sample_rate)
     configs = spec.configs(sample_rate or 1000, cfg["feature_dim"] or 1, len(alphabet))
     if not configs:
         raise ValueError("grid is empty after dropping infeasible configurations")
@@ -518,14 +534,15 @@ def cmd_decode(args):
     def decode_share(share):  # each worker loads, scores and decodes its own share
         return decode_utterances((checked(ref) for ref in share), params, hop, decode)
 
-    seconds = decode_seconds(
+    per_frame = seconds_per_frame(
         params.config, hop, decoder_units(cfg["decoder"], len(alphabet), cfg["min_duration"])
     )
 
     hyp_dir = out / "hyp"
     hyp_dir.mkdir(parents=True, exist_ok=True)
     log_rows = []
-    outcomes = ordered_map(decode_share, refs, lambda ref: seconds(stored_length(ref, feature_dim)))
+    outcomes = ordered_map(decode_share, refs,
+                           lambda ref: stored_length(ref, feature_dim) // hop * per_frame)
     for ref, outcome in zip(refs, outcomes):
         if isinstance(outcome, Exception):
             log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
@@ -665,9 +682,7 @@ def cmd_ablate_pool(args):
         """Train with `retained` pooled stages, then decode and score the test split."""
         try:
             config = _with_retained_pools(base_config, retained)
-            best, _history, _labels = _train_once(
-                tc, train_utts, cv_utts, config, hop, alphabet, garbage
-            )
+            best = _train_once(tc, train_utts, cv_utts, config, hop, alphabet, garbage)[0]
             _report, acc = corpus_report(
                 (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
                 for u, hyp in zip(test_utts, decode_utterances(test_utts, best, hop, decode))
@@ -693,15 +708,12 @@ def cmd_ablate_pool(args):
 # check-grad
 
 
-CHECKGRAD_DEFAULTS = {
-    "configs": 5, "eps": 1e-4, "tolerance": 1e-4, "seed": 0, "corrupt": "",
-}
+CHECKGRAD_DEFAULTS = {"configs": 5, "eps": 1e-4, "tolerance": 1e-4, "seed": 0}
 
 
 def cmd_check_grad(args):
     cfg = _resolve(args, CHECKGRAD_DEFAULTS)
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-    all_pass = True
     report = []
     for index in range(cfg["configs"]):
         config = random_check_config(rng)
@@ -710,10 +722,6 @@ def cmd_check_grad(args):
         target = int(rng.integers(config.num_classes))
         scores, cache = forward_pass(window, params)
         analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
-        if cfg["corrupt"]:
-            if cfg["corrupt"] not in analytic:
-                raise ValueError(f"no tensor named {cfg['corrupt']!r} to corrupt")
-            analytic[cfg["corrupt"]][...] += 1.0
 
         for name, tensor in params.named_tensors():
             numeric = numeric_gradient(
@@ -723,10 +731,8 @@ def cmd_check_grad(args):
             a = analytic[name]
             denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-6)
             err = float(np.max(np.abs(a - numeric) / denom))
-            ok = err < cfg["tolerance"]
-            report.append([index, name, f"{err:.3e}", "pass" if ok else "FAIL"])
-            if not ok:
-                all_pass = False
+            report.append([index, name, f"{err:.3e}", "pass" if err < cfg["tolerance"] else "FAIL"])
+    all_pass = all(row[3] == "pass" for row in report)
     for row in report:
         print(f"config {row[0]:2d} {row[1]:<16} rel_err {row[2]} {row[3]}")
     if args.out:

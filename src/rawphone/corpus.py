@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DataError
 from .framing import (
     FrameGrid,
+    FramedSignal,
     SegmentAnnotation,
     Waveform,
     frame_labels,
@@ -33,7 +34,6 @@ from .framing import (
     pad_features,
     row_stats,
 )
-from .net import BATCH_BYTES
 
 
 def read_wav(path):
@@ -444,30 +444,38 @@ def utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garba
         raise DataError(f"utterance {utt.id}: {e}") from e
 
 
-class FrameDataset:
-    """Training frames read from each utterance's signal, which is stored once.
+def frame_utterance(utt, input_frames, hop_samples, dtype, mean=None, std=None):
+    """One utterance's framing.FramedSignal: a waveform padded by grid_windows
+    with the row_stats of its windows (written into `mean` and `std` where
+    given), or a feature matrix padded by pad_features in `dtype`."""
+    grid = utterance_grid(utt, input_frames, hop_samples)
+    if utt.waveform is None:
+        return FramedSignal(pad_features(utt.features, input_frames, dtype), 1, grid.num_frames)
+    signal, rows = grid_windows(utt.waveform, grid)
+    return FramedSignal(signal[:, None], hop_samples, grid.num_frames, *row_stats(rows, mean, std))
 
-    `signals[u]` is utterance u's signal: for a waveform the zero-padded
-    samples of framing.grid_windows (float64, as an L x 1 column), for a
-    feature matrix framing.pad_features in float32, the training dtype.
-    Frame i, labelled `labels[i]`, is frame t of utterance `utts[i]`: its
-    window is the input_frames rows of that signal from `starts[i]`,
-    which is t * hop (t for features). Raw windows are normalized when
-    read, from each frame's float64 `mean` and `std` (framing.row_stats,
-    taken in chunks of BATCH_BYTES); features are read as they are.
-    Utterances without frames are left out; `by_utterance` pairs each
-    kept one with its labels. Beside the signals, the dataset holds at
-    most 36 bytes per frame, whatever the window length.
+
+class FrameDataset:
+    """Training frames of utterances framed once each (frame_utterance).
+
+    `framed[u]` frames `utterances[u]` (features in float32, the training
+    dtype). Frame i, labelled `labels[i]`, is frame t of utterance
+    `utts[i]`: its window is the input_frames rows of that signal from
+    `starts[i]`, t * hop. Raw window statistics are the dataset-wide
+    `mean` and `std`, which the framed utterances view: the steps
+    (read_window), CV scoring and CRF emissions (by_utterance) read the
+    same. Utterances without frames are left out. Beside the signals the
+    dataset holds at most 36 bytes per frame, whatever the window length.
     """
 
     def __init__(self, utterances, labels, input_frames, hop_samples):
         kept = [(u, np.asarray(l, np.int64)) for u, l in zip(utterances, labels) if len(l)]
         if not kept:
             raise ValueError("dataset is empty")
-        grids = [utterance_grid(u, input_frames, hop_samples) for u, _l in kept]
-        for (utt, l), grid in zip(kept, grids):
-            if len(l) != grid.num_frames:
-                raise ValueError(f"utterance {utt.id}: {len(l)} labels, {grid.num_frames} frames")
+        for utt, l in kept:
+            frames = utterance_grid(utt, input_frames, hop_samples).num_frames
+            if len(l) != frames:
+                raise ValueError(f"utterance {utt.id}: {len(l)} labels, {frames} frames")
         self.utterances = [u for u, _l in kept]
         self.raw = self.utterances[0].waveform is not None
         if any((u.waveform is not None) != self.raw for u in self.utterances):
@@ -477,35 +485,26 @@ class FrameDataset:
         counts = [len(l) for _u, l in kept]
         self.offsets = np.cumsum([0] + counts)  # utterance u's frames start at offsets[u]
         self.utts = np.repeat(np.arange(len(kept), dtype=np.int32), counts)
-        self.starts = np.concatenate([np.arange(n) * g.hop_samples for n, g in zip(counts, grids)])
-        if not self.raw:
-            self.signals = [pad_features(u.features, input_frames, np.float32)
-                            for u in self.utterances]
-            return
-        self.signals, self.mean, self.std = [], np.empty(len(self)), np.empty(len(self))
-        self._window = np.empty((input_frames, 1))  # a step's float64 window
-        chunk = max(1, BATCH_BYTES // (8 * input_frames))
-        buf = np.empty((min(chunk, max(counts)), input_frames))
-        for utt, grid, first in zip(self.utterances, grids, self.offsets):
-            signal, windows = grid_windows(utt.waveform, grid)
-            self.signals.append(signal[:, None])
-            for a in range(0, len(windows), chunk):
-                rows = windows[a : a + chunk]
-                mean, std = row_stats(rows, buf[: len(rows)])
-                self.mean[first + a : first + a + len(rows)] = mean[:, 0]
-                self.std[first + a : first + a + len(rows)] = std[:, 0]
+        if self.raw:
+            self.mean, self.std = np.empty(len(self)), np.empty(len(self))
+            self._window = np.empty((input_frames, 1))  # a step's float64 window
+        self.framed = [
+            frame_utterance(utt, input_frames, hop_samples, np.float32,
+                            *((self.mean[a:b], self.std[a:b]) if self.raw else ()))
+            for utt, a, b in zip(self.utterances, self.offsets, self.offsets[1:])
+        ]
+        self.starts = np.concatenate([np.arange(f.num_frames) * f.hop for f in self.framed])
 
     def __len__(self):
         return len(self.labels)
 
     def by_utterance(self):
-        """(utterance, its frames' labels) for each kept utterance, in order; labels are views."""
-        return [(u, self.labels[a:b])
-                for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:])]
+        """(framed signal, view of its frames' labels) per kept utterance, in order."""
+        return list(zip(self.framed, np.split(self.labels, self.offsets[1:-1])))
 
     @property
     def window_shape(self):
-        return self.input_frames, self.signals[0].shape[1]
+        return self.input_frames, self.framed[0].signal.shape[1]
 
     def read_window(self, i, out):
         """Write frame i's window into `out`, an input_frames x d array.
@@ -515,7 +514,7 @@ class FrameDataset:
         framing.extract_windows cast to that dtype.
         """
         start = self.starts[i]
-        window = self.signals[self.utts[i]][start : start + self.input_frames]
+        window = self.framed[self.utts[i]].signal[start : start + self.input_frames]
         if not self.raw:
             np.copyto(out, window)
         elif self.std[i] == 0.0:

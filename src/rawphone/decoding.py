@@ -7,28 +7,20 @@ in bounded groups.
 
 import numpy as np
 
-from .corpus import utterance_grid
+from .corpus import frame_utterance
 from .crf import GROUP_FRAMES, viterbi_batch
 from .errors import DataError, NoLegalPathError
-from .framing import grid_windows, pad_features
 from .hmm import build_duration_graph, decode_batch
 from .net import frame_multiply_adds, log_softmax, score_frames
 from .scoring import collapse_path
 
 
 def compute_emissions(utt, params, hop_samples):
-    """Per-frame network scores for one utterance, as a float64 T x K matrix.
-
-    Every network, with or without stages, is scored by score_frames,
-    which shares stage 0 across overlapping windows.
-    """
-    config = params.config
-    if utt.waveform is None:
-        signal = pad_features(utt.features, config.input_frames, params.hidden_weight.dtype)
-        return score_frames(signal, 1, len(utt.features), params)
-    grid = utterance_grid(utt, config.input_frames, hop_samples)
-    signal, rows = grid_windows(utt.waveform, grid)
-    return score_frames(signal[:, None], hop_samples, grid.num_frames, params, rows)
+    """Per-frame network scores for one utterance, as a float64 T x K matrix:
+    the utterance framed (corpus.frame_utterance), then scored (net.score_frames)."""
+    framed = frame_utterance(utt, params.config.input_frames, hop_samples,
+                             params.hidden_weight.dtype)
+    return score_frames(framed, params)
 
 
 # Decoding runs on consecutive groups of utterances padded to the longest
@@ -95,13 +87,12 @@ def decoder_units(name, num_classes, min_duration):
     return {"argmax": 0, "crf": num_classes**2, "hmm": num_classes * min_duration}[name]
 
 
-def decode_seconds(config, hop, units):
-    """The function from an utterance's length in samples (frames of a
-    feature matrix) to the estimated seconds of scoring and decoding it
-    inline, for a network of `config` framed every `hop` samples and a
-    decoder doing `units` of work per frame (decoder_units)."""
-    per_frame = MULTIPLY_ADD_S * frame_multiply_adds(config, hop) + DECODER_UNIT_S * units
-    return lambda length: length // hop * per_frame
+def seconds_per_frame(config, hop, units):
+    """The estimated inline seconds of scoring and decoding one frame (an
+    utterance costs its frames times this), for a network of `config`
+    framed every `hop` samples and a decoder doing `units` of work per
+    frame (decoder_units)."""
+    return MULTIPLY_ADD_S * frame_multiply_adds(config, hop) + DECODER_UNIT_S * units
 
 
 def decode_utterances(utts, params, hop, decode):
@@ -126,12 +117,12 @@ def decode_utterances(utts, params, hop, decode):
         if isinstance(utt, DataError):
             outcomes.append(utt)
             continue
-        if utterance_grid(utt, params.config.input_frames, hop).num_frames == 0:
+        emissions = compute_emissions(utt, params, hop)
+        if not len(emissions):
             outcomes.append(DataError(
                 f"utterance of {utt.length} samples is shorter than one hop ({hop} samples)"
             ))
             continue
-        emissions = compute_emissions(utt, params, hop)
         if group and (len(group) + 1) * max(width, *emissions.shape) > DECODE_GROUP_FRAMES:
             yield from flush()
             width = 0

@@ -87,52 +87,64 @@ def normalize_window(window):
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("window must be a non-empty 1-D sequence")
-    mean, std = row_stats(x[None], np.empty((1, x.size)))
-    if std[0, 0] == 0.0:
+    mean, std = row_stats(x[None])
+    if std[0] == 0.0:
         return np.zeros_like(x)
-    return (x - mean[0, 0]) / std[0, 0]
+    return (x - mean[0]) / std[0]
 
 
 def grid_windows(waveform, grid):
-    """The raw grid windows of a waveform, as a read-only view of one signal.
-
-    Returns (signal, rows): `signal` is the waveform zero-padded by
-    window_samples // 2 on both ends, starting where frame 0's window
-    starts; row t of the (num_frames, window_samples) view `rows` is
-    signal[t * hop : t * hop + window_samples], the window centered at
-    `grid.center(t)`.
-    """
-    x = np.asarray(waveform.samples, dtype=np.float64)
-    w = grid.window_samples
-    pad = w // 2
-    padded = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
-    if w > len(padded):
-        raise ValueError(
-            f"window of {w} samples exceeds padded waveform length {len(padded)}"
-        )
-    first = grid.center(0) - w // 2 + pad
-    stop = first + grid.num_frames * grid.hop_samples
-    rows = np.lib.stride_tricks.sliding_window_view(padded, w)[first:stop:grid.hop_samples]
-    return padded[first:], rows
+    """(signal, rows): `signal` is the waveform zero-padded by window_samples
+    // 2 on both ends, from where frame 0's window starts, and row t of
+    the read-only view `rows` is signal[t * hop : t * hop + window_samples],
+    the window centered at grid.center(t)."""
+    pad = np.zeros(grid.window_samples // 2)
+    padded = np.concatenate([pad, np.asarray(waveform.samples, dtype=np.float64), pad])
+    first, hop = grid.center(0), grid.hop_samples  # the window centered on c starts at padded c
+    rows = np.lib.stride_tricks.sliding_window_view(padded, grid.window_samples)
+    return padded[first:], rows[first : first + grid.num_frames * hop : hop]
 
 
-def row_stats(rows, buf):
-    """Row means and population standard deviations of `rows`, as (n, 1) columns.
+STATS_CHUNK_BYTES = 16 * 1600 * 8  # rows row_stats reduces at once: 16 default raw windows
 
-    The same float64 reductions run over each contiguous row of `buf`
-    (shaped like `rows`, overwritten), so no temporary of the rows' size
-    is allocated. A constant row (max == min) gets std 0, so it
-    normalizes to zeros: its mean may be off by an ulp, which would
+
+def row_stats(rows, mean=None, std=None):
+    """Each row's mean and population std, float64 vectors (into `mean` and
+    `std` where given). The rows are copied STATS_CHUNK_BYTES at a time
+    into one buffer that the reductions overwrite, and each row gets the
+    same bits whatever the chunk. A constant row (max == min) gets std 0,
+    so it normalizes to zeros: its mean may be off by an ulp, which would
     otherwise leave a tiny nonzero std.
     """
-    np.copyto(buf, rows)
-    constant = buf.max(axis=1) == buf.min(axis=1)
-    mean = buf.mean(axis=1, keepdims=True)
-    np.subtract(buf, mean, out=buf)
-    np.square(buf, out=buf)
-    std = np.sqrt(buf.mean(axis=1, keepdims=True))
-    std[constant] = 0.0
+    n, width = rows.shape
+    mean = np.empty(n) if mean is None else mean
+    std = np.empty(n) if std is None else std
+    chunk = max(1, STATS_CHUNK_BYTES // (8 * width))
+    buf = np.empty((min(chunk, n), width))
+    for a in range(0, n, chunk):
+        part = buf[: len(rows[a : a + chunk])]
+        m, s = mean[a : a + len(part)], std[a : a + len(part)]
+        np.copyto(part, rows[a : a + chunk])
+        constant = part.max(axis=1) == part.min(axis=1)
+        np.mean(part, axis=1, out=m)
+        np.subtract(part, m[:, None], out=part)
+        np.square(part, out=part)
+        np.sqrt(np.mean(part, axis=1, out=s), out=s)
+        s[constant] = 0.0
     return mean, std
+
+
+@dataclass(frozen=True, eq=False)
+class FramedSignal:
+    """Frame t's window, t < num_frames, is rows t * hop .. t * hop + window - 1
+    of `signal` (L x d). A raw window is normalized by its frame's `mean`
+    and `std` (of row_stats) when read; a feature window is read as it is."""
+
+    signal: np.ndarray
+    hop: int
+    num_frames: int
+    mean: np.ndarray = None
+    std: np.ndarray = None
 
 
 def extract_windows(waveform, grid):
@@ -144,12 +156,7 @@ def extract_windows(waveform, grid):
     row equals normalize_window of that raw window, bit for bit.
     """
     _signal, rows = grid_windows(waveform, grid)
-    out = np.empty(rows.shape, dtype=np.float64)
-    mean, std = row_stats(rows, out)
-    np.subtract(rows, mean, out=out)
-    np.divide(out, std, out=out, where=std != 0.0)
-    out[std[:, 0] == 0.0] = 0.0
-    return out
+    return np.array([normalize_window(row) for row in rows]).reshape(rows.shape)
 
 
 def pad_features(features, context_frames, dtype):

@@ -7,11 +7,11 @@ producing one score per class. Training runs in float32; gradient checks
 cast everything to float64 first.
 
 Training steps run one window at a time on a StepPlan. Inference scores
-every frame of a signal (a padded waveform or feature matrix) in batches
-sized by BATCH_BYTES, with stage 0 computed once per position of one
-grid and shared by the overlapping windows (score_frames). A network
-without stages runs its hidden layer there, as a stage 0 of one position
-per frame.
+every frame of a framed signal (a padded waveform with its window
+statistics, or a padded feature matrix) in batches sized by BATCH_BYTES,
+with stage 0 computed once per position of one grid and shared by the
+overlapping windows (score_frames). A network without stages runs its
+hidden layer there, as a stage 0 of one position per frame.
 """
 
 import math
@@ -20,8 +20,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-
-from .framing import row_stats
 
 
 @dataclass(frozen=True)
@@ -355,36 +353,35 @@ def _pool_positions(conv, pool_width, stride, starts, t_pool):
     return smax[starts[:, None] + np.arange(t_pool) * (pool_width * stride)]
 
 
-def score_frames(signal, hop, num_frames, params, rows=None):
-    """Class scores of the first num_frames frames of a signal, sharing stage 0 across frames.
+def score_frames(framed, params):
+    """Class scores of every frame of a framed signal, sharing stage 0 across frames.
 
-    `signal` is an L x input_dim matrix, and frame t's window is its rows
-    t * hop .. t * hop + input_frames - 1. With `rows`, the frames' raw
-    windows (num_frames x input_frames), each window is normalized to zero
-    mean and unit variance first. Equals forward_pass on each (normalized)
-    window up to float rounding. A network without stages runs its hidden
-    layer as stage 0: kernel input_frames, shift hop, pool width 1.
+    Frame t's window of `framed` (a framing.FramedSignal) is rows t * hop
+    .. t * hop + input_frames - 1 of its L x input_dim signal. Given
+    window statistics (raw input), each window is normalized by its
+    frame's `mean` and `std` first. Equals forward_pass on each
+    (normalized) window up to float rounding. A network without stages
+    runs its hidden layer as stage 0: kernel input_frames, shift hop,
+    pool width 1.
 
-    Frame t's conv frame j starts at row t * hop + j * shift, a multiple
-    of g = gcd(hop, shift), so the stage-0 positions of all frames lie on
-    one grid of stride g. The convolution runs once per grid position, and
-    each frame max-pools its own positions, every shift / g-th one of the
-    grid from its first. Frames are processed batch_frames at a time,
-    which bounds the extra working set whatever the signal length; a batch
-    reuses the positions it shares with the one before, which only
-    overlapping windows have.
+    Frame t's conv frame j starts at row t * hop + j * shift, so the
+    stage-0 positions of all frames lie on one grid of stride g =
+    gcd(hop, shift). The convolution runs once per grid position, and
+    each frame max-pools its own positions, every shift / g-th one from
+    its first. Frames go batch_frames at a time, which bounds the working
+    set whatever the signal length; a batch reuses the positions it
+    shares with the one before.
 
-    Without `rows`, stage 0 runs in the params dtype and the bias is added
-    per position, before pooling: rounding is monotone, so
-    max(x + b) == max(x) + b exactly. With `rows`, the raw convolution W.x
-    runs in float64. Normalization is affine per window, hence
-    conv(normalized window) = (W.x - mean * sum(W)) / std + b; as std > 0,
-    max-pooling commutes with this map and is taken over the raw conv. A
-    constant window (std == 0) normalizes to zeros, so its stage-0 output
-    is the bias.
+    Without statistics, stage 0 runs in the params dtype, the bias added
+    per position before pooling: rounding is monotone, so max(x + b) ==
+    max(x) + b exactly. With them, the raw convolution W.x runs in
+    float64; normalization is affine, so conv(normalized window) =
+    (W.x - mean * sum(W)) / std + b, and for std > 0 max-pooling commutes
+    with this map and pools the raw conv. A constant window (std == 0)
+    normalizes to zeros, so its stage-0 output is the bias.
     """
     config = params.config
-    x = np.asarray(signal)
+    x, hop, num_frames, std = np.asarray(framed.signal), framed.hop, framed.num_frames, framed.std
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"signal must be a T x {config.input_dim} matrix, got {x.shape}")
     if config.stages:
@@ -398,14 +395,13 @@ def score_frames(signal, hop, num_frames, params, rows=None):
     step, stride = hop // g, layer.shift // g  # grid positions per hop and per conv frame
     reach = (t_pool * pw - 1) * stride + 1  # grid positions from a frame's first to last
     dtype = params.hidden_weight.dtype
-    conv_dtype = dtype if rows is None else np.float64
+    conv_dtype = dtype if std is None else np.float64
     x = x.astype(conv_dtype, copy=False)
     weight = layer.weight.astype(conv_dtype, copy=False)
     batch = batch_frames(config, dtype)
-    if rows is not None:
+    if std is not None:
         wsum = weight.sum(axis=1)
         bias = layer.bias.astype(np.float64)
-        buf = np.empty((min(num_frames, batch), config.input_frames))
     scores = np.empty((num_frames, config.num_classes), dtype=np.float64)
     conv = np.empty((0, layer.out_dim), conv_dtype)  # stage 0 at positions lo, lo + 1, ...
     lo = 0
@@ -415,18 +411,17 @@ def score_frames(signal, hop, num_frames, params, rows=None):
         # batch that it shares are kept, the rest computed from `start`
         start, hi = max(lo + len(conv), a * step), (b - 1) * step + reach
         fresh = _gather_windows(x[None, start * g : (hi - 1) * g + kw], kw, g)[0] @ weight.T
-        if rows is None:
+        if std is None:
             fresh += layer.bias
         kept = conv[a * step - lo :]
         conv = np.concatenate([kept, fresh]) if len(kept) else fresh
         lo = a * step
         pooled = _pool_positions(conv, pw, stride, np.arange(b - a) * step, t_pool)
-        if rows is not None:
-            mean, std = row_stats(rows[a:b], buf[: b - a])
-            pooled -= mean[:, :, None] * wsum
-            pooled /= np.where(std, std, 1.0)[:, :, None]  # std == 0 rows are reset below
+        if std is not None:
+            pooled -= framed.mean[a:b, None, None] * wsum
+            pooled /= np.where(std[a:b], std[a:b], 1.0)[:, None, None]  # std == 0: reset below
             pooled += bias
-            pooled[std[:, 0] == 0.0] = bias
+            pooled[std[a:b] == 0.0] = bias
         act = np.tanh(pooled.astype(dtype, copy=False))
         scores[a:b] = _head_forward(act, params)
     return scores

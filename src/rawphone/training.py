@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoding import compute_emissions, decode_seconds
+from .decoding import seconds_per_frame
 from .errors import DivergenceError
 from .net import (
     NetworkConfig,
@@ -21,6 +21,7 @@ from .net import (
     forward_pass,
     init_params,
     param_count,
+    score_frames,
     softmax_terms,
     step_plan,
 )
@@ -88,22 +89,22 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-def frame_accuracy_of(params, dataset):
-    """Percent of dataset frames whose argmax score matches the label.
+def dataset_scores(params, dataset, reduce):
+    """reduce(scores, labels) over each framed utterance of a FrameDataset, in order.
 
-    Each utterance is scored as decoding scores it (compute_emissions),
-    in worker processes where the fork gate finds that the split pays
-    (workers.ordered_map, each utterance costed as an argmax decode).
+    Each is scored as decoding scores it (net.score_frames), from the
+    dataset's window statistics, in worker processes where the fork gate
+    finds that the split pays (each priced as an argmax decode).
     """
-    seconds = decode_seconds(params.config, dataset.hop, 0)
+    per_frame = seconds_per_frame(params.config, dataset.hop, 0)
+    return ordered_map(lambda share: (reduce(score_frames(f, params), l) for f, l in share),
+                       dataset.by_utterance(), lambda pair: pair[0].num_frames * per_frame)
 
-    def correct(share):
-        for utt, labels in share:
-            predicted = compute_emissions(utt, params, dataset.hop).argmax(axis=1)
-            yield int(np.count_nonzero(predicted == labels))
 
-    counts = ordered_map(correct, dataset.by_utterance(), lambda pair: seconds(pair[0].length))
-    return 100.0 * sum(counts) / len(dataset)
+def frame_accuracy_of(params, dataset):
+    """Percent of dataset frames whose argmax score matches the label."""
+    hits = dataset_scores(params, dataset, lambda f, y: np.count_nonzero(f.argmax(axis=1) == y))
+    return 100.0 * sum(hits) / len(dataset)
 
 
 def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):

@@ -13,7 +13,7 @@ Fork gate: a fork has a price (FORK_PRICE_S, about 10 ms a child on a
 passes `cost`, and the map keeps only as many workers as have later
 shares that outweigh the price of their forks, down to none. `decode`
 estimates from file sizes and the model before it loads anything, and
-`train` its CV scoring and CRF emissions from the utterances' lengths;
+`train` its CV scoring and CRF emissions from the utterances' frames;
 `grid` and `ablate-pool`, whose items are whole trainings, pass none and
 always fork.
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -10,9 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from rawphone import cli
+from rawphone import cli, decoding, framing, workers
 from rawphone.cli import SUBCOMMANDS, build_parser, main
-from rawphone import decoding
 from rawphone.corpus import load_manifest, load_utterance, read_wav, write_labels, write_wav
 from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
@@ -105,6 +105,23 @@ class TestTrain:
         assert run(argv) == 0
         assert (tmp_path / "model.rcn").read_bytes() == (trained / "model.rcn").read_bytes()
         assert (tmp_path / "history.csv").read_bytes() == (trained / "history.csv").read_bytes()
+
+    def test_each_train_and_cv_utterance_is_framed_once(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers, "usable_cores", lambda: 1)  # every map in this process
+        frame, framed = framing.grid_windows, collections.Counter()
+
+        def counted(waveform, grid):
+            framed[id(waveform)] += 1
+            return frame(waveform, grid)
+
+        for name, module in list(sys.modules.items()):  # every binding of grid_windows
+            if name.startswith("rawphone") and getattr(module, "grid_windows", None) is frame:
+                monkeypatch.setattr(module, "grid_windows", counted)
+        assert run(["train", *split_args(corpus, "train", "cv"), "--out", tmp_path, *SMALL_NET,
+                    "--lr", "3e-4", "--epochs", "3", "--crf-epochs", "1", "--seed", "0"]) == 0
+        # each of the 10 training and 2 CV utterances, over 3 epochs, CV scoring
+        # and the CRF emissions
+        assert sorted(framed.values()) == [1] * 12
 
     def test_one_progress_line_per_epoch_on_stderr(self, corpus, trained, tmp_path, capsys):
         argv = ["train", "--train-manifest", corpus / "train.jsonl",
@@ -740,11 +757,20 @@ class TestCheckGrad:
         assert "PASS" not in captured.out
         assert not (tmp_path / "o").exists()
 
-    def test_corrupted_gradient_fails(self, capsys):
-        rc = run(["check-grad", "--seed", "5", "--configs", "1",
-                  "--corrupt", "hidden.bias"])
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        exact = cli.backward_pass
+
+        def corrupted(*args, **kwargs):
+            grads, input_grad = exact(*args, **kwargs)
+            grads["hidden.bias"][...] += 1.0
+            return grads, input_grad
+
+        monkeypatch.setattr(cli, "backward_pass", corrupted)
+        rc = run(["check-grad", "--seed", "5", "--configs", "1"])
         assert rc == 3
-        assert "FAIL" in capsys.readouterr().out
+        rows = capsys.readouterr().out.splitlines()
+        assert any("hidden.bias" in row and row.endswith(" FAIL") for row in rows)
+        assert rows[-1] == "gradient check: FAIL"
 
 
 class TestFeaturePipeline:

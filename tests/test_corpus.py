@@ -309,14 +309,17 @@ def with_stretch(x, start, stop, value):
 
 
 def dataset_arrays(ds):
-    """The arrays a dataset holds, directly or in lists."""
+    """The arrays a dataset holds, directly, in lists or in its framed signals."""
     values = [a for v in vars(ds).values() for a in (v if isinstance(v, list) else [v])]
+    values += [a for framed in ds.framed for a in vars(framed).values()]
     return [a for a in values if isinstance(a, np.ndarray)]
 
 
 def owned_bytes(arrays):
-    """Bytes of the memory behind the arrays (the whole buffer a view looks into)."""
-    return sum((a if a.base is None else a.base).nbytes for a in arrays)
+    """Bytes of the memory behind the arrays (the whole buffer a view looks
+    into), each buffer counted once."""
+    buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+    return sum(b.nbytes for b in buffers.values())
 
 
 RAW_CASES = {  # name -> (utterances, window, hop, garbage)
@@ -447,11 +450,13 @@ class TestFrameDatasetAssembly:
         index = {l: i for i, l in enumerate(alphabet)}
         ds = build_frame_dataset([train[0], short, *train[1:]], 400, 160, alphabet)
         pairs = ds.by_utterance()
-        assert [u.id for u, _l in pairs] == [u.id for u in train]  # no frames: left out
-        for utt, labels in pairs:
+        assert [u.id for u in ds.utterances] == [u.id for u in train]  # no frames: left out
+        assert [framed for framed, _l in pairs] == ds.framed
+        for utt, (framed, labels) in zip(ds.utterances, pairs):
             np.testing.assert_array_equal(labels, utterance_frame_labels(utt, 400, 160, index))
             assert labels.base is ds.labels  # views, not copies
-        assert sum(len(l) for _u, l in pairs) == len(ds)
+            assert framed.num_frames == len(labels)
+        assert sum(len(l) for _f, l in pairs) == len(ds)
 
     def test_reference_sequence_collapses_segments(self):
         ann = SegmentAnnotation(((0, 10, "a"), (10, 20, "a"), (20, 30, "b")))

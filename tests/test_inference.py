@@ -7,7 +7,13 @@ from rawphone import net
 from rawphone.corpus import FrameDataset, LabeledUtterance
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
-from rawphone.framing import FrameGrid, SegmentAnnotation, Waveform, extract_windows
+from rawphone.framing import (
+    FrameGrid,
+    FramedSignal,
+    SegmentAnnotation,
+    Waveform,
+    extract_windows,
+)
 from rawphone.net import (
     NetworkConfig,
     StageConfig,
@@ -223,7 +229,7 @@ class TestFeatureEmissions:
     def test_feature_dim_checked(self):
         params = init_params(feature_config(9, ((3, 1, 1),)), 0)
         with pytest.raises(ValueError, match="T x 4 matrix"):
-            score_frames(np.zeros((5, 3)), 1, 5, params)
+            score_frames(FramedSignal(np.zeros((5, 3)), 1, 5), params)
 
 
 class TestBatchFrames:

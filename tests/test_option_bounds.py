@@ -120,3 +120,48 @@ def test_numeric_option_at_its_boundaries(base_args, tmp_path, capsys, subcomman
         assert (rc == 0) == ((subcommand, key, value) in ALLOWED), case
         if rc == 1:
             assert flag in err, case
+
+
+# (subcommand, option key, value with one element left as "{}"): the
+# comma-separated options, each element bounded as its scalar option is,
+# or as a stage width (kernel, shift, pool: at least 1)
+LIST_ELEMENTS = [
+    ("train", "stages", "8:4:2,{}:1:1,2:1:1"),
+    ("train", "stages", "8:{}:2,2:1:1,2:1:1"),
+    ("ablate-pool", "stages", "8:4:2,2:1:1,2:1:{}"),
+    ("grid", "window_ms_list", "10,{}"),
+    ("grid", "kernel_list", "4,{}"),
+    ("grid", "filters_list", "{},2"),
+    ("grid", "hidden_list", "{}"),
+    ("grid", "pool_list", "2,{}"),
+]
+
+
+@pytest.mark.parametrize("subcommand, key, template", LIST_ELEMENTS,
+                         ids=[f"{s}-{k}-{t}" for s, k, t in LIST_ELEMENTS])
+def test_list_element_at_its_boundaries(base_args, tmp_path, capsys, subcommand, key, template):
+    flag = "--" + key.replace("_", "-")
+    for value in (*VALUES, "x"):
+        out = tmp_path / value
+        # with `=`, as argparse takes a value such as "-1,2" for an option otherwise
+        rc = exit_code([subcommand, *base_args[subcommand], f"{flag}={template.format(value)}",
+                        "--out", out])
+        err = capsys.readouterr().err
+        case = f"{subcommand} {flag} {template.format(value)}: exit {rc}, stderr {err!r}"
+        assert rc == 1, case
+        assert err.startswith(f"usage error: {flag}: ") and repr(value) in err, case
+        assert not out.exists(), case
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("train", "--window-ms", "0.01"), ("ablate-pool", "--window-ms", "0.01"),
+    ("grid", "--window-ms-list", "10,0.01"),
+])
+def test_window_that_rounds_to_no_sample_is_a_usage_error(base_args, tmp_path, capsys,
+                                                          subcommand, flag, value):
+    rc = exit_code([subcommand, *base_args[subcommand], flag, value, "--out", tmp_path / "o"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {flag} 0.01 is 0.16 samples at 16000 Hz; "
+        "the window must round to at least one sample\n")
+    assert not (tmp_path / "o").exists()

@@ -22,7 +22,7 @@ import pytest
 from rawphone import decoding, workers
 from rawphone.cli import main
 from rawphone.corpus import write_labels, write_wav
-from rawphone.decoding import decode_seconds, decoder_units
+from rawphone.decoding import decoder_units, seconds_per_frame
 from rawphone.errors import DataError, DivergenceError, WorkerLostError
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.net import NetworkConfig, StageConfig
@@ -182,9 +182,8 @@ class TestForkGate:
 
     def forks(self, config, hop, decoder, frames):
         """Whether a decode of utterances `frames` long forks on 2 cores."""
-        seconds = decode_seconds(config, hop, decoder_units(decoder, config.num_classes, 3))
-        lengths = [f * hop for f in frames]
-        return len(set(ordered_map(pids, lengths, seconds))) > 1
+        per_frame = seconds_per_frame(config, hop, decoder_units(decoder, config.num_classes, 3))
+        return len(set(ordered_map(pids, frames, lambda f: f * per_frame))) > 1
 
     # the benchmark's test splits: feat39 24 utterances of about 319
     # frames, train_raw 12 of about 73, decode_raw 48 of about 78
