@@ -353,14 +353,13 @@ def _train_config(cfg):
     )
 
 
-def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
-    """Train one network, printing one progress line per epoch to stderr.
+def _frame_splits(splits, input_frames, hop, alphabet, garbage):
+    """The FrameDataset of each split, a list of utterances, in order."""
+    return [build_frame_dataset(utts, input_frames, hop, alphabet, garbage) for utts in splits]
 
-    Returns the best parameters, the history and the training set, whose
-    framed utterances the CRF emissions score without framing them again.
-    """
-    train_set = build_frame_dataset(train_utts, net_config.input_frames, hop, alphabet, garbage)
-    cv_set = build_frame_dataset(cv_utts, net_config.input_frames, hop, alphabet, garbage)
+
+def _train_once(tc, train_set, cv_set, net_config):
+    """Train one network, printing one progress line per epoch to stderr: (best, history)."""
 
     def report(epoch, ll, cv_acc, seconds):
         print(
@@ -370,8 +369,7 @@ def _train_once(tc, train_utts, cv_utts, net_config, hop, alphabet, garbage):
             file=sys.stderr,
         )
 
-    best, history = train_network(train_set, cv_set, net_config, tc, on_epoch=report)
-    return best, history, train_set
+    return train_network(train_set, cv_set, net_config, tc, on_epoch=report)
 
 
 def _handed_over(items):
@@ -385,15 +383,16 @@ def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
     tc = _train_config(cfg)
     out = Path(args.out)
-    (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
+    splits, alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
     )
     net_config = _network_config(cfg, sample_rate, len(alphabet))
-    _check_window(net_config.input_frames, train_utts, cfg)
+    _check_window(net_config.input_frames, splits[0], cfg)
+    # each split is dropped once framed: training reads only the datasets
+    train_set, cv_set = _frame_splits(_handed_over(splits), net_config.input_frames, hop,
+                                      alphabet, garbage)
 
-    best, history, train_set = _train_once(
-        tc, train_utts, cv_utts, net_config, hop, alphabet, garbage
-    )
+    best, history = _train_once(tc, train_set, cv_set, net_config)
 
     transitions = np.zeros((len(alphabet), len(alphabet)))
     if cfg["crf_epochs"] > 0:
@@ -442,28 +441,24 @@ def cmd_grid(args):
     cfg = _resolve(args, GRID_DEFAULTS)
     tc = _train_config(cfg)
     out = Path(args.out)
-    spec = GridSpec(
-        window_ms=_list(cfg, "window_ms_list", float),
-        kernel_width=_list(cfg, "kernel_list", int),
-        num_filters=_list(cfg, "filters_list", int),
-        hidden_units=_list(cfg, "hidden_list", int),
-        pool_width=_list(cfg, "pool_list", int),
-        num_stages=cfg["stages_count"],
+    # windows as _network_config takes them: frame counts on feature input, else milliseconds
+    windows = _list(cfg, "window_ms_list", int if cfg["feature_dim"] else float)
+    kernels, filters, hidden, pools = (
+        _list(cfg, f"{key}_list", int) for key in ("kernel", "filters", "hidden", "pool")
     )
     (train_utts, cv_utts), alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
     )
-    if not cfg["feature_dim"]:  # feature windows are counted in frames
-        for ms in spec.window_ms:
-            _samples("window_ms_list", ms, sample_rate)
-    configs = spec.configs(sample_rate or 1000, cfg["feature_dim"] or 1, len(alphabet))
+    if not cfg["feature_dim"]:
+        windows = tuple(_samples("window_ms_list", ms, sample_rate) for ms in windows)
+    spec = GridSpec(windows, kernels, filters, hidden, pools, cfg["stages_count"])
+    configs = spec.configs(cfg["feature_dim"] or 1, len(alphabet))
     if not configs:
         raise ValueError("grid is empty after dropping infeasible configurations")
 
     def dataset_for(config):
         _check_window(config.input_frames, train_utts)
-        return tuple(build_frame_dataset(utts, config.input_frames, hop, alphabet, garbage)
-                     for utts in (train_utts, cv_utts))
+        return _frame_splits((train_utts, cv_utts), config.input_frames, hop, alphabet, garbage)
 
     results = grid_search(dataset_for, configs, tc, max_configs=cfg["max_configs"] or None)
 
@@ -668,13 +663,18 @@ def cmd_ablate_pool(args):
     cfg = _resolve(args, ABLATE_DEFAULTS)
     tc = _train_config(cfg)
     out = Path(args.out)
-    (train_utts, cv_utts, test_utts), alphabet, garbage, sample_rate, hop = _load_data(
+    splits, alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest, args.test_manifest
     )
     base_config = _network_config(cfg, sample_rate, len(alphabet))
     if len(base_config.stages) != 3:
         raise ValueError("pooling ablation needs a 3-stage base configuration")
-    _check_window(base_config.input_frames, train_utts, cfg)
+    _check_window(base_config.input_frames, splits[0], cfg)
+    test_utts = splits.pop()
+    # the four settings share one window and hop, so train and CV are framed
+    # once; forked workers share the datasets copy-on-write
+    train_set, cv_set = _frame_splits(_handed_over(splits), base_config.input_frames, hop,
+                                      alphabet, garbage)
 
     decode = decoder("hmm", alphabet, None, cfg["min_duration"])
 
@@ -682,7 +682,7 @@ def cmd_ablate_pool(args):
         """Train with `retained` pooled stages, then decode and score the test split."""
         try:
             config = _with_retained_pools(base_config, retained)
-            best = _train_once(tc, train_utts, cv_utts, config, hop, alphabet, garbage)[0]
+            best = _train_once(tc, train_set, cv_set, config)[0]
             _report, acc = corpus_report(
                 (u.id, collapse_path(u.annotation.labels()), _raised(hyp))
                 for u, hyp in zip(test_utts, decode_utterances(test_utts, best, hop, decode))

@@ -31,7 +31,6 @@ from .framing import (
     Waveform,
     frame_labels,
     grid_windows,
-    pad_features,
     row_stats,
 )
 
@@ -105,7 +104,7 @@ def write_labels(path, annotation):
 
 
 def load_feature_matrix(path, feature_dim):
-    """Read a headerless float32 frame-major T x d feature matrix."""
+    """Read a headerless float32 frame-major T x d feature matrix, kept as float32."""
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
     data = np.fromfile(str(path), dtype="<f4")
@@ -118,7 +117,7 @@ def load_feature_matrix(path, feature_dim):
         raise DataError(f"{path}: feature matrix has no frames")
     if not np.isfinite(data).all():
         raise DataError(f"{path}: feature matrix contains non-finite values")
-    return data.reshape(-1, feature_dim).astype(np.float64)
+    return data.reshape(-1, feature_dim).astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -445,21 +444,24 @@ def utterance_frame_labels(utt, input_frames, hop_samples, label_to_index, garba
 
 
 def frame_utterance(utt, input_frames, hop_samples, dtype, mean=None, std=None):
-    """One utterance's framing.FramedSignal: a waveform padded by grid_windows
-    with the row_stats of its windows (written into `mean` and `std` where
-    given), or a feature matrix padded by pad_features in `dtype`."""
+    """One utterance's framing.FramedSignal, padded by grid_windows: a feature
+    matrix in `dtype`, or a waveform in its samples' own dtype with the
+    row_stats of its windows (written into `mean` and `std` where given)."""
     grid = utterance_grid(utt, input_frames, hop_samples)
     if utt.waveform is None:
-        return FramedSignal(pad_features(utt.features, input_frames, dtype), 1, grid.num_frames)
-    signal, rows = grid_windows(utt.waveform, grid)
-    return FramedSignal(signal[:, None], hop_samples, grid.num_frames, *row_stats(rows, mean, std))
+        padded, _rows = grid_windows(utt.features.astype(dtype, copy=False), grid)
+        return FramedSignal(padded, 1, grid.num_frames)
+    padded, rows = grid_windows(utt.waveform.samples[:, None], grid)
+    return FramedSignal(padded, hop_samples, grid.num_frames, *row_stats(rows, mean, std))
 
 
 class FrameDataset:
     """Training frames of utterances framed once each (frame_utterance).
 
-    `framed[u]` frames `utterances[u]` (features in float32, the training
-    dtype). Frame i, labelled `labels[i]`, is frame t of utterance
+    `framed[u]` frames the utterance `ids[u]`: a waveform padded in its own
+    dtype (float32 as WAV and .f32 files load), a feature matrix in
+    float32, the training dtype. The utterances themselves are not kept.
+    Frame i, labelled `labels[i]`, is frame t of utterance
     `utts[i]`: its window is the input_frames rows of that signal from
     `starts[i]`, t * hop. Raw window statistics are the dataset-wide
     `mean` and `std`, which the framed utterances view: the steps
@@ -476,9 +478,9 @@ class FrameDataset:
             frames = utterance_grid(utt, input_frames, hop_samples).num_frames
             if len(l) != frames:
                 raise ValueError(f"utterance {utt.id}: {len(l)} labels, {frames} frames")
-        self.utterances = [u for u, _l in kept]
-        self.raw = self.utterances[0].waveform is not None
-        if any((u.waveform is not None) != self.raw for u in self.utterances):
+        self.ids = [u.id for u, _l in kept]
+        self.raw = kept[0][0].waveform is not None
+        if any((u.waveform is not None) != self.raw for u, _l in kept):
             raise ValueError("utterances mix waveform and feature input")
         self.input_frames, self.hop = input_frames, hop_samples
         self.labels = np.concatenate([l for _u, l in kept])
@@ -491,7 +493,7 @@ class FrameDataset:
         self.framed = [
             frame_utterance(utt, input_frames, hop_samples, np.float32,
                             *((self.mean[a:b], self.std[a:b]) if self.raw else ()))
-            for utt, a, b in zip(self.utterances, self.offsets, self.offsets[1:])
+            for (utt, _l), a, b in zip(kept, self.offsets, self.offsets[1:])
         ]
         self.starts = np.concatenate([np.arange(f.num_frames) * f.hop for f in self.framed])
 

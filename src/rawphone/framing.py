@@ -1,8 +1,9 @@
-"""Waveform framing: fixed-size analysis windows on a regular grid.
+"""Framing: fixed-size analysis windows on a regular grid.
 
-A waveform of length L with hop h yields exactly floor(L / h) frames.
-Frame t is centered at sample t*h + h//2; the waveform is zero-padded
-symmetrically so edge frames keep full context. Each raw window is
+A signal of L rows (a waveform's samples, or a feature matrix's frames)
+with hop h yields exactly floor(L / h) frames. Frame t is centered at row
+t*h + h//2; the signal is zero-padded symmetrically, in its own dtype, so
+edge frames keep full context (grid_windows). Each raw window is
 normalized to zero mean and unit population variance after padding.
 """
 
@@ -93,16 +94,18 @@ def normalize_window(window):
     return (x - mean[0]) / std[0]
 
 
-def grid_windows(waveform, grid):
-    """(signal, rows): `signal` is the waveform zero-padded by window_samples
-    // 2 on both ends, from where frame 0's window starts, and row t of
-    the read-only view `rows` is signal[t * hop : t * hop + window_samples],
-    the window centered at grid.center(t)."""
-    pad = np.zeros(grid.window_samples // 2)
-    padded = np.concatenate([pad, np.asarray(waveform.samples, dtype=np.float64), pad])
-    first, hop = grid.center(0), grid.hop_samples  # the window centered on c starts at padded c
-    rows = np.lib.stride_tricks.sliding_window_view(padded, grid.window_samples)
-    return padded[first:], rows[first : first + grid.num_frames * hop : hop]
+def grid_windows(signal, grid):
+    """(padded, rows): the L x d `signal` zero-padded by window_samples // 2
+    rows on both ends, in its own dtype, from the row where frame 0's
+    window starts; row t of the read-only view `rows` is padded[t * hop :
+    t * hop + window_samples] flattened, the window centered at
+    grid.center(t). A waveform is its samples as L x 1."""
+    x = np.asarray(signal)
+    half, first, hop, d = grid.window_samples // 2, grid.center(0), grid.hop_samples, x.shape[1]
+    padded = np.zeros((len(x) + 2 * half, d), x.dtype)
+    padded[half : half + len(x)] = x  # the window centered on c starts at padded row c
+    rows = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), grid.window_samples * d)
+    return padded[first:], rows[first * d : (first + grid.num_frames * hop) * d : hop * d]
 
 
 STATS_CHUNK_BYTES = 16 * 1600 * 8  # rows row_stats reduces at once: 16 default raw windows
@@ -155,38 +158,22 @@ def extract_windows(waveform, grid):
     on a waveform zero-padded by window_samples // 2 on both ends. Each
     row equals normalize_window of that raw window, bit for bit.
     """
-    _signal, rows = grid_windows(waveform, grid)
+    _padded, rows = grid_windows(np.asarray(waveform.samples)[:, None], grid)
     return np.array([normalize_window(row) for row in rows]).reshape(rows.shape)
 
 
-def pad_features(features, context_frames, dtype):
-    """A feature matrix zero-padded for framing, as `dtype`.
+def extract_feature_windows(features, context_frames):
+    """Cut a centered context block per frame from a precomputed T x d feature matrix.
 
-    context_frames // 2 zero rows go before the features and the rest
-    after, so rows t .. t + context_frames - 1 of the result are the
-    window centered on feature row t.
+    Returns (T, context_frames, d) in the features' dtype: the windows of
+    grid_windows at a hop of one row. No normalization is applied
+    (feature matrices arrive already conditioned).
     """
     feats = np.asarray(features)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ValueError("features must be a non-empty T x d matrix")
-    if context_frames < 1:
-        raise ValueError("context_frames must be >= 1")
-    T, d = feats.shape
-    half = context_frames // 2
-    padded = np.zeros((T + context_frames, d), dtype)
-    padded[half : half + T] = feats
-    return padded
-
-
-def extract_feature_windows(features, context_frames):
-    """Cut a centered context block per frame from a precomputed feature matrix.
-
-    Returns (T, context_frames, d): the windows of pad_features. No
-    normalization is applied (feature matrices arrive already conditioned).
-    """
-    padded = pad_features(features, context_frames, np.float64)
-    view = np.lib.stride_tricks.sliding_window_view(padded, context_frames, axis=0)
-    return np.ascontiguousarray(view[: len(features)].transpose(0, 2, 1))
+    _padded, rows = grid_windows(feats, FrameGrid(1, context_frames, len(feats)))
+    return np.ascontiguousarray(rows).reshape(len(feats), context_frames, feats.shape[1])
 
 
 def frame_labels(annotation, grid, label_to_index, garbage_index=None):

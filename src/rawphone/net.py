@@ -375,9 +375,10 @@ def score_frames(framed, params):
     Without statistics, stage 0 runs in the params dtype, the bias added
     per position before pooling: rounding is monotone, so max(x + b) ==
     max(x) + b exactly. With them, the raw convolution W.x runs in
-    float64; normalization is affine, so conv(normalized window) =
-    (W.x - mean * sum(W)) / std + b, and for std > 0 max-pooling commutes
-    with this map and pools the raw conv. A constant window (std == 0)
+    float64, on the signal's rows widened a batch at a time; normalization
+    is affine, so conv(normalized window) = (W.x - mean * sum(W)) / std +
+    b, and for std > 0 max-pooling commutes with this map and pools the
+    raw conv. A constant window (std == 0)
     normalizes to zeros, so its stage-0 output is the bias.
     """
     config = params.config
@@ -396,7 +397,6 @@ def score_frames(framed, params):
     reach = (t_pool * pw - 1) * stride + 1  # grid positions from a frame's first to last
     dtype = params.hidden_weight.dtype
     conv_dtype = dtype if std is None else np.float64
-    x = x.astype(conv_dtype, copy=False)
     weight = layer.weight.astype(conv_dtype, copy=False)
     batch = batch_frames(config, dtype)
     if std is not None:
@@ -410,7 +410,8 @@ def score_frames(framed, params):
         # the batch pools positions a * step .. hi - 1; those of the last
         # batch that it shares are kept, the rest computed from `start`
         start, hi = max(lo + len(conv), a * step), (b - 1) * step + reach
-        fresh = _gather_windows(x[None, start * g : (hi - 1) * g + kw], kw, g)[0] @ weight.T
+        rows = x[start * g : (hi - 1) * g + kw].astype(conv_dtype, copy=False)  # exact widening
+        fresh = _gather_windows(rows[None], kw, g)[0] @ weight.T
         if std is None:
             fresh += layer.bias
         kept = conv[a * step - lo :]

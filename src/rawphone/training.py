@@ -177,13 +177,14 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
 class GridSpec:
     """Candidate lists for the hyperparameter sweep.
 
-    Defaults span the standard search ranges: window 100-700 ms, kernel
-    width 1-9, 10-90 filters, 100-1500 hidden units. Stage one convolves
+    Windows are in input frames (samples of raw input). Defaults span the
+    standard search ranges: window 100-700 ms at 16 kHz, kernel width
+    1-9, 10-90 filters, 100-1500 hidden units. Stage one convolves
     non-overlapping (shift = kernel width) on raw input; later stages
     use shift 1.
     """
 
-    window_ms: tuple = (100.0, 300.0, 500.0, 700.0)
+    window_frames: tuple = (1600, 4800, 8000, 11200)
     kernel_width: tuple = (1, 5, 9)
     num_filters: tuple = (10, 50, 90)
     hidden_units: tuple = (100, 800, 1500)
@@ -191,24 +192,23 @@ class GridSpec:
     num_stages: int = 3
 
     def __post_init__(self):
-        for name in ("window_ms", "kernel_width", "num_filters", "hidden_units", "pool_width"):
+        for name in ("window_frames", "kernel_width", "num_filters", "hidden_units", "pool_width"):
             if not getattr(self, name):
                 raise ValueError(f"{name} candidates must be non-empty")
         if self.num_stages < 0:
             raise ValueError("num_stages must be >= 0")
 
-    def configs(self, sample_rate, input_dim, num_classes):
+    def configs(self, input_dim, num_classes):
         """Materialize the Cartesian product as NetworkConfig values, each distinct one once.
 
         Without stages, kernel, filter and pool candidates give the same
         network; it keeps the position of its first occurrence.
         """
         out = {}  # insertion-ordered set
-        for window_ms, kw, filters, hidden, pool in itertools.product(
-            self.window_ms, self.kernel_width, self.num_filters,
+        for frames, kw, filters, hidden, pool in itertools.product(
+            self.window_frames, self.kernel_width, self.num_filters,
             self.hidden_units, self.pool_width,
         ):
-            frames = int(round(window_ms * sample_rate / 1000.0)) if input_dim == 1 else int(window_ms)
             stages = []
             for s in range(self.num_stages):
                 shift = kw if s == 0 else 1

@@ -110,9 +110,11 @@ class TestTrain:
         monkeypatch.setattr(workers, "usable_cores", lambda: 1)  # every map in this process
         frame, framed = framing.grid_windows, collections.Counter()
 
-        def counted(waveform, grid):
-            framed[id(waveform)] += 1
-            return frame(waveform, grid)
+        def counted(signal, grid):
+            # keyed on the samples, not on id(): the signal is a fresh view,
+            # and a freed view's id can be reused
+            framed[np.asarray(signal).tobytes()] += 1
+            return frame(signal, grid)
 
         for name, module in list(sys.modules.items()):  # every binding of grid_windows
             if name.startswith("rawphone") and getattr(module, "grid_windows", None) is frame:
@@ -619,6 +621,35 @@ ABLATE_ARGS = [*SMALL_NET, "--lr", "3e-4", "--epochs", "1", "--seed", "0"]
 
 
 class TestAblatePool:
+    def test_train_and_cv_are_framed_once_for_all_four_settings(self, corpus, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(workers, "usable_cores", lambda: 1)
+        build, built = cli.build_frame_dataset, []
+        monkeypatch.setattr(cli, "build_frame_dataset",
+                            lambda utts, *rest: built.append(len(utts)) or build(utts, *rest))
+        assert run(["ablate-pool", *split_args(corpus, "train", "cv", "test"),
+                    "--out", tmp_path, *ABLATE_ARGS]) == 0
+        assert built == [10, 2]
+        assert len((tmp_path / "ablation.csv").read_text().splitlines()) == 5
+
+    def test_framing_data_error_ends_the_run(self, corpus, tmp_path, capsys):
+        # a training utterance whose labels leave frames uncovered, without --garbage:
+        # the same error for every setting, so exit 2 and no table
+        rows = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
+        rows = [{**r, "wav": str(corpus / r["wav"]), "labels": str(corpus / r["labels"])}
+                for r in rows]
+        (tmp_path / "gap.txt").write_text("0 800 c0\n")
+        rows[3]["labels"] = str(tmp_path / "gap.txt")
+        (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert run(["ablate-pool", "--train-manifest", tmp_path / "train.jsonl",
+                    *split_args(corpus, "cv", "test"), "--out", tmp_path / "o",
+                    *ABLATE_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: utterance {rows[3]['id']}: frame ") and (
+            "not covered by any segment" in err)
+        assert not (tmp_path / "o" / "ablation.csv").exists()
+
     def test_four_rows_param_counts_strictly_decreasing(self, corpus, tmp_path):
         argv = ["ablate-pool", "--train-manifest", corpus / "train.jsonl",
                 "--cv-manifest", corpus / "cv.jsonl",
@@ -972,6 +1003,24 @@ class TestExitCodes:
             "ValueError: window of 16000000000 samples, longer than the longest training "
             f"utterance ({longest_train_utterance(corpus)} samples)"
         )
+
+    def test_grid_feature_windows_are_whole_frame_counts(self, tmp_path, capsys):
+        make = TestFeaturePipeline().make_feature_corpus
+        train_m = make(tmp_path / "tr", 3, 0)
+        cv_m = make(tmp_path / "cv", 2, 1)
+        argv = ["grid", "--train-manifest", train_m, "--cv-manifest", cv_m, "--feature-dim", "8",
+                "--kernel-list", "2", "--filters-list", "2", "--hidden-list", "4",
+                "--pool-list", "1", "--stages-count", "1", "--epochs", "1"]
+        assert run([*argv, "--out", tmp_path / "ok", "--window-ms-list", "3,5"]) == 0
+        rows = list(csv.DictReader((tmp_path / "ok" / "grid.csv").open()))
+        assert sorted(r["window_frames"] for r in rows) == ["3", "5"]
+        for windows, element in (("9.7", "9.7"), ("5,0.5", "0.5")):
+            capsys.readouterr()
+            out = tmp_path / windows
+            assert run([*argv, "--out", out, "--window-ms-list", windows]) == 1
+            assert capsys.readouterr().err == (
+                f"usage error: --window-ms-list: element {element!r} is not an integer\n")
+            assert not out.exists()
 
     def test_feature_window_of_the_longest_utterance_trains(self, tmp_path, capsys):
         make = TestFeaturePipeline().make_feature_corpus

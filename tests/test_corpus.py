@@ -98,6 +98,13 @@ class TestFeatureMatrix:
         assert m.shape == (2, 39)
         np.testing.assert_array_equal(m.reshape(-1), data.astype(np.float64))
 
+    def test_values_kept_as_float32(self, tmp_path):
+        data = np.random.default_rng(0).normal(size=3 * 5).astype("<f4")
+        (tmp_path / "f.bin").write_bytes(data.tobytes())
+        m = load_feature_matrix(tmp_path / "f.bin", 5)
+        assert m.dtype == np.float32
+        assert m.tobytes() == data.tobytes()
+
     def test_empty_file_rejected(self, tmp_path):
         (tmp_path / "f.bin").write_bytes(b"")
         with pytest.raises(DataError, match="no frames"):
@@ -388,6 +395,17 @@ class TestFrameDatasetMemory:
         assert owned_bytes(arrays) <= padded + 40 * len(ds) + 8 * window
         assert max(a.size for a in arrays) < len(ds) * window
 
+    def test_wav_dataset_holds_float32_padded_signals(self, tmp_path):
+        train, _, _ = synth_corpus(SynthSpec(seed=6), 4, 0, 0)
+        manifest = write_corpus(tmp_path, {"train": train})["train"]
+        utts = [load_utterance(ref) for ref in load_manifest(manifest)]
+        window, hop = 1600, 160
+        ds = build_frame_dataset(utts, window, hop, collect_alphabet(utts))
+        assert [f.signal.dtype for f in ds.framed] == [np.float32] * len(utts)
+        padded = sum((len(u.waveform) + 2 * (window // 2)) * 4 for u in utts)
+        # plus the float64 window a training step is normalized in
+        assert owned_bytes(dataset_arrays(ds)) <= padded + 40 * len(ds) + 8 * window
+
     def test_feature_dataset_holds_padded_matrices_plus_per_frame_index(self):
         rng = np.random.default_rng(0)
         utts = [LabeledUtterance("f", SegmentAnnotation(((0, t, "a"),)),
@@ -450,9 +468,10 @@ class TestFrameDatasetAssembly:
         index = {l: i for i, l in enumerate(alphabet)}
         ds = build_frame_dataset([train[0], short, *train[1:]], 400, 160, alphabet)
         pairs = ds.by_utterance()
-        assert [u.id for u in ds.utterances] == [u.id for u in train]  # no frames: left out
+        assert ds.ids == [u.id for u in train]  # no frames: left out
         assert [framed for framed, _l in pairs] == ds.framed
-        for utt, (framed, labels) in zip(ds.utterances, pairs):
+        assert len(pairs) == len(train)
+        for utt, (framed, labels) in zip(train, pairs):
             np.testing.assert_array_equal(labels, utterance_frame_labels(utt, 400, 160, index))
             assert labels.base is ds.labels  # views, not copies
             assert framed.num_frames == len(labels)

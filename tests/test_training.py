@@ -287,7 +287,8 @@ class TestTrainNetwork:
         train = separable_toy(seed=0)
         cv = separable_toy(seed=1)
         # the toy really is linearly separable (independent perceptron check)
-        assert perceptron_separates(train.utterances[0].features, train.labels)
+        # at a 1-frame window the padded signal is the points themselves
+        assert perceptron_separates(train.framed[0].signal, train.labels)
         tc = TrainConfig(learning_rate=0.05, max_epochs=20, patience=20, seed=0)
         best, history = train_network(train, cv, self.CFG, tc)
         assert max(h[2] for h in history) == 100.0
@@ -330,7 +331,8 @@ class TestTrainNetwork:
 
     def test_label_out_of_range_rejected(self):
         data = separable_toy()
-        bad = FrameDataset(data.utterances, [data.labels + 5], 1, 1)
+        utt = LabeledUtterance("toy", SegmentAnnotation(), features=data.framed[0].signal)
+        bad = FrameDataset([utt], [data.labels + 5], 1, 1)
         with pytest.raises(ValueError):
             train_network(bad, data, self.CFG, TrainConfig())
 
@@ -445,29 +447,30 @@ class TestGridSearch:
 class TestGridSpecDefaults:
     def test_default_ranges_cover_standard_search_space(self):
         spec = GridSpec()
-        assert min(spec.window_ms) == 100 and max(spec.window_ms) == 700
+        # 100 to 700 ms at 16 kHz, in samples
+        assert min(spec.window_frames) == 1600 and max(spec.window_frames) == 11200
         assert min(spec.kernel_width) == 1 and max(spec.kernel_width) == 9
         assert min(spec.num_filters) == 10 and max(spec.num_filters) == 90
         assert min(spec.hidden_units) == 100 and max(spec.hidden_units) == 1500
 
     def test_configs_materialize_for_raw_input(self):
-        spec = GridSpec(window_ms=(100.0,), kernel_width=(5,), num_filters=(10,),
+        spec = GridSpec(window_frames=(1600,), kernel_width=(5,), num_filters=(10,),
                         hidden_units=(100,), pool_width=(3,))
-        cfgs = spec.configs(sample_rate=16000, input_dim=1, num_classes=5)
+        cfgs = spec.configs(input_dim=1, num_classes=5)
         assert len(cfgs) == 1
         assert cfgs[0].input_frames == 1600
         assert cfgs[0].stages[0].shift == 5  # stage one strides by its kernel
 
     def test_infeasible_combinations_skipped(self):
-        spec = GridSpec(window_ms=(1.0,), kernel_width=(9,), num_filters=(10,),
+        spec = GridSpec(window_frames=(16,), kernel_width=(9,), num_filters=(10,),
                         hidden_units=(100,), pool_width=(3,))
         # 16 samples cannot survive three 9-wide convs with pooling
-        assert spec.configs(16000, 1, 5) == []
+        assert spec.configs(1, 5) == []
 
     def test_stageless_grid_keeps_each_network_once(self):
-        spec = GridSpec(window_ms=(50.0, 100.0), kernel_width=(1, 5, 9), num_filters=(10, 50),
+        spec = GridSpec(window_frames=(800, 1600), kernel_width=(1, 5, 9), num_filters=(10, 50),
                         hidden_units=(8, 16), pool_width=(2, 3), num_stages=0)
-        cfgs = spec.configs(16000, 1, 5)
+        cfgs = spec.configs(1, 5)
         # kernels, filters and pools do not apply: windows x hidden sizes remain,
         # in the order of their first occurrence
         assert [(c.input_frames, c.hidden_units, c.stages) for c in cfgs] == [
