@@ -4,20 +4,14 @@
 Walks the reference raw-waveform architecture (270 ms window, three
 filter stages, 90 filters, 500 hidden units) through its shape algebra,
 then verifies the hand-derived backward pass against central finite
-differences on a small random network.
+differences on a small random network with `training.gradient_errors`,
+the comparison `rawphone check-grad` runs.
 """
 
 import numpy as np
 
-from rawphone.net import (
-    NetworkConfig,
-    StageConfig,
-    backward_pass,
-    forward_pass,
-    init_params,
-    param_count,
-)
-from rawphone.training import frame_loss, numeric_gradient
+from rawphone.net import NetworkConfig, StageConfig, init_params, param_count
+from rawphone.training import gradient_errors
 
 print("== reference raw-input architecture ==")
 config = NetworkConfig(
@@ -52,13 +46,6 @@ rng = np.random.default_rng(0)
 window = rng.normal(size=(32, 1))
 target = 2
 
-scores, cache = forward_pass(window, params)
-analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
-
+errors = gradient_errors(params, window, target, 1e-4)
 for name, tensor in params.named_tensors():
-    numeric = numeric_gradient(
-        tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0], 1e-4
-    )
-    denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1e-6)
-    err = float(np.max(np.abs(analytic[name] - numeric) / denom))
-    print(f"{name:<16} {tensor.size:>5} params   max rel err {err:.2e}")
+    print(f"{name:<16} {tensor.size:>5} params   max rel err {errors[name]:.2e}")

@@ -8,6 +8,14 @@ Includes a seeded synthetic tone corpus, a per-frame SGD trainer with
 early stopping and grid search, and edit-distance evaluation.
 """
 
+import os
+
+# One BLAS thread per process unless the operator sets a count, before numpy
+# loads: the products are small, and each forked worker would start one per core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .corpus import FrameDataset
 from .crf import (
     crf_log_likelihood,

@@ -48,23 +48,15 @@ from .decoding import (
 )
 from .errors import DataError, DivergenceError, NoLegalPathError, WorkerLostError
 from .model_io import load_model, save_model
-from .net import (
-    NetworkConfig,
-    StageConfig,
-    backward_pass,
-    forward_pass,
-    init_params,
-    param_count,
-)
+from .net import NetworkConfig, StageConfig, init_params, param_count
 from .scoring import collapse_path, corpus_report, map_labels, read_mapping
 from .training import (
     GridSpec,
     TrainConfig,
     dataset_scores,
-    frame_loss,
+    gradient_errors,
     grid_search,
     history_csv_lines,
-    numeric_gradient,
     random_check_config,
     train_network,
 )
@@ -207,14 +199,6 @@ def _check_config(path, values, defaults):
             raise ValueError(f"{path}: {key} must be one of {list(CHOICES[key])}, got {value!r}")
 
 
-def _echo_resolved(out_dir, subcommand, resolved):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"subcommand": subcommand, **resolved}
-    (out_dir / "resolved.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    )
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -275,9 +259,7 @@ SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synth(args):
-    cfg = _resolve(args, SYNTH_DEFAULTS)
-    out = Path(args.out)
+def cmd_synth(args, cfg, out):
     try:
         spec = SynthSpec(
             num_classes=cfg["classes"],
@@ -299,7 +281,6 @@ def cmd_synth(args):
         raise ValueError(f"--sample-rate: {e}") from None
     out.mkdir(parents=True, exist_ok=True)
     manifests = write_corpus(out, synth_splits(spec, cfg["train"], cfg["cv"], cfg["test"]))
-    _echo_resolved(out, "synth", cfg)
     for name, path in manifests.items():
         print(f"{name}: {path}")
     return 0
@@ -379,10 +360,8 @@ def _handed_over(items):
         yield item
 
 
-def cmd_train(args):
-    cfg = _resolve(args, TRAIN_DEFAULTS)
+def cmd_train(args, cfg, out):
     tc = _train_config(cfg)
-    out = Path(args.out)
     splits, alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest
     )
@@ -418,7 +397,6 @@ def cmd_train(args):
     }
     save_model(out / "model.rcn", best, alphabet, metadata, transitions)
     (out / "history.csv").write_text("\n".join(history_csv_lines(history)) + "\n")
-    _echo_resolved(out, "train", cfg)
     print(f"model: {out / 'model.rcn'}")
     print(f"best cv frame accuracy: {max(h[2] for h in history):.3f}")
     return 0
@@ -437,10 +415,8 @@ GRID_DEFAULTS = {
 }
 
 
-def cmd_grid(args):
-    cfg = _resolve(args, GRID_DEFAULTS)
+def cmd_grid(args, cfg, out):
     tc = _train_config(cfg)
-    out = Path(args.out)
     # windows as _network_config takes them: frame counts on feature input, else milliseconds
     windows = _list(cfg, "window_ms_list", int if cfg["feature_dim"] else float)
     kernels, filters, hidden, pools = (
@@ -456,9 +432,17 @@ def cmd_grid(args):
     if not configs:
         raise ValueError("grid is empty after dropping infeasible configurations")
 
+    # configs come window by window, and each worker takes a contiguous run of
+    # them: one slot frames each window once per worker, holding one at a time
+    framed = {}
+
     def dataset_for(config):
-        _check_window(config.input_frames, train_utts)
-        return _frame_splits((train_utts, cv_utts), config.input_frames, hop, alphabet, garbage)
+        frames = config.input_frames
+        if frames not in framed:
+            framed.clear()
+            _check_window(frames, train_utts)
+            framed[frames] = _frame_splits((train_utts, cv_utts), frames, hop, alphabet, garbage)
+        return framed[frames]
 
     results = grid_search(dataset_for, configs, tc, max_configs=cfg["max_configs"] or None)
 
@@ -482,7 +466,6 @@ def cmd_grid(args):
          "filters", "hidden", "param_count", "seed", "cv_accuracy", "error"],
         rows,
     )
-    _echo_resolved(out, "grid", cfg)
     print(f"grid results: {out / 'grid.csv'} ({len(rows)} rows)")
     return 0
 
@@ -496,9 +479,7 @@ DECODE_DEFAULTS = {
 }
 
 
-def cmd_decode(args):
-    cfg = _resolve(args, DECODE_DEFAULTS)
-    out = Path(args.out)
+def cmd_decode(args, cfg, out):
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
         transitions = np.zeros((len(alphabet), len(alphabet)))
@@ -545,7 +526,6 @@ def cmd_decode(args):
             (hyp_dir / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
             log_rows.append([ref.id, "ok", ""])
     _write_csv(out / "decode_log.csv", ["id", "status", "message"], log_rows)
-    _echo_resolved(out, "decode", cfg)
     failed = sum(1 for r in log_rows if r[1] != "ok")
     print(f"decoded {len(log_rows) - failed}/{len(log_rows)} utterances -> {hyp_dir}")
     if log_rows and failed == len(log_rows):
@@ -561,9 +541,7 @@ def cmd_decode(args):
 EVAL_DEFAULTS = {"mapping": "", "strip_garbage": False, "garbage": ""}
 
 
-def cmd_eval(args):
-    cfg = _resolve(args, EVAL_DEFAULTS)
-    out = Path(args.out)
+def cmd_eval(args, cfg, out):
     refs = load_manifest(args.ref_manifest)
     if cfg["strip_garbage"] and not cfg["garbage"]:
         raise ValueError("--strip-garbage needs --garbage to name the label to strip")
@@ -591,7 +569,6 @@ def cmd_eval(args):
         ["id", "n_ref", "edit_distance", "accuracy", "substitutions", "deletions", "insertions"],
         rows,
     )
-    _echo_resolved(out, "eval", cfg)
     print(f"phoneme accuracy (corpus-pooled): {overall:.3f}")
     print("S/D/I columns reflect one minimal alignment (match > sub > del > ins)")
     return 0
@@ -604,9 +581,7 @@ def cmd_eval(args):
 FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0}
 
 
-def cmd_filters(args):
-    cfg = _resolve(args, FILTERS_DEFAULTS)
-    out = Path(args.out)
+def cmd_filters(args, cfg, out):
     params, _alphabet, metadata, _a = load_model(args.model)
     if params.config.input_dim != 1:
         raise DataError(
@@ -629,7 +604,6 @@ def cmd_filters(args):
             rows.append([i, f"{b * sample_rate / n_fft:.6f}", f"{spectra[i, b]:.8e}"])
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "filters.csv", ["filter_index", "bin_frequency_hz", "magnitude"], rows)
-    _echo_resolved(out, "filters", cfg)
     print(f"filter spectra: {out / 'filters.csv'} ({weight.shape[0]} filters)")
     return 0
 
@@ -659,10 +633,8 @@ def _with_retained_pools(base, retained):
     return dataclasses.replace(base, stages=stages)
 
 
-def cmd_ablate_pool(args):
-    cfg = _resolve(args, ABLATE_DEFAULTS)
+def cmd_ablate_pool(args, cfg, out):
     tc = _train_config(cfg)
-    out = Path(args.out)
     splits, alphabet, garbage, sample_rate, hop = _load_data(
         cfg, args.train_manifest, args.cv_manifest, args.test_manifest
     )
@@ -698,7 +670,6 @@ def cmd_ablate_pool(args):
         ["pool_layers", "param_count", "test_phoneme_accuracy", "error"],
         rows,
     )
-    _echo_resolved(out, "ablate-pool", cfg)
     for row in rows:
         print(f"pool_layers={row[0]} params={row[1]} accuracy={row[2]} {row[3]}")
     return 0
@@ -711,8 +682,7 @@ def cmd_ablate_pool(args):
 CHECKGRAD_DEFAULTS = {"configs": 5, "eps": 1e-4, "tolerance": 1e-4, "seed": 0}
 
 
-def cmd_check_grad(args):
-    cfg = _resolve(args, CHECKGRAD_DEFAULTS)
+def cmd_check_grad(args, cfg, out):
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     report = []
     for index in range(cfg["configs"]):
@@ -720,26 +690,14 @@ def cmd_check_grad(args):
         params = init_params(config, int(rng.integers(2**31)), dtype=np.float64)
         window = rng.normal(size=(config.input_frames, config.input_dim))
         target = int(rng.integers(config.num_classes))
-        scores, cache = forward_pass(window, params)
-        analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
-
-        for name, tensor in params.named_tensors():
-            numeric = numeric_gradient(
-                tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0],
-                cfg["eps"],
-            )
-            a = analytic[name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-6)
-            err = float(np.max(np.abs(a - numeric) / denom))
+        for name, err in gradient_errors(params, window, target, cfg["eps"]).items():
             report.append([index, name, f"{err:.3e}", "pass" if err < cfg["tolerance"] else "FAIL"])
     all_pass = all(row[3] == "pass" for row in report)
     for row in report:
         print(f"config {row[0]:2d} {row[1]:<16} rel_err {row[2]} {row[3]}")
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "gradcheck.csv", ["config", "tensor", "max_rel_error", "status"], report)
-        _echo_resolved(out, "check-grad", cfg)
     print("gradient check:", "PASS" if all_pass else "FAIL")
     return 0 if all_pass else 3
 
@@ -775,11 +733,10 @@ def build_parser(only=None):
     # with one subcommand, the top-level usage still lists all, as the full parser does
     every = "{" + ",".join(name for name, *_rest in SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=every if only else None)
-    for name, func, help_text, defaults, paths in SUBCOMMANDS:
+    for name, _handler, help_text, defaults, paths in SUBCOMMANDS:
         if only is not None and name != only:
             continue
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file with option defaults")
         p.add_argument("--out", required=name != "check-grad", help="output directory")
         for key in paths:
@@ -798,12 +755,27 @@ def build_parser(only=None):
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.
+
+    Its handler gets the parsed arguments, the resolved options and the
+    --out directory (None for check-grad without one). Whatever code the
+    handler returns, the options are echoed to <out>/resolved.json; an
+    error it raises writes none and maps to its exit code.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     # building one subcommand's parser takes a fifth of the time of all eight
     named = argv[0] if argv and any(argv[0] == s[0] for s in SUBCOMMANDS) else None
     args = build_parser(named).parse_args(argv)
+    _name, handler, _help, defaults, _paths = next(s for s in SUBCOMMANDS if s[0] == args.command)
     try:
-        return args.func(args)
+        cfg = _resolve(args, defaults)
+        out = None if args.out is None else Path(args.out)
+        code = handler(args, cfg, out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "resolved.json").write_text(json.dumps(
+                {"subcommand": args.command, **cfg}, sort_keys=True, indent=2, default=str) + "\n")
+        return code
     except (DataError, NoLegalPathError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2

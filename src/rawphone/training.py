@@ -329,3 +329,20 @@ def numeric_gradient(tensor, loss_fn, eps):
         flat[i] = orig
         gflat[i] = (plus - minus) / (2.0 * eps)
     return grad
+
+
+def gradient_errors(params, window, target, eps):
+    """{tensor name: max relative error} of the frame loss's analytic gradient
+    against central differences; an entry's error is relative to the larger
+    of its two magnitudes, floored at 1e-6."""
+    scores, cache = forward_pass(window, params)
+    analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
+    errors = {}
+    for name, tensor in params.named_tensors():
+        numeric = numeric_gradient(
+            tensor, lambda: frame_loss(forward_pass(window, params)[0], target)[0], eps
+        )
+        a = analytic[name]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-6)
+        errors[name] = float(np.max(np.abs(a - numeric) / denom))
+    return errors

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rawphone import cli, decoding, framing, workers
+from rawphone import cli, decoding, framing, training, workers
 from rawphone.cli import SUBCOMMANDS, build_parser, main
 from rawphone.corpus import load_manifest, load_utterance, read_wav, write_labels, write_wav
 from rawphone.decoding import decoder
@@ -369,6 +369,8 @@ class TestDecode:
         assert "every utterance failed" in capsys.readouterr().err
         rows = list(csv.DictReader((tmp_path / "d" / "decode_log.csv").open()))
         assert [r["status"] for r in rows] == ["error"]
+        resolved = json.loads((tmp_path / "d" / "resolved.json").read_text())
+        assert resolved["subcommand"] == "decode" and resolved["decoder"] == "hmm"
 
     def test_min_duration_zero_is_usage_error_before_any_hypothesis(
             self, corpus, trained, tmp_path, capsys):
@@ -727,6 +729,23 @@ class TestGrid:
             ).read_bytes(), name
         assert json.loads((tmp_path / "flag" / "resolved.json").read_text())["shuffle"] is False
 
+    def test_train_and_cv_are_framed_once_per_window(self, corpus, tmp_path, monkeypatch):
+        # 4 configurations for each of 2 windows, and 4 more for a window longer than
+        # every training utterance, which is never framed and fails each of its rows
+        monkeypatch.setattr(workers, "usable_cores", lambda: 1)
+        build, built = cli.build_frame_dataset, []
+        monkeypatch.setattr(cli, "build_frame_dataset",
+                            lambda utts, *rest: built.append(len(utts)) or build(utts, *rest))
+        assert run(["grid", *split_args(corpus, "train", "cv"), "--out", tmp_path,
+                    "--window-ms-list", "30,50,1e9", "--kernel-list", "3,5",
+                    "--filters-list", "4", "--hidden-list", "4,8", "--pool-list", "2",
+                    "--stages-count", "1", "--epochs", "1", "--seed", "0"]) == 0
+        assert built == [10, 2, 10, 2]
+        rows = list(csv.DictReader((tmp_path / "grid.csv").open()))
+        assert len(rows) == 12
+        failed = [r for r in rows if r["error"]]
+        assert len(failed) == 4 and all(r["window_frames"] == "16000000000" for r in failed)
+
 
     def test_stageless_grid_trains_each_window_and_hidden_size_once(self, corpus, tmp_path):
         # the only CLI route to a network without stages
@@ -788,20 +807,30 @@ class TestCheckGrad:
         assert "PASS" not in captured.out
         assert not (tmp_path / "o").exists()
 
-    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
-        exact = cli.backward_pass
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        exact = training.backward_pass
 
         def corrupted(*args, **kwargs):
             grads, input_grad = exact(*args, **kwargs)
             grads["hidden.bias"][...] += 1.0
             return grads, input_grad
 
-        monkeypatch.setattr(cli, "backward_pass", corrupted)
+        monkeypatch.setattr(training, "backward_pass", corrupted)
+
+    def test_corrupted_gradient_fails(self, capsys, corrupted):
         rc = run(["check-grad", "--seed", "5", "--configs", "1"])
         assert rc == 3
         rows = capsys.readouterr().out.splitlines()
         assert any("hidden.bias" in row and row.endswith(" FAIL") for row in rows)
         assert rows[-1] == "gradient check: FAIL"
+
+    def test_failing_check_echoes_resolved_config(self, tmp_path, corrupted):
+        assert run(["check-grad", "--seed", "5", "--configs", "1", "--out", tmp_path]) == 3
+        assert json.loads((tmp_path / "resolved.json").read_text()) == {
+            "subcommand": "check-grad", "configs": 1, "eps": 1e-4, "tolerance": 1e-4, "seed": 5}
+        statuses = [r["status"] for r in csv.DictReader((tmp_path / "gradcheck.csv").open())]
+        assert "FAIL" in statuses
 
 
 class TestFeaturePipeline:
@@ -1103,3 +1132,55 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "c" / "train.jsonl").exists()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the thread count of the OpenBLAS that numpy bundles, after `import rawphone`
+BLAS_THREADS = """
+import ctypes, glob, os
+import rawphone
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*"))
+get = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None)
+if get:
+    get.argtypes, get.restype = (), ctypes.c_int
+print(get() if get else "absent")
+"""
+
+
+class TestBlasThreads:
+    """A process that starts from the package runs one BLAS thread unless the
+    operator sets a count, with the outputs of a pinned run."""
+
+    @staticmethod
+    def child(argv, pinned):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        if pinned:
+            env.update(dict.fromkeys(BLAS_VARIABLES, "1"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_unpinned_train_and_decode_match_a_pinned_run(self, corpus, tmp_path):
+        for pinned in (True, False):
+            out = tmp_path / ("pinned" if pinned else "unset")
+            self.child(["-m", "rawphone.cli", "train", *split_args(corpus, "train", "cv"),
+                        "--out", out / "run", *SMALL_NET, "--epochs", "1", "--seed", "0"], pinned)
+            self.child(["-m", "rawphone.cli", "decode", "--manifest", corpus / "test.jsonl",
+                        "--model", out / "run" / "model.rcn", "--out", out / "dec"], pinned)
+        names = ["run/model.rcn", "run/history.csv", "dec/decode_log.csv",
+                 *(f"dec/hyp/{p.name}" for p in (tmp_path / "pinned" / "dec" / "hyp").iterdir())]
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "unset" / name).read_bytes() == (
+                tmp_path / "pinned" / name).read_bytes(), name
+
+    def test_unpinned_process_runs_one_blas_thread(self):
+        threads = self.child(["-c", BLAS_THREADS], pinned=False).strip()
+        if threads == "absent":
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count query")
+        assert threads == "1"

@@ -27,12 +27,14 @@ from rawphone.training import (
     TrainConfig,
     frame_accuracy_of,
     frame_loss,
+    gradient_errors,
     grid_search,
     sgd_step,
     train_network,
 )
 
 import oracles
+from gradcheck_util import check_config_gradients, random_small_config
 from oracles import logadd, max_rel_error, perceptron_separates
 
 
@@ -155,6 +157,19 @@ def filled_gradients(params, value):
     """A Gradients for `params` with every entry set to `value`."""
     plan = step_plan(params)
     return Gradients(plan, np.full_like(plan.grad, value))
+
+
+class TestGradientErrors:
+    def test_equal_to_the_test_reference_check(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for seed in range(3):
+            config = random_small_config(rng, input_dim=2)
+            case = np.random.Generator(np.random.PCG64(seed))
+            params = init_params(config, seed, dtype=np.float64)
+            window = case.normal(size=(config.input_frames, config.input_dim))
+            target = int(case.integers(config.num_classes))
+            assert gradient_errors(params, window, target, 1e-4) == check_config_gradients(
+                config, seed)
 
 
 class TestSgdStep:
