@@ -54,7 +54,6 @@ from .net import (
     backward_pass,
     forward_pass,
     init_params,
-    log_softmax,
     maxpool_forward,
     param_count,
     softmax,

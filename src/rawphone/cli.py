@@ -56,7 +56,6 @@ from .training import (
     dataset_scores,
     gradient_errors,
     grid_search,
-    history_csv_lines,
     random_check_config,
     train_network,
 )
@@ -233,12 +232,7 @@ def _load_data(cfg, *manifests):
     if garbage is not None and garbage not in alphabet:
         alphabet = sorted(alphabet + [garbage])
     sample_rate = _corpus_sample_rate(utterances)
-    if feature_dim is not None:
-        hop = 1
-    elif sample_rate is None:
-        raise DataError("raw input needs waveform utterances")
-    else:
-        hop = _samples("hop_ms", cfg["hop_ms"], sample_rate)
+    hop = 1 if feature_dim is not None else _samples("hop_ms", cfg["hop_ms"], sample_rate)
     for manifest, split in zip(manifests, splits):  # frames do not depend on the window
         if not any(utterance_grid(u, 1, hop).num_frames for u in split):
             raise DataError(f"{manifest}: every utterance is shorter than one hop ({hop} samples)")
@@ -396,7 +390,8 @@ def cmd_train(args, cfg, out):
         "garbage": garbage,
     }
     save_model(out / "model.rcn", best, alphabet, metadata, transitions)
-    (out / "history.csv").write_text("\n".join(history_csv_lines(history)) + "\n")
+    _write_csv(out / "history.csv", ["epoch", "train_log_likelihood", "cv_frame_accuracy"],
+               [[epoch, f"{ll:.6f}", f"{acc:.6f}"] for epoch, ll, acc in history])
     print(f"model: {out / 'model.rcn'}")
     print(f"best cv frame accuracy: {max(h[2] for h in history):.3f}")
     return 0
@@ -497,8 +492,6 @@ def cmd_decode(args, cfg, out):
         """The loaded utterance, or the DataError that makes it undecodable."""
         try:
             utt = load_signal(ref, feature_dim, cfg["raw_sample_rate"] or None)
-            if utt.waveform is not None and feature_dim is not None:
-                raise DataError("waveform utterance for a feature-input model")
             if utt.waveform is not None and model_rate and utt.waveform.sample_rate != model_rate:
                 raise DataError(
                     f"sample rate {utt.waveform.sample_rate} Hz != model's {model_rate} Hz"

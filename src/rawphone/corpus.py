@@ -208,12 +208,17 @@ def load_utterance(ref, feature_dim=None, raw_sample_rate=None):
 def load_signal(ref, feature_dim=None, raw_sample_rate=None):
     """One manifest row's waveform or feature matrix, without its labels.
 
-    `feature_dim` is required for feature utterances. A `wav` path ending
-    in .f32 is read as a headerless float32 stream at `raw_sample_rate`.
-    The label file is not opened: the utterance's annotation is None.
+    `feature_dim` is required for feature utterances and refused for
+    waveform ones: a run reads one kind of input. A `wav` path ending in
+    .f32 is read as a headerless float32 stream at `raw_sample_rate`. The
+    label file is not opened: the utterance's annotation is None.
     """
     try:
         if ref.wav_path is not None:
+            if feature_dim is not None:
+                raise DataError(
+                    f"utterance {ref.id}: waveform {ref.wav_path} in a feature-input run"
+                )
             if str(ref.wav_path).endswith(".f32"):
                 if raw_sample_rate is None:
                     raise DataError(

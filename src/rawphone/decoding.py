@@ -11,7 +11,7 @@ from .corpus import frame_utterance
 from .crf import GROUP_FRAMES, viterbi_batch
 from .errors import DataError, NoLegalPathError
 from .hmm import build_duration_graph, decode_batch
-from .net import frame_multiply_adds, log_softmax, score_frames
+from .net import frame_multiply_adds, score_frames
 from .scoring import collapse_path
 
 
@@ -40,15 +40,14 @@ def decoder(name, alphabet, transitions, min_duration):
     def decode(group):
         if name == "argmax":
             return [collapse_path([alphabet[i] for i in e.argmax(axis=1)]) for e in group]
-        # each utterance's emissions (the HMM's: their log_softmax) land in one
-        # zero-padded time-major batch, which either Viterbi steps through frame by frame
+        # each utterance's scores land as they are in one zero-padded time-major
+        # batch, which either Viterbi steps through frame by frame. The HMM reads
+        # them unnormalized too: a frame's log-softmax normalizer is one constant
+        # added to every path through it, so it moves no path's rank
         lengths = [len(e) for e in group]
         frames = np.zeros((max(lengths), len(group), group[0].shape[1]))
         for u, e in enumerate(group):
-            if name == "hmm":
-                log_softmax(e, out=frames[: len(e), u])
-            else:
-                frames[: len(e), u] = e
+            frames[: len(e), u] = e
         batch = frames.transpose(1, 0, 2)
         if name == "hmm":
             return [r if isinstance(r, NoLegalPathError) else [alphabet[i] for i in r.phonemes]
@@ -69,14 +68,14 @@ def decoder(name, alphabet, transitions, min_duration):
 # acceptance raw network (329,900) in 54.6 and 234 ms: 0.2 ns a
 # multiply-add fits all three within 20%.
 # A decoder unit costs about 4 ns inline in the CRF and 7-13 ns in the HMM
-# (its log-softmax included), but a fork takes off less than that: both
-# batched Viterbis step once per frame of a group's longest utterance,
-# which a share keeps. The unit price is set where the gate decides the
-# K = 39 decodes of the `feat39` benchmark as interleaved A/B runs of its
-# 24-utterance test split did: inline for argmax (1.16x faster than
-# forked, 19 of 21 pairs) and HMM (1.18x, 55 of 75), forked for the CRF
-# (1.37x, 11 of 11). Any price from 0.3 to 2.5 ns gives those three
-# decisions.
+# (measured with a per-frame log-softmax the HMM no longer runs), but a
+# fork takes off less than that: both batched Viterbis step once per
+# frame of a group's longest utterance, which a share keeps. The unit
+# price is set where the gate decides the K = 39 decodes of the `feat39`
+# benchmark as interleaved A/B runs of its 24-utterance test split did:
+# inline for argmax (1.16x faster than forked, 19 of 21 pairs) and HMM
+# (1.18x, 55 of 75), forked for the CRF (1.37x, 11 of 11). Any price
+# from 0.3 to 2.5 ns gives those three decisions.
 MULTIPLY_ADD_S = 0.2e-9
 DECODER_UNIT_S = 1e-9
 

@@ -1,11 +1,14 @@
 """Generative baseline decoder: Viterbi over a minimum-duration topology.
 
 Each of the K phonemes gets a left-to-right chain of D states (default 3)
-whose states all emit that phoneme's per-frame log posterior. Transitions
+whose states all emit that phoneme's per-frame log score. Transitions
 allowed: state s to s+1 inside a phoneme, a self-loop on the last state
 only, and last state of any phoneme to first state of any phoneme. All
 transitions score 0 (phonemes equally probable), so every decoded
-phoneme occupies at least D frames with no upper bound.
+phoneme occupies at least D frames with no upper bound. A constant added
+to every score of a frame adds to every path alike, so in exact
+arithmetic the network's raw scores and their log-softmax (the log
+posteriors) have the same best path.
 
 `decode_batch` runs the Viterbi over a padded batch of utterances with
 each chain state held as one (N, K) slab: the entering and middle states

@@ -7,6 +7,7 @@ concatenated in declared order. Writing the same model twice produces
 byte-identical files; a save/load/save round trip is bitwise exact.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -36,7 +37,7 @@ def save_model(path, params, alphabet, metadata=None, transitions=None):
         tensors.append(("crf.A", a.shape))
         blobs.append(a)
     header = {
-        "config": params.config.to_dict(),
+        "config": dataclasses.asdict(params.config),
         "alphabet": list(alphabet),
         "metadata": dict(metadata or {}),
         "tensors": [{"name": n, "shape": list(shape)} for n, shape in tensors],

@@ -83,23 +83,6 @@ class NetworkConfig:
             return self.input_frames * self.input_dim
         return counts[-1][1] * self.stages[-1].out_dim
 
-    def to_dict(self):
-        return {
-            "input_frames": self.input_frames,
-            "input_dim": self.input_dim,
-            "stages": [
-                {
-                    "kernel_width": s.kernel_width,
-                    "shift": s.shift,
-                    "out_dim": s.out_dim,
-                    "pool_width": s.pool_width,
-                }
-                for s in self.stages
-            ],
-            "hidden_units": self.hidden_units,
-            "num_classes": self.num_classes,
-        }
-
     @classmethod
     def from_dict(cls, d):
         return cls(
@@ -431,8 +414,8 @@ def score_frames(framed, params):
 def softmax_terms(scores):
     """(f - max, exp(f - max), row sum of the exponentials) over the last axis.
 
-    The one place scores are shifted and exponentiated: softmax,
-    log_softmax and the training loss are all built from these terms.
+    The one place scores are shifted and exponentiated: softmax and the
+    training loss are both built from these terms.
     """
     f = np.asarray(scores)
     shifted = f - f.max(axis=-1, keepdims=True)
@@ -444,16 +427,6 @@ def softmax(scores):
     """Stable softmax over the last axis: exp(f - max) normalized per row."""
     _, e, total = softmax_terms(scores)
     return e / total
-
-
-def log_softmax(scores, out=None):
-    """Stable log-softmax over the last axis: (f - max) - log(sum exp(f - max)) per row.
-
-    Finite wherever the scores are, even where softmax underflows to 0.
-    Written into `out` when given.
-    """
-    shifted, _, total = softmax_terms(scores)
-    return np.subtract(shifted, np.log(total), out=out)
 
 
 class _StagePlan:

@@ -282,14 +282,6 @@ def grid_search(dataset_for_config, configs, train_config, max_configs=None):
     return results
 
 
-def history_csv_lines(history):
-    """Training history rows as CSV text lines."""
-    lines = ["epoch,train_log_likelihood,cv_frame_accuracy"]
-    for epoch, ll, acc in history:
-        lines.append(f"{epoch},{ll:.6f},{acc:.6f}")
-    return lines
-
-
 def random_check_config(rng):
     """A random small raw-input NetworkConfig for a gradient check, drawn from `rng`."""
     while True:

@@ -35,6 +35,10 @@ def split_args(corpus, *splits):
             for a in (f"--{split}-manifest", corpus / f"{split}.jsonl")]
 
 
+def refuse_framing(*_args):
+    pytest.fail("a split was framed")
+
+
 def write_config(path, values):
     path.write_text(json.dumps(values))
     return path
@@ -923,6 +927,39 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"data error: {short}: every utterance is shorter than one hop (160 samples)" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, window, splits", [
+        ("train", ["--window-frames", "5"], ("train", "cv")),
+        ("grid", ["--window-ms-list", "5"], ("train", "cv")),
+        ("ablate-pool", ["--window-frames", "5", "--stages", "2:1:1,2:1:1,1:1:1"],
+         ("train", "cv", "test")),
+    ])
+    def test_waveform_row_in_a_feature_run_is_data_error_before_framing(
+            self, corpus, tmp_path, capsys, monkeypatch, command, window, splits):
+        monkeypatch.setattr(cli, "build_frame_dataset", refuse_framing)
+        rc = run([command, *split_args(corpus, *splits), "--out", tmp_path / "o",
+                  "--feature-dim", "4", *window, "--epochs", "1"])
+        assert rc == 2
+        first = load_manifest(corpus / "train.jsonl")[0]
+        assert capsys.readouterr().err == (
+            f"data error: utterance {first.id}: waveform {first.wav_path} in a feature-input run\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_mixing_waveform_and_feature_rows_is_data_error(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_frame_dataset", refuse_framing)
+        feature_m = TestFeaturePipeline().make_feature_corpus(tmp_path / "feat", 3, 0)
+        wav = load_manifest(corpus / "train.jsonl")[0]
+        with feature_m.open("a") as f:  # a waveform row after the feature rows
+            f.write(json.dumps({"id": wav.id, "wav": str(wav.wav_path),
+                                "labels": str(wav.labels_path)}) + "\n")
+        rc = run(["train", "--train-manifest", feature_m, "--cv-manifest", feature_m,
+                  "--out", tmp_path / "o", "--feature-dim", "8", "--window-frames", "5",
+                  "--stages", "3:1:1", "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: utterance {wav.id}: waveform {wav.wav_path} in a feature-input run\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, args, splits", [

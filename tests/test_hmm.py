@@ -6,7 +6,6 @@ import pytest
 from rawphone.decoding import decoder
 from rawphone.errors import NoLegalPathError
 from rawphone.hmm import build_duration_graph, decode_batch, decode_scores, hmm_decode
-from rawphone.net import log_softmax
 
 from oracles import hmm_enum_best_score, min_duration_sequences, reference_decode_scores
 
@@ -165,12 +164,32 @@ class TestDecodeBatch:
         decoded = decoder("hmm", alphabet, None, 3)(group)
         assert len(decoded) == len(group)
         for e, got in zip(group, decoded):
+            top = e.max(axis=1, keepdims=True)
+            log_posteriors = e - top - np.log(np.exp(e - top).sum(axis=1, keepdims=True))
             try:
-                alone = decode_scores(log_softmax(e), graph)
+                alone = decode_scores(log_posteriors, graph)
             except NoLegalPathError as err:
                 assert isinstance(got, NoLegalPathError) and str(got) == str(err)
                 continue
             assert got == [alphabet[i] for i in alone.phonemes]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_decoder_ignores_a_per_frame_offset(self, d):
+        # integer scores and offsets keep every path sum exact, ties included,
+        # so the frame's softmax normalizer cannot move the decoded path
+        rng = np.random.default_rng(d)
+        alphabet = [f"p{i}" for i in range(4)]
+        group = [rng.integers(-3, 4, size=(t, 4)).astype(float) for t in (11, 4, 17, 6, 30)]
+        shifted = [e + rng.integers(-1000, 1001, size=(len(e), 1)) for e in group]
+        decode = decoder("hmm", alphabet, None, d)
+        raw = decode(group)
+        assert [str(r) for r in decode(shifted)] == [str(r) for r in raw]
+        graph = build_duration_graph(4, d)
+        for e, got in zip(group, raw):
+            if len(e) < d:
+                assert isinstance(got, NoLegalPathError)
+            else:
+                assert got == [alphabet[i] for i in decode_scores(e, graph).phonemes]
 
     def test_errors_stay_with_their_utterance(self):
         graph = build_duration_graph(2, 3)
