@@ -118,22 +118,31 @@ def row_stats(rows, mean=None, std=None):
     same bits whatever the chunk. A constant row (max == min) gets std 0,
     so it normalizes to zeros: its mean may be off by an ulp, which would
     otherwise leave a tiny nonzero std.
+
+    Only rows whose std is not above n * eps * |mean| (NaN statistics
+    included) are checked for that. A sum of n equal terms, in any order,
+    is off by at most about (n - 1) / 2 ulps of the sum, so each value of
+    a constant row of n values deviates from the row's mean by at most
+    about (n + 1) / 2 ulps of it, and so does the row's std.
     """
     n, width = rows.shape
     mean = np.empty(n) if mean is None else mean
     std = np.empty(n) if std is None else std
     chunk = max(1, STATS_CHUNK_BYTES // (8 * width))
     buf = np.empty((min(chunk, n), width))
+    bound = width * np.finfo(np.float64).eps
     for a in range(0, n, chunk):
         part = buf[: len(rows[a : a + chunk])]
         m, s = mean[a : a + len(part)], std[a : a + len(part)]
         np.copyto(part, rows[a : a + chunk])
-        constant = part.max(axis=1) == part.min(axis=1)
         np.mean(part, axis=1, out=m)
         np.subtract(part, m[:, None], out=part)
         np.square(part, out=part)
         np.sqrt(np.mean(part, axis=1, out=s), out=s)
-        s[constant] = 0.0
+        near = np.flatnonzero(~(s > bound * np.abs(m)))  # NaN compares false: checked too
+        if len(near):
+            checked = rows[a + near]
+            s[near[checked.max(axis=1) == checked.min(axis=1)]] = 0.0
     return mean, std
 
 

@@ -64,13 +64,33 @@ def _integers_only(node):
     return _is_int(node)
 
 
+def _check_metadata(path, metadata):
+    """Raise a DataError naming the first metadata field that decoding
+    cannot use as it is: `hop_samples` must be a positive integer,
+    `input_kind` "raw" or "feature", and `sample_rate` a positive integer
+    (or null, except in a raw model). Other absent fields are not checked."""
+    def bad(key, needs):
+        return DataError(f"{path}: model metadata {key} is {metadata.get(key)!r}, not {needs}")
+
+    hop = metadata.get("hop_samples", 1)
+    if not (_is_int(hop) and hop > 0):
+        raise bad("hop_samples", "a positive integer")
+    kind = metadata.get("input_kind")
+    if "input_kind" in metadata and kind not in ("raw", "feature"):
+        raise bad("input_kind", '"raw" or "feature"')
+    rate = metadata.get("sample_rate")
+    if not (_is_int(rate) and rate > 0 or rate is None and kind != "raw"):
+        raise bad("sample_rate", "a positive integer")
+
+
 def load_model(path):
     """Read a model file.
 
     Returns (params, alphabet, metadata, transitions) with transitions
     None when the file carries no ``crf.A`` tensor. Every way a file can
     disagree with its own config (truncation, missing keys or tensors,
-    tensor shapes, alphabet size, non-finite weights) is a DataError.
+    tensor shapes, alphabet size, non-finite weights), and metadata that
+    decoding cannot use (_check_metadata), is a DataError.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -131,6 +151,7 @@ def load_model(path):
         raise DataError(f"{path}: alphabet of {len(alphabet)} labels for {k} classes")
     if not all(isinstance(label, str) for label in alphabet):
         raise DataError(f"{path}: alphabet labels must be strings")
+    _check_metadata(path, metadata)
 
     flat = np.concatenate([arrays[name].ravel() for name, _shape in tensor_shapes(config)])
     return NetworkParams(config, flat), alphabet, metadata, arrays.get("crf.A")

@@ -10,8 +10,9 @@ Training steps run one window at a time on a StepPlan. Inference scores
 every frame of a framed signal (a padded waveform with its window
 statistics, or a padded feature matrix) in batches sized by BATCH_BYTES,
 with stage 0 computed once per position of one grid and shared by the
-overlapping windows (score_frames). A network without stages runs its
-hidden layer there, as a stage 0 of one position per frame.
+overlapping windows (score_frames), in place in the buffers of a
+_ScorePlan. A network without stages runs its hidden layer there, as a
+stage 0 of one position per frame.
 """
 
 import math
@@ -156,7 +157,8 @@ class NetworkParams:
     each take one operation on it. `version` counts in-place updates so
     cached activations can detect that they no longer match the
     parameters that produced them. `plan` is the StepPlan of training
-    steps, built by the first forward_pass.
+    steps, built by the first forward_pass, and `score_plan` the
+    _ScorePlan of the last score_frames.
     """
 
     def __init__(self, config, flat):
@@ -176,6 +178,7 @@ class NetworkParams:
         self.output_bias = self._tensors["output.bias"]
         self.version = 0
         self.plan = None
+        self.score_plan = None
 
     def named_tensors(self):
         """(name, array) pairs in the fixed serialization order; each array is a view of `flat`."""
@@ -259,11 +262,6 @@ def _window_view(x, kernel_width, shift):
     )
 
 
-def _gather_windows(x, kernel_width, shift):
-    """A contiguous copy of _window_view: (N, T, d) -> (N, T', kW*d), frame-major."""
-    return _window_view(np.ascontiguousarray(x), kernel_width, shift).copy()
-
-
 def _pool_blocks(x, pool_width):
     """View (..., T, d) as (..., T // pool_width, pool_width, d), dropping trailing frames."""
     t, d = x.shape[-2:]
@@ -286,16 +284,55 @@ def maxpool_forward(x, pool_width):
     return pooled, arg
 
 
+class _BatchStage:
+    """Buffers and fixed views of one filter stage for inference batches.
+
+    A batch of up to len(src) frames is read from the buffer `src` (N,
+    T, d_in). forward(n) convolves the windows of the first n frames
+    into `conv`, then writes the max over each pool block, plus the bias,
+    through tanh into `out` (N, T'', d_out), in place. The bias is added
+    after pooling: rounding is monotone, so max(x + b) == max(x) + b
+    exactly. Every conv frame is computed, those past the last full pool
+    block too: OpenBLAS rounds a row of a product by the product's row
+    count when that is small, so the product keeps its shape.
+    """
+
+    def __init__(self, src, layer, pool_width):
+        n, t_in, d_in = src.shape
+        t_conv = (t_in - layer.kernel_width) // layer.shift + 1
+        self.layer = layer
+        self.src_windows = _window_view(src, layer.kernel_width, layer.shift)
+        self.windows = np.empty((n, t_conv, layer.kernel_width * d_in), src.dtype)
+        self.conv = np.empty((n * t_conv, layer.out_dim), src.dtype)
+        conv = self.conv.reshape(n, t_conv, layer.out_dim)
+        used = t_conv // pool_width * pool_width
+        self.blocks = [conv[:, q:used:pool_width] for q in range(pool_width)]
+        self.out = conv if pool_width == 1 else np.empty(self.blocks[0].shape, src.dtype)
+
+    def forward(self, n):
+        """The stage's output for the first n frames of `src`: a view of `out`."""
+        windows, out = self.windows[:n], self.out[:n]
+        conv = self.conv[: n * windows.shape[1]]
+        np.copyto(windows, self.src_windows[:n])
+        np.matmul(windows.reshape(len(conv), -1), self.layer.weight.T, out=conv)
+        if len(self.blocks) > 1:
+            np.maximum(self.blocks[0][:n], self.blocks[1][:n], out=out)
+            for block in self.blocks[2:]:
+                np.maximum(out, block[:n], out=out)
+        out += self.layer.bias
+        return np.tanh(out, out=out)
+
+
 def stage_forward(x, layer, pool_width):
     """One filter stage over a batch: convolution, max-pooling, tanh.
 
     x is (N, T, d_in); returns (N, T'', d_out). The same linear map is
     applied to each kW-frame window, stepping by dW over fully valid
     positions only; the T' conv frames are max-pooled in non-overlapping
-    blocks of pool_width, then squashed. This is the inference path;
-    training steps run on a StepPlan.
+    blocks of pool_width, then squashed. This is the inference path
+    (_BatchStage); training steps run on a StepPlan.
     """
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     if x.ndim != 3:
         raise ValueError("input must be an N x T x d batch of frame matrices")
     n, t, d = x.shape
@@ -303,37 +340,93 @@ def stage_forward(x, layer, pool_width):
         raise ValueError(f"{t} frames < kernel width {layer.kernel_width}")
     if d != layer.in_dim:
         raise ValueError(f"frame dim {d} != layer d_in {layer.in_dim}")
-    windows = _gather_windows(x, layer.kernel_width, layer.shift)
-    conv = windows.reshape(-1, windows.shape[2]) @ layer.weight.T + layer.bias
-    conv = conv.reshape(n, -1, layer.out_dim)
-    return np.tanh(_pool_blocks(conv, pool_width).max(axis=-2))
+    t_conv = (t - layer.kernel_width) // layer.shift + 1
+    if t_conv < pool_width:
+        raise ValueError(f"{t_conv} frames < pool width {pool_width}")
+    return _BatchStage(x, layer, pool_width).forward(n)
 
 
-def _head_forward(act, params):
-    """Scores (N, K) of a batch of stage-0 outputs: later stages, hidden and output layers.
+class _BatchHead:
+    """Buffers of everything after stage 0, for inference batches read from
+    `src` (N, T, d), the buffer stage 0 writes: the later filter stages,
+    then the hidden and output layers. A network without stages has run
+    its hidden layer as stage 0, which leaves the output layer."""
 
-    Without stages, stage 0 is the hidden layer and only the output layer is left.
+    def __init__(self, src, params):
+        self.stages = []
+        for layer, stage in zip(params.conv[1:], params.config.stages[1:]):
+            self.stages.append(_BatchStage(src, layer, stage.pool_width))
+            src = self.stages[-1].out
+        self.flat = src.reshape(len(src), -1)
+        self.hidden = None
+        if params.config.stages:
+            self.hidden = np.empty((len(src), params.config.hidden_units), src.dtype)
+        self.scores = np.empty((len(src), params.config.num_classes), src.dtype)
+
+    def forward(self, n, params):
+        """Scores (n, K) of the first n frames of `src`: a view of `scores`."""
+        for stage in self.stages:
+            stage.forward(n)
+        act = self.flat[:n]
+        if self.hidden is not None:
+            hidden = self.hidden[:n]
+            np.matmul(act, params.hidden_weight.T, out=hidden)
+            hidden += params.hidden_bias
+            act = np.tanh(hidden, out=hidden)
+        scores = self.scores[:n]
+        np.matmul(act, params.output_weight.T, out=scores)
+        scores += params.output_bias
+        return scores
+
+
+class _ScorePlan:
+    """score_frames' buffers for one network, hop and input kind, sized for
+    batches of `batch` frames. score_frames keeps the last one on the
+    params and reuses it while the hop and input kind stay the same, so a
+    params object scores one signal at a time, as its StepPlan takes one
+    step at a time.
+
+    `layer` is stage 0 (the hidden layer of a network without stages),
+    on a grid of positions `g` rows apart (score_frames). `gathered`
+    holds the windows and `conv` the outputs of consecutive positions,
+    `smax` their running maximum over each pool block, and `pooled` views
+    each frame's pooled outputs in it. `act` is stage 0's output, which
+    `head` reads; `offset` and `normed` hold the normalization of raw
+    input.
     """
-    config = params.config
-    if config.stages:
-        for layer, stage in zip(params.conv[1:], config.stages[1:]):
-            act = stage_forward(act, layer, stage.pool_width)
-        act = np.tanh(act.reshape(len(act), -1) @ params.hidden_weight.T + params.hidden_bias)
-    return act.reshape(len(act), -1) @ params.output_weight.T + params.output_bias
 
-
-def _pool_positions(conv, pool_width, stride, starts, t_pool):
-    """Max-pooled stage-0 outputs (len(starts), t_pool, d) of frames over shared positions.
-
-    conv holds the stage-0 outputs of consecutive grid positions (M, d);
-    a frame starting at position s has its conv frames at s, s + stride,
-    ..., and pools conv frames j * pool_width .. (j + 1) * pool_width - 1
-    into its j-th output.
-    """
-    smax = conv[: len(conv) - (pool_width - 1) * stride]  # max over m, m + stride, ...
-    for q in range(1, pool_width):
-        smax = np.maximum(smax, conv[q * stride : q * stride + len(smax)])
-    return smax[starts[:, None] + np.arange(t_pool) * (pool_width * stride)]
+    def __init__(self, params, hop, normalized, batch):
+        config = params.config
+        if config.stages:
+            layer, pw = params.conv[0], config.stages[0].pool_width
+            t_pool = config.frame_counts()[0][1]
+        else:  # the hidden layer, one position per frame
+            layer = ConvLayerParams(params.hidden_weight, params.hidden_bias,
+                                    config.input_frames, hop)
+            pw = t_pool = 1
+        self.key = (hop, normalized, batch)
+        self.layer, self.pool_width, self.g = layer, pw, math.gcd(hop, layer.shift)
+        # grid positions per hop and per conv frame, and from a frame's first to its last
+        self.step, self.stride = hop // self.g, layer.shift // self.g
+        self.reach = (t_pool * pw - 1) * self.stride + 1
+        dtype = params.hidden_weight.dtype
+        conv_dtype = np.float64 if normalized else dtype
+        d = layer.out_dim
+        self.gathered = np.empty(((batch - 1) * self.step + self.reach,
+                                  layer.kernel_width * config.input_dim), conv_dtype)
+        self.conv = np.empty((len(self.gathered), d), conv_dtype)
+        self.smax = self.conv
+        if pw > 1:
+            self.smax = np.empty((len(self.conv) - (pw - 1) * self.stride, d), conv_dtype)
+        row = self.smax.strides[0]
+        self.pooled = np.lib.stride_tricks.as_strided(
+            self.smax, (batch, t_pool, d), (self.step * row, pw * self.stride * row,
+                                            self.smax.itemsize), writeable=False)
+        self.act = np.empty((batch, t_pool, d), dtype)
+        self.head = _BatchHead(self.act, params)
+        if normalized:
+            self.offset = np.empty((batch, 1, d))
+            self.normed = self.act if dtype == np.float64 else np.empty(self.act.shape)
 
 
 def score_frames(framed, params):
@@ -351,63 +444,76 @@ def score_frames(framed, params):
     stage-0 positions of all frames lie on one grid of stride g =
     gcd(hop, shift). The convolution runs once per grid position, and
     each frame max-pools its own positions, every shift / g-th one from
-    its first. Frames go batch_frames at a time, which bounds the working
-    set whatever the signal length; a batch reuses the positions it
-    shares with the one before.
+    its first: a running maximum over the positions m, m + shift / g, ...
+    of one pool block holds frame t's pooled output j at position
+    t * hop / g + j * pool_width * shift / g, read through one strided
+    view. Frames go batch_frames at a time, which bounds the working set
+    whatever the signal length; a batch reuses the positions it shares
+    with the one before. Each layer runs in place, in the buffers of the
+    params' _ScorePlan for this hop and input kind.
 
     Without statistics, stage 0 runs in the params dtype, the bias added
     per position before pooling: rounding is monotone, so max(x + b) ==
     max(x) + b exactly. With them, the raw convolution W.x runs in
-    float64, on the signal's rows widened a batch at a time; normalization
-    is affine, so conv(normalized window) = (W.x - mean * sum(W)) / std +
-    b, and for std > 0 max-pooling commutes with this map and pools the
-    raw conv. A constant window (std == 0)
-    normalizes to zeros, so its stage-0 output is the bias.
+    float64, on the signal's rows widened as each batch gathers them;
+    normalization is affine, so conv(normalized window) = (W.x - mean *
+    sum(W)) / std + b, and for std > 0 max-pooling commutes with this map
+    and pools the raw conv. A constant window (std == 0) normalizes to
+    zeros, so its stage-0 output is the bias.
     """
     config = params.config
     x, hop, num_frames, std = np.asarray(framed.signal), framed.hop, framed.num_frames, framed.std
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"signal must be a T x {config.input_dim} matrix, got {x.shape}")
-    if config.stages:
-        layer, pw = params.conv[0], config.stages[0].pool_width
-        t_pool = config.frame_counts()[0][1]
-    else:  # the hidden layer, one position per frame
-        layer = ConvLayerParams(params.hidden_weight, params.hidden_bias, config.input_frames, hop)
-        pw = t_pool = 1
-    kw = layer.kernel_width
-    g = math.gcd(hop, layer.shift)
-    step, stride = hop // g, layer.shift // g  # grid positions per hop and per conv frame
-    reach = (t_pool * pw - 1) * stride + 1  # grid positions from a frame's first to last
-    dtype = params.hidden_weight.dtype
-    conv_dtype = dtype if std is None else np.float64
-    weight = layer.weight.astype(conv_dtype, copy=False)
-    batch = batch_frames(config, dtype)
+    scores = np.empty((num_frames, config.num_classes), dtype=np.float64)
+    if not num_frames:
+        return scores
+    batch = batch_frames(config, params.hidden_weight.dtype)
+    plan = params.score_plan
+    if plan is None or plan.key != (hop, std is not None, batch):
+        plan = params.score_plan = _ScorePlan(params, hop, std is not None, batch)
+    layer, pw, step, stride, reach = plan.layer, plan.pool_width, plan.step, plan.stride, plan.reach
+    conv, smax, act = plan.conv, plan.smax, plan.act
+    weight = layer.weight.astype(conv.dtype, copy=False)
+    windows = _window_view(np.ascontiguousarray(x)[None], layer.kernel_width, plan.g)[0]
     if std is not None:
         wsum = weight.sum(axis=1)
         bias = layer.bias.astype(np.float64)
-    scores = np.empty((num_frames, config.num_classes), dtype=np.float64)
-    conv = np.empty((0, layer.out_dim), conv_dtype)  # stage 0 at positions lo, lo + 1, ...
-    lo = 0
+        scale = np.where(std, std, 1.0)  # std == 0: reset below
+        reset = std == 0.0
+    lo = held = 0  # conv holds the positions lo .. lo + held - 1
     for a in range(0, num_frames, batch):
         b = min(a + batch, num_frames)
-        # the batch pools positions a * step .. hi - 1; those of the last
-        # batch that it shares are kept, the rest computed from `start`
-        start, hi = max(lo + len(conv), a * step), (b - 1) * step + reach
-        rows = x[start * g : (hi - 1) * g + kw].astype(conv_dtype, copy=False)  # exact widening
-        fresh = _gather_windows(rows[None], kw, g)[0] @ weight.T
+        n = b - a
+        # the batch pools positions first .. hi - 1; those of the last
+        # batch that it shares are kept, the rest computed after them
+        first, hi = a * step, (b - 1) * step + reach
+        keep = max(0, lo + held - first)
+        conv[:keep] = conv[first - lo : first - lo + keep]
+        fresh = plan.gathered[: hi - first - keep]
+        np.copyto(fresh, windows[first + keep : hi])  # exact widening
+        np.matmul(fresh, weight.T, out=conv[keep : hi - first])
         if std is None:
-            fresh += layer.bias
-        kept = conv[a * step - lo :]
-        conv = np.concatenate([kept, fresh]) if len(kept) else fresh
-        lo = a * step
-        pooled = _pool_positions(conv, pw, stride, np.arange(b - a) * step, t_pool)
-        if std is not None:
-            pooled -= framed.mean[a:b, None, None] * wsum
-            pooled /= np.where(std[a:b], std[a:b], 1.0)[:, None, None]  # std == 0: reset below
-            pooled += bias
-            pooled[std[a:b] == 0.0] = bias
-        act = np.tanh(pooled.astype(dtype, copy=False))
-        scores[a:b] = _head_forward(act, params)
+            conv[keep : hi - first] += layer.bias
+        lo, held = first, hi - first
+        if pw > 1:
+            m = held - (pw - 1) * stride
+            np.maximum(conv[:m], conv[stride : stride + m], out=smax[:m])
+            for q in range(2, pw):
+                np.maximum(smax[:m], conv[q * stride : q * stride + m], out=smax[:m])
+        out = act[:n]
+        if std is None:
+            np.copyto(out, plan.pooled[:n])
+        else:
+            norm, offset = plan.normed[:n], plan.offset[:n]
+            np.multiply(framed.mean[a:b, None, None], wsum, out=offset)
+            np.subtract(plan.pooled[:n], offset, out=norm)
+            np.divide(norm, scale[a:b, None, None], out=norm)
+            np.add(norm, bias, out=out, casting="same_kind")  # rounded to dtype as it is stored
+            if reset[a:b].any():
+                out[reset[a:b]] = bias
+        np.tanh(out, out=out)
+        scores[a:b] = plan.head.forward(n, params)
     return scores
 
 

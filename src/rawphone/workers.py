@@ -6,16 +6,18 @@ item, in item order, whatever the number of workers. The number of
 workers is the number of usable cores, capped at the number of items;
 the calling process runs the first share itself and forks one child per
 further share, each started on a core of its own. With one worker
-nothing is forked.
+nothing is forked. Shares are cut by item count, or, where the caller
+passes each item's estimated `cost`, by cost: each share then holds
+about an equal part of the total (share_bounds).
 
 Fork gate: a fork has a price (FORK_PRICE_S, about 10 ms a child on a
 2 vCPU VM), so a caller that can estimate each item's inline seconds
 passes `cost`, and the map keeps only as many workers as have later
-shares that outweigh the price of their forks, down to none. `decode`
-estimates from file sizes and the model before it loads anything, and
-`train` its CV scoring and CRF emissions from the utterances' frames;
-`grid` and `ablate-pool`, whose items are whole trainings, pass none and
-always fork.
+shares, cut by cost, that outweigh the price of their forks, down to
+none. `decode` estimates from file sizes and the model before it loads
+anything, and `train` its CV scoring and CRF emissions from the
+utterances' frames; `grid` and `ablate-pool`, whose items are whole
+trainings, pass none and always fork.
 
 Start method: `fork`. A forked child starts with the parent's loaded
 model, closures and monkeypatches in about 1.6 ms, where `spawn` would
@@ -36,8 +38,10 @@ a child that ends without sending (killed, out of memory) is a
 WorkerLostError. A child maps its own inner `ordered_map` calls inline,
 so workers never fork again.
 """
+import bisect
 import contextlib
 import io
+import itertools
 import os
 import pickle
 import signal
@@ -77,6 +81,31 @@ def worker_count(num_items):
     return max(1, min(usable_cores(), num_items))
 
 
+def share_bounds(costs, workers):
+    """Where each of `workers` shares of consecutive items of these `costs`
+    (finite, >= 0) starts, and the last one ends: share w is items
+    bounds[w] .. bounds[w + 1] - 1.
+
+    Share w ends at the last item boundary where the cumulative cost is at
+    most w / workers of the total, moved back over items of zero cost as
+    far as w / workers of the items, and then as little as keeps every
+    share non-empty. Costs are summed exactly, in integer units of the
+    largest denominator of their binary fractions, so items of equal cost
+    are cut by count: share w starts at item len(costs) * w // workers.
+    """
+    ratios = [float(c).as_integer_ratio() for c in costs]
+    scale = max(q for _p, q in ratios)
+    cumulative = list(itertools.accumulate((p * (scale // q) for p, q in ratios), initial=0))
+    scaled = [c * workers for c in cumulative]  # the cost before each boundary, times workers
+    n, total, bounds = len(costs), cumulative[-1], [0]
+    for w in range(1, workers):
+        last = bisect.bisect_right(scaled, total * w) - 1
+        tied = bisect.bisect_left(scaled, scaled[last])  # the first boundary of that cost
+        cut = max(tied, min(last, n * w // workers))
+        bounds.append(min(max(cut, bounds[-1] + 1), n - (workers - w)))
+    return bounds + [n]
+
+
 def ordered_map(work, items, cost=None):
     """The outputs of `work` over consecutive shares of `items`, in item order.
 
@@ -87,25 +116,27 @@ def ordered_map(work, items, cost=None):
     order. Every child is joined before this returns or raises.
 
     `cost(item)`, where the caller can estimate it, is the seconds `work`
-    would take over the item inline. The map then forks only where the
-    split pays: it takes the most workers, up to worker_count, whose
-    later shares are estimated at more than FORK_PRICE_S per forked
-    child, and runs inline when no count passes. Without `cost` it takes
-    worker_count workers. A worker that ends before it sends its results
-    is a WorkerLostError.
+    would take over the item inline. The map then cuts the shares by cost
+    and forks only where the split pays: it takes the most workers, up to
+    worker_count, whose later shares are estimated at more than
+    FORK_PRICE_S per forked child, and runs inline when no count passes.
+    Without `cost` it cuts by count and takes worker_count workers. A
+    worker that ends before it sends its results is a WorkerLostError.
     """
     items = list(items)
     # the gate first: a map it keeps inline never imports multiprocessing
     workers = max(1, min(usable_cores(), len(items)))
+    costs = [1] * len(items)
     if workers > 1 and cost is not None:
         costs = [cost(item) for item in items]
-        while workers > 1 and sum(costs[len(items) // workers :]) <= FORK_PRICE_S * (workers - 1):
+        while workers > 1 and (sum(costs[share_bounds(costs, workers)[1] :])
+                               <= FORK_PRICE_S * (workers - 1)):
             workers -= 1
     if workers > 1:
         workers = min(workers, worker_count(len(items)))
     if workers == 1:
         return list(work(items))
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    bounds = share_bounds(costs, workers)
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")

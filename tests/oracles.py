@@ -3,18 +3,23 @@
 Everything here is deliberately brute force (enumeration, finite
 differences, naive DFT), or the plainer code a faster library path
 replaced: the per-call SGD step the step plan must reproduce bit for
-bit, the log-space CRF sum-product the scaled forward-backward must
-match within rounding, and the per-utterance Viterbi, edit-distance and
+bit, the batched scorer and the window statistics that the in-place
+scorer and the trimmed statistics must reproduce bit for bit, the
+log-space CRF sum-product the scaled forward-backward must match within
+rounding, and the per-utterance Viterbi, edit-distance and
 frame-labelling loops the batched and vectorized programs must match
-exactly. None
-of it shares code with the library paths it checks.
+exactly. None of it shares code with the library paths it checks; the
+old scorer takes only its batch size (net.batch_frames) from the
+library, so that both run the same batches.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from rawphone import net
 from rawphone.errors import DataError, DivergenceError
 from rawphone.framing import FrameGrid, extract_feature_windows, extract_windows
 from rawphone.training import frame_loss
@@ -82,6 +87,31 @@ def utterance_windows(utt, input_frames, hop_samples, dtype=np.float32):
         grid = FrameGrid.for_length(len(utt.waveform), hop_samples, input_frames)
         return extract_windows(utt.waveform, grid)[:, :, None].astype(dtype)
     return extract_feature_windows(utt.features, input_frames).astype(dtype)
+
+
+# --- window statistics --------------------------------------------------------
+
+
+STATS_CHUNK_BYTES = 16 * 1600 * 8
+
+
+def reference_row_stats(rows):
+    """framing.row_stats as it was: every row checked for max == min."""
+    n, width = rows.shape
+    mean, std = np.empty(n), np.empty(n)
+    chunk = max(1, STATS_CHUNK_BYTES // (8 * width))
+    buf = np.empty((min(chunk, n), width))
+    for a in range(0, n, chunk):
+        part = buf[: len(rows[a : a + chunk])]
+        m, s = mean[a : a + len(part)], std[a : a + len(part)]
+        np.copyto(part, rows[a : a + chunk])
+        constant = part.max(axis=1) == part.min(axis=1)
+        np.mean(part, axis=1, out=m)
+        np.subtract(part, m[:, None], out=part)
+        np.square(part, out=part)
+        np.sqrt(np.mean(part, axis=1, out=s), out=s)
+        s[constant] = 0.0
+    return mean, std
 
 
 # --- per-example SGD step ---------------------------------------------------
@@ -608,3 +638,80 @@ def perceptron_separates(points, labels, max_epochs=200):
         if mistakes == 0:
             return True
     return False
+
+
+# --- batched inference -------------------------------------------------------
+#
+# The batch body score_frames had before its in-place passes, kept
+# verbatim: each frame's pooled stage-0 outputs gathered by fancy
+# indexing, normalized out of place, and every later stage convolving all
+# of its conv frames, bias included, before a max over pool blocks.
+
+
+def _pool_positions(conv, pool_width, stride, starts, t_pool):
+    smax = conv[: len(conv) - (pool_width - 1) * stride]  # max over m, m + stride, ...
+    for q in range(1, pool_width):
+        smax = np.maximum(smax, conv[q * stride : q * stride + len(smax)])
+    return smax[starts[:, None] + np.arange(t_pool) * (pool_width * stride)]
+
+
+def _reference_stage(x, layer, pool_width):
+    windows = _gather_windows(x, layer.kernel_width, layer.shift)
+    conv = windows.reshape(-1, windows.shape[2]) @ layer.weight.T + layer.bias
+    conv = conv.reshape(len(x), -1, layer.out_dim)
+    return np.tanh(_pool_blocks(conv, pool_width).max(axis=-2))
+
+
+def _reference_head(act, params):
+    config = params.config
+    if config.stages:
+        for layer, stage in zip(params.conv[1:], config.stages[1:]):
+            act = _reference_stage(act, layer, stage.pool_width)
+        act = np.tanh(act.reshape(len(act), -1) @ params.hidden_weight.T + params.hidden_bias)
+    return act.reshape(len(act), -1) @ params.output_weight.T + params.output_bias
+
+
+def reference_score_frames(framed, params):
+    """net.score_frames as it was, batch for batch (net.batch_frames frames each)."""
+    config = params.config
+    x, hop, num_frames, std = np.asarray(framed.signal), framed.hop, framed.num_frames, framed.std
+    if config.stages:
+        layer, pw = params.conv[0], config.stages[0].pool_width
+        t_pool = config.frame_counts()[0][1]
+    else:
+        layer = net.ConvLayerParams(params.hidden_weight, params.hidden_bias,
+                                    config.input_frames, hop)
+        pw = t_pool = 1
+    kw = layer.kernel_width
+    g = math.gcd(hop, layer.shift)
+    step, stride = hop // g, layer.shift // g
+    reach = (t_pool * pw - 1) * stride + 1
+    dtype = params.hidden_weight.dtype
+    conv_dtype = dtype if std is None else np.float64
+    weight = layer.weight.astype(conv_dtype, copy=False)
+    batch = net.batch_frames(config, dtype)
+    if std is not None:
+        wsum = weight.sum(axis=1)
+        bias = layer.bias.astype(np.float64)
+    scores = np.empty((num_frames, config.num_classes), dtype=np.float64)
+    conv = np.empty((0, layer.out_dim), conv_dtype)
+    lo = 0
+    for a in range(0, num_frames, batch):
+        b = min(a + batch, num_frames)
+        start, hi = max(lo + len(conv), a * step), (b - 1) * step + reach
+        rows = x[start * g : (hi - 1) * g + kw].astype(conv_dtype, copy=False)
+        fresh = _gather_windows(rows[None], kw, g)[0] @ weight.T
+        if std is None:
+            fresh += layer.bias
+        kept = conv[a * step - lo :]
+        conv = np.concatenate([kept, fresh]) if len(kept) else fresh
+        lo = a * step
+        pooled = _pool_positions(conv, pw, stride, np.arange(b - a) * step, t_pool)
+        if std is not None:
+            pooled -= framed.mean[a:b, None, None] * wsum
+            pooled /= np.where(std[a:b], std[a:b], 1.0)[:, None, None]
+            pooled += bias
+            pooled[std[a:b] == 0.0] = bias
+        act = np.tanh(pooled.astype(dtype, copy=False))
+        scores[a:b] = _reference_head(act, params)
+    return scores

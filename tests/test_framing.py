@@ -10,9 +10,10 @@ from rawphone.framing import (
     extract_windows,
     frame_labels,
     normalize_window,
+    row_stats,
 )
 
-from oracles import reference_frame_labels
+from oracles import reference_frame_labels, reference_row_stats
 
 
 class TestNormalizeWindow:
@@ -56,6 +57,53 @@ class TestNormalizeWindow:
         base = normalize_window(x)
         for a, b in [(2.0, 0.0), (0.01, -5.0), (300.0, 7.5)]:
             np.testing.assert_allclose(normalize_window(a * x + b), base, atol=1e-6)
+
+
+def stats_rows(width, dtype):
+    """Rows whose statistics sit at or near a constant row's rounding."""
+    rng = np.random.default_rng(width)
+    c = np.float64(1e4).astype(dtype)
+    off_by_ulp = np.full(width, c)
+    off_by_ulp[width // 2] = np.nextafter(c, dtype(np.inf))
+    rows = [
+        np.full(width, 1e4), np.full(width, 1 / 3), np.full(width, -0.1),  # constant
+        np.zeros(width),
+        off_by_ulp,
+        1e8 + rng.normal(size=width) * 1e-4,  # a DC offset far above the std:
+        1e8 + rng.normal(size=width) * 1e-6,  # std / mean 1e-12 and 1e-14, about the
+        1e3 + rng.normal(size=width) * 1e-9,  # rounding of a constant row's mean
+        rng.normal(size=width),
+    ]
+    return np.array(rows).astype(dtype)
+
+
+class TestRowStats:
+    """row_stats gives the bytes of the statistics that checked every row for max == min."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 2, 33, 1600])
+    def test_equals_checking_every_row(self, dtype, width):
+        rows = stats_rows(width, dtype)
+        # chunked as framing reads them: a strided view, several chunks
+        rows = np.lib.stride_tricks.sliding_window_view(np.tile(rows, (3, 1)).ravel(), width)[::width]
+        mean, std = row_stats(rows)
+        expected_mean, expected_std = reference_row_stats(rows)
+        assert mean.tobytes() == expected_mean.tobytes()
+        assert std.tobytes() == expected_std.tobytes()
+        if width > 1:  # the constant rows, though not all their means are exact; the ulp off
+            assert not std.reshape(3, -1)[:, :4].any() and std.reshape(3, -1)[:, 4].all()
+
+    @pytest.mark.parametrize("row", [
+        [1.0, np.inf, 2.0], [np.inf] * 4, [-np.inf, np.inf, 0.0], [np.nan, 1.0, 1.0],
+        [1e308, 1e308, 1e308], [1e308, -1e308, 1e308],
+    ], ids=["inf", "all-inf", "both-infs", "nan", "huge-constant", "overflow"])
+    def test_non_finite_rows_normalize_as_before(self, row):
+        x = np.array(row)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = normalize_window(x)
+            mean, std = reference_row_stats(x[None])
+            expected = np.zeros_like(x) if std[0] == 0.0 else (x - mean[0]) / std[0]
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestExtractWindows:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rawphone import net
-from rawphone.corpus import FrameDataset, LabeledUtterance
+from rawphone.corpus import FrameDataset, LabeledUtterance, frame_utterance
 from rawphone.decoding import compute_emissions, decode_utterances, decoder
 from rawphone.errors import DataError
 from rawphone.framing import (
@@ -24,7 +24,7 @@ from rawphone.net import (
 )
 from rawphone.training import frame_accuracy_of
 
-from oracles import utterance_windows
+from oracles import reference_score_frames, utterance_windows
 
 HOP = 160
 TOL = 1e-5
@@ -242,6 +242,74 @@ class TestBatchFrames:
         # 7 positions x 3 taps x 39 dims of float32 per frame
         cfg = NetworkConfig(9, 39, (StageConfig(3, 1, 20, 1),), hidden_units=50, num_classes=39)
         assert batch_frames(cfg, np.float32) == net.BATCH_BYTES // (7 * 3 * 39 * 4) == 453
+
+
+def constant_utterance(length, value):
+    return LabeledUtterance("c", SegmentAnnotation(((0, length, "a"),)),
+                            waveform=Waveform(np.full(length, value), 16000))
+
+
+# (name, config, utterance, hop, frames per batch: None keeps batch_frames)
+REFERENCE_CASES = [
+    ("default", raw_config(DEFAULT, filters=30), raw_utterance(12000, 0), HOP, None),
+    *[(f"pool{p}", raw_config(((80, 10, p), (5, 1, p), (3, 1, 2)), window=800),
+       raw_utterance(7000, 5), HOP, None) for p in (1, 2, 3)],
+    ("hop-not-a-multiple-of-shift", raw_config(((30, 7, 2), (3, 1, 1)), window=401),
+     raw_utterance(9000, 3), HOP, None),
+    ("offset-grid", raw_config(((160, 32, 3), (5, 1, 3))), raw_utterance(9000, 3), HOP, None),
+    ("silent-frames", raw_config(DEFAULT), constant_utterance(8000, 0.3), HOP, None),
+    ("more-frames-than-a-batch", raw_config(((16, 8, 2), (3, 1, 2)), window=401),
+     raw_utterance(20000, 6, silent=(0, 3000)), 40, None),
+    ("batches-without-overlap", raw_config(((40, 10, 3), (3, 1, 2)), window=400),
+     raw_utterance(480 * 40, 9, silent=(4000, 5200)), 480, None),
+    ("partial-last-batch", raw_config(((80, 10, 3), (5, 1, 3)), window=800),
+     raw_utterance(9000, 4), HOP, 5),
+    # 17 conv frames of stage 1, 15 pooled: small products of the last batch
+    ("small-later-products", raw_config(((160, 10, 3), (5, 1, 3), (3, 1, 2)), window=800,
+                                        filters=30), raw_utterance(37 * HOP + 80, 37), HOP, None),
+    ("feature", feature_config(10, ((3, 2, 2), (2, 1, 1))), feature_utterance(100, 4, 1), 1, 7),
+    ("feature-pooled-later", feature_config(7, ((2, 1, 1), (3, 1, 3))),
+     feature_utterance(40, 4, 2), 1, None),
+    ("raw-without-stages", raw_config((), window=200), raw_utterance(3000, 10), HOP, None),
+    ("feature-without-stages", feature_config(5, ()), feature_utterance(20, 4, 10), 1, 3),
+]
+
+
+class TestReferenceBytes:
+    """score_frames gives the bytes of the scorer its in-place passes replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+    def test_equals_replaced_scorer(self, case, dtype, monkeypatch):
+        name, cfg, utt, hop, batch = case
+        if batch is not None:
+            monkeypatch.setattr(net, "batch_frames", lambda config, dt: batch)
+        params = init_params(cfg, 11, dtype=dtype)
+        framed = frame_utterance(utt, cfg.input_frames, hop, dtype)
+        if name == "silent-frames":  # a constant signal: std 0 though the mean is off by an ulp
+            assert (framed.std == 0).sum() >= 30
+        got = score_frames(framed, params)
+        assert got.tobytes() == reference_score_frames(framed, params).tobytes()
+
+    def test_kept_buffers_follow_hop_input_and_weights(self):
+        """One params object scores signals of other hops and kinds, and again
+        after an in-place update, with the bytes of a fresh scorer."""
+        cfg = raw_config(((40, 10, 3), (3, 1, 2)), window=400)
+        params = init_params(cfg, 12)
+        utts = [(raw_utterance(6000, 1), HOP), (raw_utterance(9000, 4), HOP),
+                (raw_utterance(3000, 2), 80), (raw_utterance(6000, 1), HOP)]
+        for utt, hop in utts:
+            framed = frame_utterance(utt, 400, hop, np.float32)
+            expected = reference_score_frames(framed, params)
+            assert score_frames(framed, params).tobytes() == expected.tobytes()
+        params.flat *= np.float32(0.5)  # as an SGD step updates in place
+        framed = frame_utterance(utts[0][0], 400, HOP, np.float32)
+        assert score_frames(framed, params).tobytes() == (
+            reference_score_frames(framed, params).tobytes())
+        # a signal fed as features (no window statistics) to the same network
+        unnormalized = FramedSignal(framed.signal.astype(np.float32), HOP, framed.num_frames)
+        assert score_frames(unnormalized, params).tobytes() == (
+            reference_score_frames(unnormalized, params).tobytes())
 
 
 class TestFrameAccuracy:

@@ -158,6 +158,50 @@ class TestMalformedModel:
         assert "preamble" in capsys.readouterr().err
 
 
+RAW_METADATA = {"input_kind": "raw", "sample_rate": 16000, "hop_samples": 160}
+
+
+class TestMetadata:
+    """A field decoding reads is checked where the model loads."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("hop_samples", "abc"), ("hop_samples", 1.5), ("hop_samples", -160), ("hop_samples", 0),
+        ("hop_samples", None), ("hop_samples", True), ("hop_samples", "160"),
+        ("input_kind", "wav"), ("input_kind", None), ("input_kind", 1),
+        ("sample_rate", 0), ("sample_rate", -16000), ("sample_rate", 16000.0),
+        ("sample_rate", None), ("sample_rate", True), ("sample_rate", "16000"),
+    ])
+    def test_unusable_field_is_data_error(self, tmp_path, key, value):
+        save_model(tmp_path / "m.rcn", small_params(), list("abcd"), {**RAW_METADATA, key: value})
+        with pytest.raises(DataError, match=f"model metadata {key} is "):
+            load_model(tmp_path / "m.rcn")
+
+    def test_raw_model_without_sample_rate_is_data_error(self, tmp_path):
+        metadata = {"input_kind": "raw", "hop_samples": 160}
+        save_model(tmp_path / "m.rcn", small_params(), list("abcd"), metadata)
+        with pytest.raises(DataError, match="sample_rate is None, not a positive integer"):
+            load_model(tmp_path / "m.rcn")
+
+    @pytest.mark.parametrize("metadata", [
+        RAW_METADATA, {"input_kind": "feature", "sample_rate": None, "hop_samples": 1},
+        {"input_kind": "feature", "hop_samples": 1}, {"sample_rate": 16000}, {},
+    ])
+    def test_usable_metadata_loads_as_written(self, tmp_path, metadata):
+        save_model(tmp_path / "m.rcn", small_params(), list("abcd"), metadata)
+        assert load_model(tmp_path / "m.rcn")[2] == metadata
+
+    @pytest.mark.parametrize("value", ["abc", 0, None])
+    def test_decode_exits_2_naming_the_field(self, tmp_path, capsys, value):
+        save_model(tmp_path / "m.rcn", small_params(), list("abcd"),
+                   {**RAW_METADATA, "hop_samples": value})
+        (tmp_path / "test.jsonl").write_text("")
+        rc = main(["decode", "--manifest", str(tmp_path / "test.jsonl"),
+                   "--model", str(tmp_path / "m.rcn"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"model metadata hop_samples is {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 NASTY_VALUES = [-1, 0, 1, 3, 2**40, 10**30, 1e300, 24.0, 2.5, "4", "", None, True, False,
                 [], {}, [2, 2], [-1], [2**33, 2**33], float("nan"), float("inf")]
 

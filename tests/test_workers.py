@@ -10,6 +10,7 @@ here are small enough that the gate would run them inline.
 
 import json
 import multiprocessing
+from fractions import Fraction
 import os
 import re
 import signal
@@ -26,7 +27,7 @@ from rawphone.decoding import decoder_units, seconds_per_frame
 from rawphone.errors import DataError, DivergenceError, WorkerLostError
 from rawphone.framing import SegmentAnnotation, Waveform
 from rawphone.net import NetworkConfig, StageConfig
-from rawphone.workers import ordered_map, worker_count
+from rawphone.workers import ordered_map, share_bounds, worker_count
 
 SMALL_NET = ["--window-ms", "50", "--stages", "80:10:3,5:1:3,3:1:2",
              "--filters", "8", "--hidden", "16"]
@@ -219,10 +220,10 @@ class TestForkGate:
 
     def test_forks_only_when_the_later_shares_cost_more_than_the_price(self, cores,
                                                                       monkeypatch):
-        cores(2)  # shares [0, 1] and [2, 3]: the later share costs 2 + 3 seconds
-        monkeypatch.setattr(workers, "FORK_PRICE_S", 5.0)
+        cores(2)  # shares [0, 1, 2] and [3], cut by cost: the later share costs 3 seconds
+        monkeypatch.setattr(workers, "FORK_PRICE_S", 3.0)
         assert ordered_map(pids, range(4), float) == [os.getpid()] * 4
-        monkeypatch.setattr(workers, "FORK_PRICE_S", 4.9)
+        monkeypatch.setattr(workers, "FORK_PRICE_S", 2.9)
         assert len(set(ordered_map(pids, range(4), float))) == 2
 
     def test_takes_the_most_workers_whose_forks_pay(self, cores, monkeypatch):
@@ -230,6 +231,55 @@ class TestForkGate:
         monkeypatch.setattr(workers, "FORK_PRICE_S", 2.5)
         outputs = ordered_map(pids, [1.0] * 8, float)
         assert len(set(outputs)) == 3 and outputs[:2] == [os.getpid()] * 2
+
+
+class TestShareBounds:
+    """Shares are cut where the cumulative cost crosses each worker's part of the total."""
+
+    def check(self, costs, workers):
+        bounds = share_bounds(costs, workers)
+        n = len(costs)
+        assert len(bounds) == workers + 1 and bounds[0] == 0 and bounds[-1] == n
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))  # in order, none empty
+        return bounds
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_contiguous_non_empty_and_balanced_by_cost(self, seed):
+        rng = np.random.default_rng(seed)
+        costs = list(rng.uniform(0.5, 2.0, size=int(rng.integers(4, 40))) * 1e-3)
+        exact = [Fraction(c) for c in costs]
+        total = sum(exact)
+        for workers in range(1, min(len(costs), 6) + 1):
+            bounds = self.check(costs, workers)
+            for w in range(1, workers):  # no item fits before the cut, none after it
+                target = total * w / workers
+                assert sum(exact[: bounds[w]]) <= target < sum(exact[: bounds[w] + 1])
+
+    @pytest.mark.parametrize("cost", [1, 0.1, 1 / 3, 319 * 2.258e-6, 0.0])
+    def test_equal_costs_cut_by_count(self, cost):
+        for n in range(1, 25):
+            for workers in range(1, min(n, 8) + 1):
+                expected = [n * w // workers for w in range(workers + 1)]
+                assert share_bounds([cost] * n, workers) == expected, (n, workers)
+
+    def test_a_heavy_item_keeps_every_share_non_empty(self):
+        assert self.check([100.0, 1.0, 1.0, 1.0], 2) == [0, 1, 4]
+        assert self.check([100.0, 1.0, 1.0, 1.0], 4) == [0, 1, 2, 3, 4]
+        assert self.check([1.0, 1.0, 1.0, 100.0], 3) == [0, 2, 3, 4]
+        assert self.check([0.0, 0.0, 5.0, 0.0, 0.0], 2) == [0, 2, 5]
+
+    @pytest.mark.parametrize("price", [2.0, 4.0, 6.5, 8.0])
+    def test_the_gate_prices_the_cut_it_forks(self, cores, monkeypatch, price):
+        cores(2)
+        costs = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        monkeypatch.setattr(workers, "FORK_PRICE_S", price)
+        outputs = ordered_map(pids, costs, float)
+        first = share_bounds(costs, 2)[1]
+        assert first == 2  # by count it would be 4
+        forks = sum(costs[first:]) > price
+        assert len(set(outputs)) == (2 if forks else 1)
+        assert outputs[:first] == [os.getpid()] * first
+        assert (os.getpid() in outputs[first:]) != forks
 
 
 @pytest.fixture(scope="module")
