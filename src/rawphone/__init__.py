@@ -57,7 +57,6 @@ from .net import (
     maxpool_forward,
     param_count,
     softmax,
-    stage_forward,
 )
 from .scoring import (
     collapse_path,

@@ -479,11 +479,15 @@ def cmd_decode(args, cfg, out):
     if transitions is None:
         transitions = np.zeros((len(alphabet), len(alphabet)))
     decode = decoder(cfg["decoder"], alphabet, transitions, cfg["min_duration"])
-    hop = metadata.get("hop_samples", 1)  # checked by load_model; absent: every row
     if metadata.get("input_kind") == "feature" or params.config.input_dim > 1:
         feature_dim = params.config.input_dim
-    else:
+    else:  # raw input: framed every hop_samples, at the model's sample rate
         feature_dim = None
+        missing = [key for key in ("hop_samples", "sample_rate") if metadata.get(key) is None]
+        if missing:
+            raise DataError(f"{args.model}: model metadata lacks {' and '.join(missing)}, "
+                            "which decoding raw input needs")
+    hop = metadata.get("hop_samples", 1)  # checked by load_model; absent: every feature row
     refs = load_manifest(args.manifest)
 
     model_rate = metadata.get("sample_rate")
@@ -492,8 +496,7 @@ def cmd_decode(args, cfg, out):
         """The loaded utterance, or the DataError that makes it undecodable."""
         try:
             utt = load_signal(ref, feature_dim, cfg["raw_sample_rate"] or None)
-            if utt.waveform is not None and model_rate is not None and (
-                    utt.waveform.sample_rate != model_rate):
+            if utt.waveform is not None and utt.waveform.sample_rate != model_rate:
                 raise DataError(
                     f"sample rate {utt.waveform.sample_rate} Hz != model's {model_rate} Hz"
                 )

@@ -63,26 +63,26 @@ def decoder(name, alphabet, transitions, min_duration):
 # network plus DECODER_UNIT_S per unit of the decoder's work. Measured on
 # a 2 vCPU VM (Python 3.11, OPENBLAS_NUM_THREADS=1), loading, scoring and
 # argmax-decoding the benchmark's test splits inline, interleaved in one
-# process: 7,654 frames of a 39-class feature network (11,290
-# multiply-adds a frame) in 14.5 ms, and 878 and 3,742 frames of the
-# acceptance raw network (329,900) in 54.6 and 234 ms: 0.2 ns a
-# multiply-add fitted all three within 20%. Since scoring runs in place,
-# in buffers kept between utterances, the same runs take 13.2, 39.7 and
-# 171 ms (0.14-0.15 ns a multiply-add). The price is kept: any price from
-# 0.1 to 0.22 ns gives the fork decisions below and those the tests and
-# CI assert, and A/B runs of the in-place scorer with the gate forced
-# open or shut (15 pairs each) still favour them: the `feat39` argmax
-# decode inline by 1.17x and its HMM decode by 1.26x, its CRF decode
-# forked by 1.26x.
-# A decoder unit costs about 4 ns inline in the CRF and 7-13 ns in the HMM
-# (measured with a per-frame log-softmax the HMM no longer runs), but a
-# fork takes off less than that: both batched Viterbis step once per
-# frame of a group's longest utterance, which a share keeps. The unit
-# price is set where the gate decides the K = 39 decodes of the `feat39`
-# benchmark as interleaved A/B runs of its 24-utterance test split did:
-# inline for argmax (1.16x faster than forked, 19 of 21 pairs) and HMM
-# (1.18x, 55 of 75), forked for the CRF (1.37x, 11 of 11). Any price
-# from 0.3 to 2.5 ns gives those three decisions.
+# process, takes 13.2 ms for 7,654 frames of a 39-class feature network
+# (11,290 multiply-adds a frame), and 39.7 and 171 ms for 878 and 3,742
+# frames of the acceptance raw network (329,900): 0.14-0.15 ns a
+# multiply-add. The price is kept at 0.2 ns: any price from 0.1 to 0.22 ns
+# gives the fork decisions below and those the tests and CI assert, and
+# A/B runs with the gate forced open or shut (15 pairs each) favour them:
+# the `feat39` argmax decode inline by 1.17x and its HMM decode by 1.26x,
+# its CRF decode forked by 1.26x. One decision it gets wrong: `train`'s CV
+# scoring of the `decode_raw` benchmark's 4 CV utterances (399 frames,
+# priced at 26 ms) forks, and loses 0.3-0.7 ms an epoch by it (two sets of
+# 30 alternating runs: 12.9 and 13.5 ms forked against 12.6 and 12.8 ms
+# inline, medians; the fork was faster in 3 and 2 runs of 30).
+# A decoder unit costs about 4 ns inline in the CRF, but a fork takes off
+# less than that: both batched Viterbis step once per frame of a group's
+# longest utterance, which a share keeps. The unit price is set where the
+# gate decides the K = 39 decodes of the `feat39` benchmark as interleaved
+# A/B runs of its 24-utterance test split did: inline for argmax (1.16x
+# faster than forked, 19 of 21 pairs) and HMM (1.18x, 55 of 75), forked
+# for the CRF (1.37x, 11 of 11). Any price from 0.3 to 2.5 ns gives those
+# three decisions.
 MULTIPLY_ADD_S = 0.2e-9
 DECODER_UNIT_S = 1e-9
 

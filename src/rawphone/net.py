@@ -262,15 +262,6 @@ def _window_view(x, kernel_width, shift):
     )
 
 
-def _pool_blocks(x, pool_width):
-    """View (..., T, d) as (..., T // pool_width, pool_width, d), dropping trailing frames."""
-    t, d = x.shape[-2:]
-    if t < pool_width:
-        raise ValueError(f"{t} frames < pool width {pool_width}")
-    t_out = t // pool_width
-    return x[..., : t_out * pool_width, :].reshape(*x.shape[:-2], t_out, pool_width, d)
-
-
 def maxpool_forward(x, pool_width):
     """Non-overlapping temporal max over pool_width frames, per dimension.
 
@@ -278,7 +269,12 @@ def maxpool_forward(x, pool_width):
     within-window winner offsets for the backward pass. Trailing frames
     beyond the last full window are dropped.
     """
-    blocks = _pool_blocks(np.asarray(x), pool_width)
+    x = np.asarray(x)
+    t, d = x.shape[-2:]
+    if t < pool_width:
+        raise ValueError(f"{t} frames < pool width {pool_width}")
+    t_out = t // pool_width
+    blocks = x[..., : t_out * pool_width, :].reshape(*x.shape[:-2], t_out, pool_width, d)
     arg = blocks.argmax(axis=-2)
     pooled = np.take_along_axis(blocks, arg[..., None, :], axis=-2)[..., 0, :]
     return pooled, arg
@@ -323,62 +319,6 @@ class _BatchStage:
         return np.tanh(out, out=out)
 
 
-def stage_forward(x, layer, pool_width):
-    """One filter stage over a batch: convolution, max-pooling, tanh.
-
-    x is (N, T, d_in); returns (N, T'', d_out). The same linear map is
-    applied to each kW-frame window, stepping by dW over fully valid
-    positions only; the T' conv frames are max-pooled in non-overlapping
-    blocks of pool_width, then squashed. This is the inference path
-    (_BatchStage); training steps run on a StepPlan.
-    """
-    x = np.ascontiguousarray(x)
-    if x.ndim != 3:
-        raise ValueError("input must be an N x T x d batch of frame matrices")
-    n, t, d = x.shape
-    if t < layer.kernel_width:
-        raise ValueError(f"{t} frames < kernel width {layer.kernel_width}")
-    if d != layer.in_dim:
-        raise ValueError(f"frame dim {d} != layer d_in {layer.in_dim}")
-    t_conv = (t - layer.kernel_width) // layer.shift + 1
-    if t_conv < pool_width:
-        raise ValueError(f"{t_conv} frames < pool width {pool_width}")
-    return _BatchStage(x, layer, pool_width).forward(n)
-
-
-class _BatchHead:
-    """Buffers of everything after stage 0, for inference batches read from
-    `src` (N, T, d), the buffer stage 0 writes: the later filter stages,
-    then the hidden and output layers. A network without stages has run
-    its hidden layer as stage 0, which leaves the output layer."""
-
-    def __init__(self, src, params):
-        self.stages = []
-        for layer, stage in zip(params.conv[1:], params.config.stages[1:]):
-            self.stages.append(_BatchStage(src, layer, stage.pool_width))
-            src = self.stages[-1].out
-        self.flat = src.reshape(len(src), -1)
-        self.hidden = None
-        if params.config.stages:
-            self.hidden = np.empty((len(src), params.config.hidden_units), src.dtype)
-        self.scores = np.empty((len(src), params.config.num_classes), src.dtype)
-
-    def forward(self, n, params):
-        """Scores (n, K) of the first n frames of `src`: a view of `scores`."""
-        for stage in self.stages:
-            stage.forward(n)
-        act = self.flat[:n]
-        if self.hidden is not None:
-            hidden = self.hidden[:n]
-            np.matmul(act, params.hidden_weight.T, out=hidden)
-            hidden += params.hidden_bias
-            act = np.tanh(hidden, out=hidden)
-        scores = self.scores[:n]
-        np.matmul(act, params.output_weight.T, out=scores)
-        scores += params.output_bias
-        return scores
-
-
 class _ScorePlan:
     """score_frames' buffers for one network, hop and input kind, sized for
     batches of `batch` frames. score_frames keeps the last one on the
@@ -392,7 +332,9 @@ class _ScorePlan:
     `smax` their running maximum over each pool block, and `pooled` views
     each frame's pooled outputs in it. `act` is stage 0's output, which
     `head` reads; `offset` and `normed` hold the normalization of raw
-    input.
+    input. `head` runs the later filter `stages`, then the hidden and
+    output layers on `flat` into `hidden` (None without stages, whose
+    hidden layer ran as stage 0) and `scores`, in place.
     """
 
     def __init__(self, params, hop, normalized, batch):
@@ -422,11 +364,32 @@ class _ScorePlan:
         self.pooled = np.lib.stride_tricks.as_strided(
             self.smax, (batch, t_pool, d), (self.step * row, pw * self.stride * row,
                                             self.smax.itemsize), writeable=False)
-        self.act = np.empty((batch, t_pool, d), dtype)
-        self.head = _BatchHead(self.act, params)
+        self.act = src = np.empty((batch, t_pool, d), dtype)
         if normalized:
             self.offset = np.empty((batch, 1, d))
             self.normed = self.act if dtype == np.float64 else np.empty(self.act.shape)
+        self.stages = []
+        for conv_layer, stage in zip(params.conv[1:], config.stages[1:]):
+            self.stages.append(_BatchStage(src, conv_layer, stage.pool_width))
+            src = self.stages[-1].out
+        self.flat = src.reshape(batch, -1)
+        self.hidden = np.empty((batch, config.hidden_units), dtype) if config.stages else None
+        self.scores = np.empty((batch, config.num_classes), dtype)
+
+    def head(self, n, params):
+        """Scores (n, K) of the first n frames of `act`: a view of `scores`."""
+        for stage in self.stages:
+            stage.forward(n)
+        act = self.flat[:n]
+        if self.hidden is not None:
+            hidden = self.hidden[:n]
+            np.matmul(act, params.hidden_weight.T, out=hidden)
+            hidden += params.hidden_bias
+            act = np.tanh(hidden, out=hidden)
+        scores = self.scores[:n]
+        np.matmul(act, params.output_weight.T, out=scores)
+        scores += params.output_bias
+        return scores
 
 
 def score_frames(framed, params):
@@ -513,7 +476,7 @@ def score_frames(framed, params):
             if reset[a:b].any():
                 out[reset[a:b]] = bias
         np.tanh(out, out=out)
-        scores[a:b] = plan.head.forward(n, params)
+        scores[a:b] = plan.head(n, params)
     return scores
 
 
@@ -757,16 +720,17 @@ def forward_pass(window, params):
     return scores, ForwardCache(params, plan)
 
 
-def backward_pass(cache, params, dscores, compute_input_grad=True):
+def backward_pass(cache, params, dscores):
     """Exact gradients of a scalar loss given d loss / d scores.
 
-    Returns (grads, d_input) where grads maps tensor names (as in
-    NetworkParams.named_tensors) to arrays of matching shape, all views
-    of one flat buffer `grads.flat`: the step plan's gradient buffer,
-    which the next backward_pass on the plan copies away first if grads
-    is still referenced then, so it keeps its values. dscores may be the
-    plan's `doutput_bias`, filled in place (frame_loss's `out`).
-    Max-pooling routes gradient only to the recorded winner positions.
+    Returns the Gradients: tensor names (as in NetworkParams.named_tensors)
+    mapped to arrays of matching shape, all views of one flat buffer
+    `grads.flat`, the step plan's gradient buffer, which the next
+    backward_pass on the plan copies away first if they are still held.
+    dscores may be the plan's `doutput_bias`, filled in place
+    (frame_loss's `out`). Max-pooling routes gradient only to the
+    recorded winner positions. Every stage but the first passes back its
+    input gradient; the window's is not computed.
     Raises if the cache does not belong to `params` at its current
     version, or if a later forward_pass on `params` has overwritten the
     activations it refers to.
@@ -798,9 +762,7 @@ def backward_pass(cache, params, dscores, compute_input_grad=True):
 
     dact = plan.dlast
     for i in range(len(plan.stages) - 1, -1, -1):
-        dact = plan.stages[i].backward(params.conv[i], dact, input_grad=i > 0 or compute_input_grad)
+        dact = plan.stages[i].backward(params.conv[i], dact, input_grad=i > 0)
     grads = Gradients(plan, plan.grad)
     plan.lent = weakref.ref(grads)
-    if not compute_input_grad:
-        return grads, None
-    return grads, dact.reshape(config.input_frames, config.input_dim).copy()
+    return grads

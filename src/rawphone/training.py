@@ -153,8 +153,7 @@ def train_network(train_set, cv_set, net_config, train_config, on_epoch=None):
             try:
                 # held by no name, the gradients die after the step: the next
                 # backward_pass overwrites their buffer without copying it away
-                sgd_step(params, backward_pass(cache, params, dscores, compute_input_grad=False)[0],
-                         train_config.learning_rate)
+                sgd_step(params, backward_pass(cache, params, dscores), train_config.learning_rate)
             except DivergenceError as e:
                 raise DivergenceError(f"epoch {epoch}, frame {step}: {e}") from e
 
@@ -328,7 +327,7 @@ def gradient_errors(params, window, target, eps):
     against central differences; an entry's error is relative to the larger
     of its two magnitudes, floored at 1e-6."""
     scores, cache = forward_pass(window, params)
-    analytic, _ = backward_pass(cache, params, frame_loss(scores, target)[1])
+    analytic = backward_pass(cache, params, frame_loss(scores, target)[1])
     errors = {}
     for name, tensor in params.named_tensors():
         numeric = numeric_gradient(

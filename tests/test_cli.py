@@ -407,6 +407,18 @@ class TestDecode:
         assert len(rows) == 2
         assert all(r["status"] == "error" and "feature-input" in r["message"] for r in rows)
 
+    @pytest.mark.parametrize("metadata", [None, {"input_kind": "raw", "sample_rate": 16000}],
+                             ids=["no_metadata", "no_hop"])
+    def test_raw_model_without_hop_is_data_error(self, corpus, trained, tmp_path, capsys,
+                                                 metadata):
+        # without hop_samples a raw model would be framed every sample
+        params, alphabet, _metadata, transitions = load_model(trained / "model.rcn")
+        save_model(tmp_path / "m.rcn", params, alphabet, metadata, transitions)
+        assert run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                    tmp_path / "m.rcn", "--out", tmp_path / "d"]) == 2
+        assert "model metadata lacks hop_samples" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_model_exits_nonzero(self, corpus, tmp_path):
         rc = run(["decode", "--manifest", corpus / "test.jsonl",
                   "--model", tmp_path / "no_such.rcn", "--out", tmp_path / "d"])
@@ -816,9 +828,9 @@ class TestCheckGrad:
         exact = training.backward_pass
 
         def corrupted(*args, **kwargs):
-            grads, input_grad = exact(*args, **kwargs)
+            grads = exact(*args, **kwargs)
             grads["hidden.bias"][...] += 1.0
-            return grads, input_grad
+            return grads
 
         monkeypatch.setattr(training, "backward_pass", corrupted)
 

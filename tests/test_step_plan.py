@@ -36,7 +36,7 @@ def plan_step(window, target, params, lr):
     scores, cache = forward_pass(window, params)
     dscores = step_plan(params).doutput_bias
     ll, _ = frame_loss(scores, target, dscores)
-    sgd_step(params, backward_pass(cache, params, dscores, compute_input_grad=False)[0], lr)
+    sgd_step(params, backward_pass(cache, params, dscores), lr)
     return ll
 
 
@@ -80,14 +80,15 @@ def test_float64_steps_bit_identical(config):
 
 
 def assert_input_gradient_bit_identical(config, rng, seed, dtype=np.float64):
+    """Scores and gradients equal the oracle's bytes: every stage after the
+    first reaches the gradients of the stage before through its input gradient."""
     params = init_params(config, seed, dtype=dtype)
     window = rng.normal(size=(config.input_frames, config.input_dim)).astype(dtype)
     scores, cache = forward_pass(window, params)
-    grads, dx = backward_pass(cache, params, frame_loss(scores, 0)[1])
+    grads = backward_pass(cache, params, frame_loss(scores, 0)[1])
     ref_scores, ref_cache = oracles.forward_pass(window, params)
-    ref_grads, ref_dx = oracles.backward_pass(ref_cache, params, frame_loss(scores, 0)[1])
+    ref_grads, _ = oracles.backward_pass(ref_cache, params, frame_loss(scores, 0)[1])
     assert scores.tobytes() == ref_scores.tobytes()
-    assert dx.tobytes() == ref_dx.tobytes()
     for name in ref_grads:
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
@@ -99,8 +100,15 @@ def test_input_gradient_bit_identical(draw):
     assert_input_gradient_bit_identical(config, rng, draw)
 
 
-# One stage per path of the step plan, each after a stage that feeds it
-# d_in = 3 channels, and once on the raw input (d_in = 1).
+# One stage per path of the step plan, each on the raw input (d_in = 1), and
+# after a stage that feeds it d_in = 3 channels or one. Only a stage after
+# another computes its input gradient, so the one-channel first stage is
+# what takes a shift-1 stage's input gradient through its two-lane sum.
+FIRST_STAGES = {
+    "raw_input": None,
+    "after_stage": StageConfig(2, 1, 3, 1),
+    "after_one_channel": StageConfig(2, 1, 1, 1),
+}
 STAGE_PATHS = {
     "pool1_kernel1": StageConfig(1, 1, 4, 1),
     "shift1_kernel5": StageConfig(5, 1, 4, 2),
@@ -117,11 +125,11 @@ STAGE_PATHS = {
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("first", [True, False], ids=["raw_input", "after_stage"])
+@pytest.mark.parametrize("first", list(FIRST_STAGES))
 @pytest.mark.parametrize("path", sorted(STAGE_PATHS))
 def test_each_stage_path_bit_identical(path, first, dtype):
     stage = STAGE_PATHS[path]
-    stages = (stage,) if first else (StageConfig(2, 1, 3, 1), stage)
+    stages = (stage,) if FIRST_STAGES[first] is None else (FIRST_STAGES[first], stage)
     config = NetworkConfig(40, 1, stages, 6, 4)
     assert_input_gradient_bit_identical(config, np.random.default_rng(7), 7, dtype)
     run_both(config, 12, 0.1, seed=7, dtype=dtype)
@@ -130,7 +138,7 @@ def test_each_stage_path_bit_identical(path, first, dtype):
 def test_gradients_share_one_flat_buffer_in_serialization_order():
     params = init_params(FEAT39, 0)
     scores, cache = forward_pass(np.ones((9, 39)), params)
-    grads, _ = backward_pass(cache, params, frame_loss(scores, 2)[1])
+    grads = backward_pass(cache, params, frame_loss(scores, 2)[1])
     packed = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
     assert packed.tobytes() == grads.flat.tobytes()
 
@@ -139,7 +147,7 @@ def test_gradients_stay_valid_after_later_backward_pass():
     params = init_params(NO_STAGE, 0)
     rng = np.random.default_rng(1)
     s1, c1 = forward_pass(rng.normal(size=(12, 2)), params)
-    g1, _ = backward_pass(c1, params, frame_loss(s1, 0)[1])
+    g1 = backward_pass(c1, params, frame_loss(s1, 0)[1])
     kept = g1.flat.copy()
     s2, c2 = forward_pass(rng.normal(size=(12, 2)), params)
     backward_pass(c2, params, frame_loss(s2, 1)[1])
@@ -155,7 +163,7 @@ class TestLentGradients:
         dscores = frame_loss(scores, 0)[1]
         tracemalloc.start()
         try:
-            grads, _ = backward_pass(cache, params, dscores, compute_input_grad=False)
+            grads = backward_pass(cache, params, dscores)
             return grads, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -197,16 +205,16 @@ class TestStaleCache:
         b = a.copy() if other == "copy" else a.astype(np.float64)
         sa, ca = forward_pass(np.ones((9, 39)), a)
         forward_pass(np.zeros((9, 39)), b)
-        g1, _ = backward_pass(ca, a, frame_loss(sa, 0)[1])
+        g1 = backward_pass(ca, a, frame_loss(sa, 0)[1])
         sa, ca = forward_pass(np.ones((9, 39)), a)
-        g2, _ = backward_pass(ca, a, frame_loss(sa, 0)[1])
+        g2 = backward_pass(ca, a, frame_loss(sa, 0)[1])
         assert g1.flat.tobytes() == g2.flat.tobytes()
 
     def test_backward_twice_on_one_cache_is_repeatable(self):
         params = init_params(TRAIN_RAW, 3)
         scores, cache = forward_pass(np.random.default_rng(3).normal(size=(1600, 1)), params)
-        g1, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
-        g2, _ = backward_pass(cache, params, frame_loss(scores, 1)[1])
+        g1 = backward_pass(cache, params, frame_loss(scores, 1)[1])
+        g2 = backward_pass(cache, params, frame_loss(scores, 1)[1])
         assert g1.flat.tobytes() == g2.flat.tobytes()
 
 

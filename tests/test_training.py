@@ -249,15 +249,15 @@ class TestSgdStep:
             scores, cache = forward_pass(x, params)
             from rawphone.net import backward_pass
 
-            g1, _ = backward_pass(cache, params, frame_loss(scores, 0)[1])
+            g1 = backward_pass(cache, params, frame_loss(scores, 0)[1])
             if two_steps:
                 sgd_step(params, g1, 0.5)
                 scores2, cache2 = forward_pass(x, params)
-                g2, _ = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
+                g2 = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
                 sgd_step(params, g2, 0.5)
             else:
                 scores2, cache2 = forward_pass(x, params)
-                g2, _ = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
+                g2 = backward_pass(cache2, params, frame_loss(scores2, 0)[1])
                 combined = Gradients(g1.plan, g1.flat + g2.flat)
                 sgd_step(params, combined, 0.5)
             return params
