@@ -19,7 +19,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +477,15 @@ DECODE_DEFAULTS = {
 }
 
 
+def _staging_dir(parent):
+    """A new, empty directory under `parent`, with the mode mkdir would give it."""
+    staging = Path(tempfile.mkdtemp(prefix=".hyp-", dir=parent))
+    umask = os.umask(0)
+    os.umask(umask)
+    staging.chmod(0o777 & ~umask)
+    return staging
+
+
 def cmd_decode(args, cfg, out):
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
@@ -511,17 +523,29 @@ def cmd_decode(args, cfg, out):
         params.config, hop, decoder_units(cfg["decoder"], len(alphabet), cfg["min_duration"])
     )
 
+    # hyp/ is published whole: written under --out, then renamed over the
+    # last run's, so no hypothesis of another run or manifest survives
     hyp_dir = out / "hyp"
-    hyp_dir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    staging = _staging_dir(out)
     log_rows = []
-    outcomes = ordered_map(decode_share, refs,
-                           lambda ref: stored_length(ref, feature_dim) // hop * per_frame)
-    for ref, outcome in zip(refs, outcomes):
-        if isinstance(outcome, Exception):
-            log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
-        else:
-            (hyp_dir / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
-            log_rows.append([ref.id, "ok", ""])
+    try:
+        outcomes = ordered_map(decode_share, refs,
+                               lambda ref: stored_length(ref, feature_dim) // hop * per_frame)
+        for ref, outcome in zip(refs, outcomes):
+            if isinstance(outcome, Exception):
+                log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
+            else:
+                (staging / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
+                log_rows.append([ref.id, "ok", ""])
+        if hyp_dir.is_symlink() or hyp_dir.is_file():
+            hyp_dir.unlink()
+        elif hyp_dir.exists():
+            shutil.rmtree(hyp_dir)
+        staging.rename(hyp_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     _write_csv(out / "decode_log.csv", ["id", "status", "message"], log_rows)
     failed = sum(1 for r in log_rows if r[1] != "ok")
     print(f"decoded {len(log_rows) - failed}/{len(log_rows)} utterances -> {hyp_dir}")

@@ -506,47 +506,65 @@ class _StagePlan:
     `dweight` and `dbias` are the stage's views of the plan's gradient
     buffer.
 
-    At pool width 1 the conv buffer is the output buffer and its
-    gradient is `dpool`. Otherwise pool block q of the conv frames is the
-    view conv[q::pool_width]; `winner_index[q]` holds the flat position
-    in `conv` of every entry of block q, so the forward pass records pool
-    winners as flat indices that the backward pass scatters to directly.
+    `out` and `dtanh` are the stage's views of the plan's tanh outputs
+    and their derivatives. At pool width 1 the conv buffer is the output
+    buffer and its gradient is `dpool`. Otherwise `blocks` views the conv
+    frames that pooling reads as (t_out, pool_width, d_out). Forward
+    keeps no winners: a running maximum over the block axis goes into
+    `pmax`, kept before tanh; a maximum is exact, whatever order it is
+    taken in. Backward marks in `tie` every entry of a block equal to its
+    maximum. Where each maximum is taken once, that mask is the winner;
+    where some maximum ties, only the first equal entry keeps its mark
+    (first maximum wins, as argmax picks it). The gradient is routed by
+    one integer product of the bits of `dpool` and the mask, into the
+    same view of `dconv`: the winner gets dpool's bits, -0.0 included,
+    and every other entry +0.0, as a scatter into zeros writes them (a
+    float product would write -0.0 where dpool < 0). Rows past the last
+    full block are zeroed once, here, and never written.
 
-    The input gradient sums, for each input frame, the rows of `dwin`
-    (d loss / d windows) that cover it. Taps o = q * shift + p of conv
-    frame j reach input frame (j + q) * shift + p, so with the kernel
-    axis padded to a multiple of the shift, and zero rows around `dwin`,
-    block m of `shift` input frames is the sum over q of padded row
-    m - q, tap block q: one reduction over a strided view, in tap order.
+    Only a stage after the first (`input_grad`) passes back its input
+    gradient; the others build none of its buffers, and `din` is None.
+    It sums, for each input frame, the rows of `dwin` (d loss / d
+    windows) that cover it. Taps o = q * shift + p of conv frame j reach
+    input frame (j + q) * shift + p, so with the kernel axis padded to a
+    multiple of the shift, and zero rows around `dwin`, block m of
+    `shift` input frames is the sum over q of padded row m - q, tap block
+    q: one reduction over a strided view, in tap order.
     """
 
-    def __init__(self, src, stage, dtype, dweight, dbias):
+    def __init__(self, src, out, dtanh, stage, dweight, dbias, input_grad):
         t_in, d_in = src.shape
         kw, shift, pw, d_out = stage.kernel_width, stage.shift, stage.pool_width, stage.out_dim
         t_conv = (t_in - kw) // shift + 1
         t_out = t_conv // pw
+        dtype = out.dtype
         self.pool_width = pw
         self.src_windows = _window_view(src[None], kw, shift)[0]
         self.windows = np.empty((t_conv, kw * d_in), dtype)
-        self.out = np.empty((t_out, d_out), dtype)  # pooled, then tanh in place
+        self.out = out
         # backward
-        self.dweight, self.dbias = dweight, dbias
+        self.dtanh, self.dweight, self.dbias = dtanh, dweight, dbias
         self.dpool = np.empty((t_out, d_out), dtype)
         if pw == 1:
             self.conv, self.dconv = self.out, self.dpool
         else:
+            bits = np.dtype(f"i{dtype.itemsize}")
             self.conv = np.empty((t_conv, d_out), dtype)
-            self.blocks = [self.conv[q : t_out * pw : pw] for q in range(pw)]
-            first = np.arange(t_out)[:, None] * (pw * d_out) + np.arange(d_out)
-            self.winner_index = [first + q * d_out for q in range(pw)]
-            self.winner = np.empty((t_out, d_out), np.intp)
-            self.mask = np.empty((t_out, d_out), bool)
-            self.dconv = np.empty((t_conv, d_out), dtype)
-            self.dconv_flat = self.dconv.reshape(-1)
+            self.blocks = self.conv[: t_out * pw].reshape(t_out, pw, d_out)
+            self.pmax = np.empty((t_out, d_out), dtype)
+            self.pmax_row = self.pmax[:, None, :]
+            self.tie = np.empty((t_out, pw, d_out), bool)
+            self.seen = np.empty((t_out, d_out), bool)
+            self.dpool_bits = self.dpool.view(bits)[:, None, :]
+            self.dconv = np.zeros((t_conv, d_out), dtype)
+            self.dconv_bits = self.dconv[: t_out * pw].view(bits).reshape(t_out, pw, d_out)
         # The zero rows of dconv add nothing to the bias gradient, except
         # to one channel: numpy sums a lone column pairwise, so the zeros
         # would regroup its terms.
         self.dbias_terms = self.dconv if d_out == 1 else self.dpool
+        if not input_grad:
+            self.din = None
+            return
         taps = -(-kw // shift)
         blocks = -(-t_in // shift)
         width = shift * d_in
@@ -569,30 +587,35 @@ class _StagePlan:
         np.copyto(self.windows, self.src_windows)
         np.dot(self.windows, layer.weight.T, out=self.conv)
         np.add(self.conv, layer.bias, out=self.conv)
-        out = self.out
         if self.pool_width > 1:
-            mask, winner = self.mask, self.winner
-            np.copyto(out, self.blocks[0])
-            np.copyto(winner, self.winner_index[0])
-            # first maximum wins, as argmax would pick it
-            for block, index in zip(self.blocks[1:], self.winner_index[1:]):
-                np.greater(block, out, out=mask)
-                np.maximum(out, block, out=out)
-                np.putmask(winner, mask, index)
-        np.tanh(out, out=out)
+            # one call per block: np.maximum.reduce over the block axis
+            # takes twice as long on these (t_out, pool_width, d) views
+            pmax, blocks = self.pmax, self.blocks
+            np.maximum(blocks[:, 0], blocks[:, 1], out=pmax)
+            for q in range(2, self.pool_width):
+                np.maximum(pmax, blocks[:, q], out=pmax)
+            np.tanh(pmax, out=self.out)
+        else:
+            np.tanh(self.out, out=self.out)
 
-    def backward(self, layer, dact, input_grad):
-        """Stage gradients into dweight/dbias; returns d loss / d stage input if input_grad."""
+    def backward(self, layer, dact):
+        """Stage gradients into dweight/dbias; returns d loss / d stage input, or None."""
         dpool = self.dpool
-        np.multiply(self.out, self.out, out=dpool)
-        np.subtract(1.0, dpool, out=dpool)
-        np.multiply(dact, dpool, out=dpool)
+        np.multiply(dact, self.dtanh, out=dpool)
         if self.pool_width > 1:
-            self.dconv.fill(0.0)
-            self.dconv_flat[self.winner] = dpool
+            tie = self.tie
+            np.equal(self.blocks, self.pmax_row, out=tie)
+            if np.count_nonzero(tie) != self.pmax.size:
+                # keep each maximum's first equal entry only
+                seen = self.seen
+                np.copyto(seen, tie[:, 0])
+                for q in range(1, self.pool_width):
+                    np.greater(tie[:, q], seen, out=tie[:, q])
+                    np.logical_or(seen, tie[:, q], out=seen)
+            np.multiply(self.dpool_bits, tie, out=self.dconv_bits)
         np.dot(self.dconv.T, self.windows, out=self.dweight)
         np.add.reduce(self.dbias_terms, axis=0, out=self.dbias)
-        if not input_grad:
+        if self.din is None:
             return None
         self.dwin_product(self.dconv, layer.weight, out=self.dwin)
         np.add.reduce(self.dwin_taps, axis=1, out=self.din_lanes)
@@ -608,10 +631,13 @@ class StepPlan:
     (`slots` gives each tensor's slice), which backward_pass lends to the
     Gradients it returns; `lent` is a weak reference to the last one, so
     the next backward_pass copies it away only if a caller still holds
-    it. `step` is sgd_step's buffer of the same layout. Every matmul and
-    reduction has the operands, shapes and order of the plain array
-    formulation (np.dot runs matmul's BLAS call), so steps
-    are bit-for-bit those of conv/argmax-pool/put-along-axis code.
+    it. `step` is sgd_step's buffer of the same layout. `act` holds every
+    tanh output (each stage's `out`, then `hidden`), so backward_pass
+    computes all their derivatives 1 - act**2 into `dtanh` in two calls.
+    Every matmul and reduction has the operands, shapes and order of the
+    plain array formulation (np.dot runs matmul's BLAS call), and pooling
+    routes each gradient to the first maximum of its block, so steps are
+    bit-for-bit those of conv/argmax-pool/put-along-axis code.
     `generation` counts forward passes; a cache from an earlier one is
     stale, because its activations have been overwritten.
     """
@@ -627,16 +653,24 @@ class StepPlan:
         self.step = np.empty(size, self.dtype)  # lr * gradient, in sgd_step
         grads = tensor_views(config, self.grad)
         self.x = np.empty((config.input_frames, config.input_dim), self.dtype)
+        shapes = [(t_pool, stage.out_dim)
+                  for (_t_conv, t_pool), stage in zip(config.frame_counts(), config.stages)]
+        sizes = [t * d for t, d in shapes] + [config.hidden_units]
+        cuts = np.cumsum(sizes)[:-1]
+        self.act = np.empty(sum(sizes), self.dtype)  # every tanh output: stages', hidden's
+        self.dtanh = np.empty(sum(sizes), self.dtype)  # 1 - act**2, in backward_pass
+        *outs, self.hidden = np.split(self.act, cuts)
+        *douts, self.dtanh_hidden = np.split(self.dtanh, cuts)
         self.stages = []
         src = self.x
-        for i, stage in enumerate(config.stages):
+        for i, (stage, shape) in enumerate(zip(config.stages, shapes)):
             self.stages.append(_StagePlan(
-                src, stage, self.dtype, grads[f"stage{i}.weight"], grads[f"stage{i}.bias"]
+                src, outs[i].reshape(shape), douts[i].reshape(shape), stage,
+                grads[f"stage{i}.weight"], grads[f"stage{i}.bias"], input_grad=i > 0,
             ))
             src = self.stages[-1].out
         self.flat = src.reshape(-1)
         self.flat_row = self.flat[None, :]
-        self.hidden = np.empty(config.hidden_units, self.dtype)
         self.hidden_row = self.hidden[None, :]
         self.dh = np.empty(config.hidden_units, self.dtype)
         self.dflat = np.empty(self.flat.size, self.dtype)
@@ -728,8 +762,8 @@ def backward_pass(cache, params, dscores):
     `grads.flat`, the step plan's gradient buffer, which the next
     backward_pass on the plan copies away first if they are still held.
     dscores may be the plan's `doutput_bias`, filled in place
-    (frame_loss's `out`). Max-pooling routes gradient only to the
-    recorded winner positions. Every stage but the first passes back its
+    (frame_loss's `out`). Max-pooling routes gradient only to the first
+    maximum of each pool block. Every stage but the first passes back its
     input gradient; the window's is not computed.
     Raises if the cache does not belong to `params` at its current
     version, or if a later forward_pass on `params` has overwritten the
@@ -753,16 +787,16 @@ def backward_pass(cache, params, dscores):
         np.copyto(plan.doutput_bias, ds)
     np.multiply(plan.doutput_col, plan.hidden_row, out=plan.doutput_weight)
     np.dot(params.output_weight.T, plan.doutput_bias, out=plan.dh)
+    np.multiply(plan.act, plan.act, out=plan.dtanh)
+    np.subtract(1.0, plan.dtanh, out=plan.dtanh)
     dpre = plan.dhidden_bias
-    np.multiply(plan.hidden, plan.hidden, out=dpre)
-    np.subtract(1.0, dpre, out=dpre)
-    np.multiply(plan.dh, dpre, out=dpre)
+    np.multiply(plan.dh, plan.dtanh_hidden, out=dpre)
     np.multiply(plan.dhidden_col, plan.flat_row, out=plan.dhidden_weight)
     np.dot(params.hidden_weight.T, dpre, out=plan.dflat)
 
     dact = plan.dlast
-    for i in range(len(plan.stages) - 1, -1, -1):
-        dact = plan.stages[i].backward(params.conv[i], dact, input_grad=i > 0)
+    for stage, layer in zip(reversed(plan.stages), reversed(params.conv)):
+        dact = stage.backward(layer, dact)
     grads = Gradients(plan, plan.grad)
     plan.lent = weakref.ref(grads)
     return grads

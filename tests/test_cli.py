@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -475,6 +476,48 @@ class TestDecode:
         assert (tmp_path / "r1" / "decode_log.csv").read_bytes() == (
             tmp_path / "r2" / "decode_log.csv"
         ).read_bytes()
+
+    def test_redecode_into_used_out_scores_as_a_fresh_decode(self, corpus, trained, tmp_path):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus, data)
+        model, used = trained / "model.rcn", tmp_path / "used"
+
+        def decode_and_eval(out):
+            assert run(["decode", "--manifest", data / "test.jsonl", "--model", model,
+                        "--decoder", "hmm", "--out", out]) == 0
+            assert run(["eval", "--ref-manifest", data / "test.jsonl", "--hyp-dir", out / "hyp",
+                        "--out", out / "eval"]) == 0
+            return (out / "eval" / "report.csv").read_bytes()
+
+        decode_and_eval(used)
+        assert (used / "hyp" / "test-0000.txt").exists()
+        (data / "wav" / "test-0000.wav").write_bytes(b"RIFFjunk")
+        redecoded = decode_and_eval(used)
+        assert redecoded == decode_and_eval(tmp_path / "fresh")
+        assert sorted(p.name for p in (used / "hyp").iterdir()) == ["test-0001.txt"]
+        assert sorted(p.name for p in used.iterdir()) == [
+            "decode_log.csv", "eval", "hyp", "resolved.json"]
+
+    def test_smaller_manifest_into_used_out_leaves_only_its_hypotheses(
+        self, corpus, trained, tmp_path
+    ):
+        out, model = tmp_path / "d", trained / "model.rcn"
+        outside = tmp_path / "keep.txt"
+        outside.write_text("not decode's\n")
+        (out / "hyp").mkdir(parents=True)
+        (out / "hyp" / "stale.txt").write_text("c0\n")
+        row = json.loads((corpus / "test.jsonl").read_text().splitlines()[1])
+        row.update(wav=str(corpus / row["wav"]), labels=str(corpus / row["labels"]))
+        (tmp_path / "one.jsonl").write_text(json.dumps(row) + "\n")
+        for manifest in (corpus / "test.jsonl", tmp_path / "one.jsonl"):
+            assert run(["decode", "--manifest", manifest, "--model", model,
+                        "--decoder", "argmax", "--out", out]) == 0
+        assert sorted(p.name for p in (out / "hyp").iterdir()) == [f"{row['id']}.txt"]
+        assert outside.read_text() == "not decode's\n"
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert (out / "hyp").stat().st_mode == fresh.stat().st_mode
+        assert sorted(p.name for p in out.iterdir()) == ["decode_log.csv", "hyp", "resolved.json"]
 
 
 class TestEval:

@@ -17,6 +17,7 @@ from rawphone.net import (
     tensor_shapes,
     tensor_slots,
 )
+from rawphone.errors import DivergenceError
 from rawphone.training import frame_loss, sgd_step
 
 import oracles
@@ -27,6 +28,7 @@ TRAIN_RAW = NetworkConfig(
     100, 5,
 )
 FEAT39 = NetworkConfig(9, 39, (StageConfig(3, 1, 30, 1),), 100, 39)
+SMALL_POOLED = NetworkConfig(40, 1, (StageConfig(2, 1, 3, 2), StageConfig(3, 1, 4, 3)), 6, 4)
 NO_STAGE = NetworkConfig(12, 2, (), 7, 4)
 
 
@@ -133,6 +135,75 @@ def test_each_stage_path_bit_identical(path, first, dtype):
     config = NetworkConfig(40, 1, stages, 6, 4)
     assert_input_gradient_bit_identical(config, np.random.default_rng(7), 7, dtype)
     run_both(config, 12, 0.1, seed=7, dtype=dtype)
+
+
+# Windows whose conv frames tie at a pool block's maximum, so that only
+# the first equal entry may take the gradient: silence (every frame of a
+# stage equal), values quantized to integers (repeated windows), and
+# constant runs longer than a kernel and a pool block. The tests' kernels
+# have two equal taps, so windows [x, y] and [y, x] tie too: their
+# gradients differ, and only the first maximum gives the oracle's bytes.
+TIE_WINDOWS = {
+    "silent": lambda rng, t: np.zeros((t, 1)),
+    "integers": lambda rng, t: rng.integers(-1, 2, size=(t, 1)).astype(float),
+    "constant_runs": lambda rng, t: np.repeat(rng.normal(size=(-(-t // 9), 1)), 9, axis=0)[:t],
+}
+
+
+def pool_ties(window, params):
+    """How many pool maxima of the oracle's forward pass are taken more than once."""
+    _, cache = oracles.forward_pass(window, params)
+    ties = 0
+    for i, (layer, stage) in enumerate(zip(params.conv, params.config.stages)):
+        conv = cache.stage_windows[i] @ layer.weight.T + layer.bias
+        blocks = oracles._pool_blocks(conv, stage.pool_width)
+        ties += int(((blocks == blocks.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    return ties
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("windows", list(TIE_WINDOWS))
+@pytest.mark.parametrize("pool_width", [2, 3, 4])
+def test_pool_ties_give_the_first_maximum_bit_for_bit(pool_width, windows, dtype):
+    stages = (StageConfig(2, 1, 3, pool_width), StageConfig(2, 1, 4, pool_width))
+    config = NetworkConfig(40, 1, stages, 6, 4)
+    rng = np.random.default_rng(pool_width)
+    params = init_params(config, pool_width, dtype=dtype)
+    reference = params.copy()
+    ties = 0
+    for _ in range(12):
+        for p in (params, reference):
+            for layer in p.conv:
+                taps = np.split(layer.weight, 2, axis=1)
+                taps[1][...] = taps[0]
+        window = TIE_WINDOWS[windows](rng, 40).astype(dtype)
+        target = int(rng.integers(config.num_classes))
+        ties += pool_ties(window, reference)
+        assert plan_step(window, target, params, 0.1) == oracles.reference_step(
+            window, target, reference, 0.1
+        )
+        assert_same_bytes(params, reference)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("config", [TRAIN_RAW, SMALL_POOLED], ids=["train_raw", "small"])
+def test_nan_window_raises_before_any_update(config):
+    params = init_params(config, 0)
+    before = params.flat.copy()
+    window = np.random.default_rng(6).normal(size=(config.input_frames, 1)).astype(np.float32)
+    window[config.input_frames // 3] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
+        plan_step(window, 0, params, 1e-2)
+    assert params.flat.tobytes() == before.tobytes()
+
+
+def test_first_stage_builds_no_input_gradient_buffers():
+    params = init_params(TRAIN_RAW, 0)
+    first, *later = step_plan(params).stages
+    assert first.din is None and all(stage.din is not None for stage in later)
+    for name in ("dwin", "dwin_taps", "din_lanes"):
+        assert not hasattr(first, name) and all(hasattr(stage, name) for stage in later), name
+    run_both(TRAIN_RAW, 5, 1e-2)
 
 
 def test_gradients_share_one_flat_buffer_in_serialization_order():
