@@ -19,10 +19,8 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,7 @@ from .corpus import (
     load_signal,
     load_utterance,
     read_labels,
+    remove_path,
     stored_length,
     synth_splits,
     utterance_grid,
@@ -477,15 +476,6 @@ DECODE_DEFAULTS = {
 }
 
 
-def _staging_dir(parent):
-    """A new, empty directory under `parent`, with the mode mkdir would give it."""
-    staging = Path(tempfile.mkdtemp(prefix=".hyp-", dir=parent))
-    umask = os.umask(0)
-    os.umask(umask)
-    staging.chmod(0o777 & ~umask)
-    return staging
-
-
 def cmd_decode(args, cfg, out):
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
@@ -524,10 +514,12 @@ def cmd_decode(args, cfg, out):
     )
 
     # hyp/ is published whole: written under --out, then renamed over the
-    # last run's, so no hypothesis of another run or manifest survives
-    hyp_dir = out / "hyp"
+    # last run's, so no hypothesis of another run or manifest survives; a
+    # killed run's staging directory goes at the next run's start
+    hyp_dir, staging = out / "hyp", out / ".hyp.partial"
     out.mkdir(parents=True, exist_ok=True)
-    staging = _staging_dir(out)
+    remove_path(staging)
+    staging.mkdir()
     log_rows = []
     try:
         outcomes = ordered_map(decode_share, refs,
@@ -538,10 +530,7 @@ def cmd_decode(args, cfg, out):
             else:
                 (staging / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
                 log_rows.append([ref.id, "ok", ""])
-        if hyp_dir.is_symlink() or hyp_dir.is_file():
-            hyp_dir.unlink()
-        elif hyp_dir.exists():
-            shutil.rmtree(hyp_dir)
+        remove_path(hyp_dir)
         staging.rename(hyp_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)

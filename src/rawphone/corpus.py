@@ -17,6 +17,7 @@ parallelized per utterance without changing output.
 import dataclasses
 import json
 import math
+import shutil
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -397,15 +398,29 @@ def synth_corpus(spec, n_train, n_cv, n_test):
     return tuple(list(split) for split in synth_splits(spec, n_train, n_cv, n_test).values())
 
 
+def remove_path(path):
+    """Remove `path` if it exists: a symlink or file is unlinked, not
+    followed, and a directory is removed with everything under it."""
+    path = Path(path)
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
+
+
 def write_corpus(out_dir, splits):
     """Write WAVs, label files, and one manifest per split under out_dir.
 
     `splits` maps a split name to its utterances, any iterable: each is
-    written, then dropped, before the next is taken.
+    written, then dropped, before the next is taken. out_dir/wav and
+    out_dir/labels are replaced whole, so a corpus written into a used
+    out_dir holds the files a fresh one does; nothing else there is
+    removed.
     """
     out = Path(out_dir)
-    (out / "wav").mkdir(parents=True, exist_ok=True)
-    (out / "labels").mkdir(parents=True, exist_ok=True)
+    for sub in ("wav", "labels"):
+        remove_path(out / sub)
+        (out / sub).mkdir(parents=True)
     manifest_paths = {}
     for name, utts in splits.items():
         rows = []

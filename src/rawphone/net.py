@@ -12,7 +12,8 @@ statistics, or a padded feature matrix) in batches sized by BATCH_BYTES,
 with stage 0 computed once per position of one grid and shared by the
 overlapping windows (score_frames), in place in the buffers of a
 _ScorePlan. A network without stages runs its hidden layer there, as a
-stage 0 of one position per frame.
+stage 0 of one position per frame. Past that stage 0, both plans run
+the same filter stages and head, a training step as a batch of one.
 """
 
 import math
@@ -280,46 +281,90 @@ def maxpool_forward(x, pool_width):
     return pooled, arg
 
 
-class _BatchStage:
-    """Buffers and fixed views of one filter stage for inference batches.
+class _Stage:
+    """Buffers and fixed views of one filter stage for batches of up to N items.
 
-    A batch of up to len(src) frames is read from the buffer `src` (N,
-    T, d_in). forward(n) convolves the windows of the first n frames
-    into `conv`, then writes the max over each pool block, plus the bias,
-    through tanh into `out` (N, T'', d_out), in place. The bias is added
-    after pooling: rounding is monotone, so max(x + b) == max(x) + b
-    exactly. Every conv frame is computed, those past the last full pool
-    block too: OpenBLAS rounds a row of a product by the product's row
-    count when that is small, so the product keeps its shape.
+    An item is read from the buffer `src` (N, T, d_in): its kW-frame
+    windows at each shift are one strided view. forward(n) copies the
+    windows of the first n items into `windows`, convolves them into
+    `conv`, adds the bias and writes tanh of each pool block's maximum
+    into `out` (N, T'', d_out), in place. At pool width 1 `conv` and
+    `pmax` view `out`; otherwise `blocks` views the q-th conv frame of every pool
+    block, for each q, and a running maximum over them goes into `pmax`,
+    kept before tanh. A maximum is exact, whatever order it is taken in,
+    and rounding is monotone, so max(x + b) == max(x) + b exactly: adding
+    the bias before pooling or after gives the same bits. Every conv
+    frame is computed, those past the last full pool block too: OpenBLAS
+    rounds a row of a product by the product's row count when that is
+    small, so the product keeps its n * t_conv rows. The views of a full
+    batch are taken once, in `batch`; only a smaller one slices them.
     """
 
-    def __init__(self, src, layer, pool_width):
+    def __init__(self, src, layer, pool_width, out=None):
         n, t_in, d_in = src.shape
-        t_conv = (t_in - layer.kernel_width) // layer.shift + 1
-        self.layer = layer
-        self.src_windows = _window_view(src, layer.kernel_width, layer.shift)
-        self.windows = np.empty((n, t_conv, layer.kernel_width * d_in), src.dtype)
-        self.conv = np.empty((n * t_conv, layer.out_dim), src.dtype)
-        conv = self.conv.reshape(n, t_conv, layer.out_dim)
-        used = t_conv // pool_width * pool_width
+        kw, d_out, dtype = layer.kernel_width, layer.out_dim, src.dtype
+        self.t_conv = (t_in - kw) // layer.shift + 1
+        self.t_out = self.t_conv // pool_width
+        self.layer, self.pool_width = layer, pool_width
+        self.src_windows = _window_view(src, kw, layer.shift)
+        self.windows = np.empty((n, self.t_conv, kw * d_in), dtype)
+        self.rows = self.windows.reshape(n * self.t_conv, kw * d_in)
+        self.out = np.empty((n, self.t_out, d_out), dtype) if out is None else out
+        if pool_width == 1:
+            self.conv, self.pmax = self.out.reshape(len(self.rows), d_out), self.out
+        else:
+            self.conv = np.empty((len(self.rows), d_out), dtype)
+            self.pmax = np.empty(self.out.shape, dtype)
+        conv = self.conv.reshape(n, self.t_conv, d_out)
+        used = self.t_out * pool_width
         self.blocks = [conv[:, q:used:pool_width] for q in range(pool_width)]
-        self.out = conv if pool_width == 1 else np.empty(self.blocks[0].shape, src.dtype)
+        self.batch = self.views(n)
+
+    def views(self, n):
+        """(windows, their source, product rows, conv, blocks, pmax, out) of the first n items."""
+        rows = n * self.t_conv
+        return (self.windows[:n], self.src_windows[:n], self.rows[:rows], self.conv[:rows],
+                [block[:n] for block in self.blocks], self.pmax[:n], self.out[:n])
 
     def forward(self, n):
-        """The stage's output for the first n frames of `src`: a view of `out`."""
-        windows, out = self.windows[:n], self.out[:n]
-        conv = self.conv[: n * windows.shape[1]]
-        np.copyto(windows, self.src_windows[:n])
-        np.matmul(windows.reshape(len(conv), -1), self.layer.weight.T, out=conv)
-        if len(self.blocks) > 1:
-            np.maximum(self.blocks[0][:n], self.blocks[1][:n], out=out)
-            for block in self.blocks[2:]:
-                np.maximum(out, block[:n], out=out)
-        out += self.layer.bias
-        return np.tanh(out, out=out)
+        windows, src, rows, conv, blocks, pmax, out = (
+            self.batch if n == len(self.windows) else self.views(n))
+        np.copyto(windows, src)
+        np.dot(rows, self.layer.weight.T, out=conv)
+        np.add(conv, self.layer.bias, out=conv)
+        if len(blocks) > 1:
+            # one call per block: np.maximum.reduce over a block axis
+            # takes twice as long on these views
+            np.maximum(blocks[0], blocks[1], out=pmax)
+            for block in blocks[2:]:
+                np.maximum(pmax, block, out=pmax)
+        np.tanh(pmax, out=out)
 
 
-class _ScorePlan:
+class _Head:
+    """The layers a plan runs after its input: the filter `stages`, each
+    reading the output of the one before, then the hidden and output
+    layers on `flat` (N, F) into `hidden` and `scores`, in place.
+    `hidden` is None where a network without stages ran its hidden layer
+    before the head (score_frames)."""
+
+    def head(self, n, params):
+        """Scores (n, K) of the first n items of the plan's input: a view of `scores`."""
+        for stage in self.stages:
+            stage.forward(n)
+        act = self.flat[:n]
+        if self.hidden is not None:
+            hidden = self.hidden[:n]
+            np.dot(act, params.hidden_weight.T, out=hidden)
+            np.add(hidden, params.hidden_bias, out=hidden)
+            act = np.tanh(hidden, out=hidden)
+        scores = self.scores[:n]
+        np.dot(act, params.output_weight.T, out=scores)
+        np.add(scores, params.output_bias, out=scores)
+        return scores
+
+
+class _ScorePlan(_Head):
     """score_frames' buffers for one network, hop and input kind, sized for
     batches of `batch` frames. score_frames keeps the last one on the
     params and reuses it while the hop and input kind stay the same, so a
@@ -331,10 +376,8 @@ class _ScorePlan:
     holds the windows and `conv` the outputs of consecutive positions,
     `smax` their running maximum over each pool block, and `pooled` views
     each frame's pooled outputs in it. `act` is stage 0's output, which
-    `head` reads; `offset` and `normed` hold the normalization of raw
-    input. `head` runs the later filter `stages`, then the hidden and
-    output layers on `flat` into `hidden` (None without stages, whose
-    hidden layer ran as stage 0) and `scores`, in place.
+    the head reads; `offset` and `normed` hold the normalization of raw
+    input.
     """
 
     def __init__(self, params, hop, normalized, batch):
@@ -370,26 +413,11 @@ class _ScorePlan:
             self.normed = self.act if dtype == np.float64 else np.empty(self.act.shape)
         self.stages = []
         for conv_layer, stage in zip(params.conv[1:], config.stages[1:]):
-            self.stages.append(_BatchStage(src, conv_layer, stage.pool_width))
+            self.stages.append(_Stage(src, conv_layer, stage.pool_width))
             src = self.stages[-1].out
         self.flat = src.reshape(batch, -1)
         self.hidden = np.empty((batch, config.hidden_units), dtype) if config.stages else None
         self.scores = np.empty((batch, config.num_classes), dtype)
-
-    def head(self, n, params):
-        """Scores (n, K) of the first n frames of `act`: a view of `scores`."""
-        for stage in self.stages:
-            stage.forward(n)
-        act = self.flat[:n]
-        if self.hidden is not None:
-            hidden = self.hidden[:n]
-            np.matmul(act, params.hidden_weight.T, out=hidden)
-            hidden += params.hidden_bias
-            act = np.tanh(hidden, out=hidden)
-        scores = self.scores[:n]
-        np.matmul(act, params.output_weight.T, out=scores)
-        scores += params.output_bias
-        return scores
 
 
 def score_frames(framed, params):
@@ -498,29 +526,23 @@ def softmax(scores):
     return e / total
 
 
-class _StagePlan:
-    """Buffers and fixed views of one filter stage for a single window.
+class _TrainStage(_Stage):
+    """A filter stage of training steps, a batch of one window, with its
+    backward buffers.
 
-    `src` is the stage input buffer (T, d_in). Its kW-frame windows at
-    each shift are one strided view, copied into `windows` per step.
-    `dweight` and `dbias` are the stage's views of the plan's gradient
-    buffer.
-
-    `out` and `dtanh` are the stage's views of the plan's tanh outputs
-    and their derivatives. At pool width 1 the conv buffer is the output
-    buffer and its gradient is `dpool`. Otherwise `blocks` views the conv
-    frames that pooling reads as (t_out, pool_width, d_out). Forward
-    keeps no winners: a running maximum over the block axis goes into
-    `pmax`, kept before tanh; a maximum is exact, whatever order it is
-    taken in. Backward marks in `tie` every entry of a block equal to its
-    maximum. Where each maximum is taken once, that mask is the winner;
-    where some maximum ties, only the first equal entry keeps its mark
-    (first maximum wins, as argmax picks it). The gradient is routed by
-    one integer product of the bits of `dpool` and the mask, into the
-    same view of `dconv`: the winner gets dpool's bits, -0.0 included,
-    and every other entry +0.0, as a scatter into zeros writes them (a
-    float product would write -0.0 where dpool < 0). Rows past the last
-    full block are zeroed once, here, and never written.
+    `out`, given, and `dtanh` are the stage's views of the plan's tanh
+    outputs and their derivatives; `dweight` and `dbias` are its views of
+    the plan's gradient buffer. At pool width 1 the gradient of `conv` is
+    `dpool`. Otherwise backward marks in `tie` every entry of a block
+    equal to its maximum in `pmax`. Where each maximum is taken once,
+    that mask is the winner; where some maximum ties, only the first
+    equal entry keeps its mark (first maximum wins, as argmax picks it).
+    The gradient is routed by one integer product of the bits of `dpool`
+    and the mask, into the same view of `dconv`: the winner gets dpool's
+    bits, -0.0 included, and every other entry +0.0, as a scatter into
+    zeros writes them (a float product would write -0.0 where dpool < 0).
+    Rows past the last full block are zeroed once, here, and never
+    written.
 
     Only a stage after the first (`input_grad`) passes back its input
     gradient; the others build none of its buffers, and `din` is None.
@@ -532,32 +554,25 @@ class _StagePlan:
     q: one reduction over a strided view, in tap order.
     """
 
-    def __init__(self, src, out, dtanh, stage, dweight, dbias, input_grad):
-        t_in, d_in = src.shape
-        kw, shift, pw, d_out = stage.kernel_width, stage.shift, stage.pool_width, stage.out_dim
-        t_conv = (t_in - kw) // shift + 1
-        t_out = t_conv // pw
-        dtype = out.dtype
-        self.pool_width = pw
-        self.src_windows = _window_view(src[None], kw, shift)[0]
-        self.windows = np.empty((t_conv, kw * d_in), dtype)
-        self.out = out
-        # backward
+    def __init__(self, src, layer, pool_width, out, dtanh, dweight, dbias, input_grad):
+        super().__init__(src, layer, pool_width, out)
+        _n, t_in, d_in = src.shape
+        kw, shift, d_out, dtype = layer.kernel_width, layer.shift, layer.out_dim, src.dtype
+        t_conv, t_out = self.t_conv, self.t_out
         self.dtanh, self.dweight, self.dbias = dtanh, dweight, dbias
         self.dpool = np.empty((t_out, d_out), dtype)
-        if pw == 1:
-            self.conv, self.dconv = self.out, self.dpool
+        if pool_width == 1:
+            self.dconv = self.dpool
         else:
             bits = np.dtype(f"i{dtype.itemsize}")
-            self.conv = np.empty((t_conv, d_out), dtype)
-            self.blocks = self.conv[: t_out * pw].reshape(t_out, pw, d_out)
-            self.pmax = np.empty((t_out, d_out), dtype)
-            self.pmax_row = self.pmax[:, None, :]
-            self.tie = np.empty((t_out, pw, d_out), bool)
+            self.window_blocks = self.conv[: t_out * pool_width].reshape(t_out, pool_width, d_out)
+            self.pmax_row = self.pmax[0, :, None, :]
+            self.tie = np.empty((t_out, pool_width, d_out), bool)
             self.seen = np.empty((t_out, d_out), bool)
             self.dpool_bits = self.dpool.view(bits)[:, None, :]
             self.dconv = np.zeros((t_conv, d_out), dtype)
-            self.dconv_bits = self.dconv[: t_out * pw].view(bits).reshape(t_out, pw, d_out)
+            self.dconv_bits = self.dconv[: t_out * pool_width].view(bits).reshape(
+                t_out, pool_width, d_out)
         # The zero rows of dconv add nothing to the bias gradient, except
         # to one channel: numpy sums a lone column pairwise, so the zeros
         # would regroup its terms.
@@ -583,28 +598,13 @@ class _StagePlan:
         self.din_lanes = np.empty((blocks, width, lanes), dtype)
         self.din = self.din_lanes[:, :, 0].reshape(blocks * shift, d_in)[:t_in]
 
-    def forward(self, layer):
-        np.copyto(self.windows, self.src_windows)
-        np.dot(self.windows, layer.weight.T, out=self.conv)
-        np.add(self.conv, layer.bias, out=self.conv)
-        if self.pool_width > 1:
-            # one call per block: np.maximum.reduce over the block axis
-            # takes twice as long on these (t_out, pool_width, d) views
-            pmax, blocks = self.pmax, self.blocks
-            np.maximum(blocks[:, 0], blocks[:, 1], out=pmax)
-            for q in range(2, self.pool_width):
-                np.maximum(pmax, blocks[:, q], out=pmax)
-            np.tanh(pmax, out=self.out)
-        else:
-            np.tanh(self.out, out=self.out)
-
-    def backward(self, layer, dact):
+    def backward(self, dact):
         """Stage gradients into dweight/dbias; returns d loss / d stage input, or None."""
         dpool = self.dpool
         np.multiply(dact, self.dtanh, out=dpool)
         if self.pool_width > 1:
             tie = self.tie
-            np.equal(self.blocks, self.pmax_row, out=tie)
+            np.equal(self.window_blocks, self.pmax_row, out=tie)
             if np.count_nonzero(tie) != self.pmax.size:
                 # keep each maximum's first equal entry only
                 seen = self.seen
@@ -613,38 +613,39 @@ class _StagePlan:
                     np.greater(tie[:, q], seen, out=tie[:, q])
                     np.logical_or(seen, tie[:, q], out=seen)
             np.multiply(self.dpool_bits, tie, out=self.dconv_bits)
-        np.dot(self.dconv.T, self.windows, out=self.dweight)
+        np.dot(self.dconv.T, self.rows, out=self.dweight)
         np.add.reduce(self.dbias_terms, axis=0, out=self.dbias)
         if self.din is None:
             return None
-        self.dwin_product(self.dconv, layer.weight, out=self.dwin)
+        self.dwin_product(self.dconv, self.layer.weight, out=self.dwin)
         np.add.reduce(self.dwin_taps, axis=1, out=self.din_lanes)
         return self.din
 
 
-class StepPlan:
-    """Preallocated buffers for per-example SGD steps of one (NetworkConfig, dtype).
+class StepPlan(_Head):
+    """Preallocated buffers for per-example SGD steps of one NetworkParams.
 
-    forward_pass copies the window into `x` and runs every stage into
-    the plan's own buffers, so a step allocates only its scores.
-    Gradients live in one flat array `grad` in serialization order
-    (`slots` gives each tensor's slice), which backward_pass lends to the
-    Gradients it returns; `lent` is a weak reference to the last one, so
-    the next backward_pass copies it away only if a caller still holds
-    it. `step` is sgd_step's buffer of the same layout. `act` holds every
-    tanh output (each stage's `out`, then `hidden`), so backward_pass
-    computes all their derivatives 1 - act**2 into `dtanh` in two calls.
-    Every matmul and reduction has the operands, shapes and order of the
-    plain array formulation (np.dot runs matmul's BLAS call), and pooling
+    forward_pass copies the window into `x` and runs the head on it as a
+    batch of one, every stage and layer into the plan's own buffers, so
+    a step allocates only the copy of its scores it returns. Gradients
+    live in one flat array `grad` in serialization order (`slots` gives
+    each tensor's slice), which backward_pass lends to the Gradients it
+    returns; `lent` is a weak reference to the last one, so the next
+    backward_pass copies it away only if a caller still holds it. `step`
+    is sgd_step's buffer of the same layout. `act` holds every tanh
+    output (each stage's `out`, then `hidden`), so backward_pass computes
+    all their derivatives 1 - act**2 into `dtanh` in two calls. Every
+    matmul and reduction has the operands, shapes and order of the plain
+    array formulation (np.dot runs matmul's BLAS call), and pooling
     routes each gradient to the first maximum of its block, so steps are
     bit-for-bit those of conv/argmax-pool/put-along-axis code.
     `generation` counts forward passes; a cache from an earlier one is
     stale, because its activations have been overwritten.
     """
 
-    def __init__(self, config, dtype):
-        self.config = config
-        self.dtype = np.dtype(dtype)
+    def __init__(self, params):
+        config = params.config
+        self.dtype = params.flat.dtype
         self.generation = 0
         self.slots = tensor_slots(config)
         size = param_count(config)
@@ -659,22 +660,22 @@ class StepPlan:
         cuts = np.cumsum(sizes)[:-1]
         self.act = np.empty(sum(sizes), self.dtype)  # every tanh output: stages', hidden's
         self.dtanh = np.empty(sum(sizes), self.dtype)  # 1 - act**2, in backward_pass
-        *outs, self.hidden = np.split(self.act, cuts)
+        *outs, hidden = np.split(self.act, cuts)
         *douts, self.dtanh_hidden = np.split(self.dtanh, cuts)
         self.stages = []
-        src = self.x
-        for i, (stage, shape) in enumerate(zip(config.stages, shapes)):
-            self.stages.append(_StagePlan(
-                src, outs[i].reshape(shape), douts[i].reshape(shape), stage,
+        src = self.x[None]
+        for i, (layer, stage, shape) in enumerate(zip(params.conv, config.stages, shapes)):
+            self.stages.append(_TrainStage(
+                src, layer, stage.pool_width, outs[i].reshape(1, *shape), douts[i].reshape(shape),
                 grads[f"stage{i}.weight"], grads[f"stage{i}.bias"], input_grad=i > 0,
             ))
             src = self.stages[-1].out
-        self.flat = src.reshape(-1)
-        self.flat_row = self.flat[None, :]
-        self.hidden_row = self.hidden[None, :]
+        self.flat = src.reshape(1, -1)
+        self.hidden = hidden[None]
+        self.scores = np.empty((1, config.num_classes), self.dtype)
         self.dh = np.empty(config.hidden_units, self.dtype)
         self.dflat = np.empty(self.flat.size, self.dtype)
-        self.dlast = self.dflat.reshape(src.shape)
+        self.dlast = self.dflat.reshape(src.shape[1:])
         self.dhidden_weight, self.dhidden_bias = grads["hidden.weight"], grads["hidden.bias"]
         self.dhidden_col = self.dhidden_bias[:, None]
         self.doutput_weight, self.doutput_bias = grads["output.weight"], grads["output.bias"]
@@ -705,10 +706,9 @@ class Gradients(Mapping):
 
 
 def step_plan(params):
-    """The StepPlan of `params`, built on first use or when its dtype changed."""
-    dtype = params.flat.dtype
-    if params.plan is None or params.plan.dtype != dtype:
-        params.plan = StepPlan(params.config, dtype)
+    """The StepPlan of `params`, built on first use: it holds views of their tensors."""
+    if params.plan is None:
+        params.plan = StepPlan(params)
     return params.plan
 
 
@@ -727,11 +727,12 @@ class ForwardCache:
 def forward_pass(window, params):
     """Run the full network on one input window.
 
-    Returns (scores, cache); scores is a length-K vector of pre-softmax
-    class scores. The computation dtype follows the parameter dtype.
-    Activations stay in the step plan of `params` until its next
-    forward_pass. The window may be the plan's own input buffer,
-    `step_plan(params).x`, filled in place.
+    Returns (scores, cache); scores is a fresh length-K vector of
+    pre-softmax class scores. The computation dtype follows the parameter
+    dtype. The step plan of `params` runs the window as a batch of one,
+    and its activations stay there until its next forward_pass. The
+    window may be the plan's own input buffer, `step_plan(params).x`,
+    filled in place.
     """
     config = params.config
     x = np.asarray(window)
@@ -744,14 +745,7 @@ def forward_pass(window, params):
     plan.generation += 1
     if x is not plan.x:
         np.copyto(plan.x, x, casting="unsafe")
-    for stage, layer in zip(plan.stages, params.conv):
-        stage.forward(layer)
-    hidden = plan.hidden
-    np.dot(params.hidden_weight, plan.flat, out=hidden)
-    np.add(hidden, params.hidden_bias, out=hidden)
-    np.tanh(hidden, out=hidden)
-    scores = params.output_weight @ hidden + params.output_bias
-    return scores, ForwardCache(params, plan)
+    return plan.head(1, params)[0].copy(), ForwardCache(params, plan)
 
 
 def backward_pass(cache, params, dscores):
@@ -785,18 +779,18 @@ def backward_pass(cache, params, dscores):
         lent.flat = plan.grad.copy()  # still held by a caller, which keeps its values
     if ds is not plan.doutput_bias:
         np.copyto(plan.doutput_bias, ds)
-    np.multiply(plan.doutput_col, plan.hidden_row, out=plan.doutput_weight)
+    np.multiply(plan.doutput_col, plan.hidden, out=plan.doutput_weight)
     np.dot(params.output_weight.T, plan.doutput_bias, out=plan.dh)
     np.multiply(plan.act, plan.act, out=plan.dtanh)
     np.subtract(1.0, plan.dtanh, out=plan.dtanh)
     dpre = plan.dhidden_bias
     np.multiply(plan.dh, plan.dtanh_hidden, out=dpre)
-    np.multiply(plan.dhidden_col, plan.flat_row, out=plan.dhidden_weight)
+    np.multiply(plan.dhidden_col, plan.flat, out=plan.dhidden_weight)
     np.dot(params.hidden_weight.T, dpre, out=plan.dflat)
 
     dact = plan.dlast
-    for stage, layer in zip(reversed(plan.stages), reversed(params.conv)):
-        dact = stage.backward(layer, dact)
+    for stage in reversed(plan.stages):
+        dact = stage.backward(dact)
     grads = Gradients(plan, plan.grad)
     plan.lent = weakref.ref(grads)
     return grads

@@ -87,6 +87,22 @@ class TestSynth:
         assert resolved["subcommand"] == "synth"
         assert resolved["train"] == 10
 
+    def test_synth_into_used_out_gives_the_tree_of_a_fresh_synth(self, tmp_path):
+        def tree(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        sizes = ["--cv", "1", "--test", "1"]
+        used, elsewhere = tmp_path / "used", tmp_path / "elsewhere"
+        assert run(["synth", "--out", used, "--train", "4", *sizes]) == 0
+        # a symlinked labels/ is replaced, not followed
+        shutil.move(used / "labels", elsewhere)
+        (used / "labels").symlink_to(elsewhere, target_is_directory=True)
+        assert run(["synth", "--out", used, "--train", "2", *sizes]) == 0
+        assert run(["synth", "--out", tmp_path / "fresh", "--train", "2", *sizes]) == 0
+        assert tree(used) == tree(tmp_path / "fresh")
+        assert len(list(elsewhere.iterdir())) == 6
+
 
 class TestTrain:
     def test_lr_zero_single_epoch_keeps_seeded_init(self, corpus, tmp_path):
@@ -517,6 +533,14 @@ class TestDecode:
         fresh = tmp_path / "fresh"
         fresh.mkdir()
         assert (out / "hyp").stat().st_mode == fresh.stat().st_mode
+        assert sorted(p.name for p in out.iterdir()) == ["decode_log.csv", "hyp", "resolved.json"]
+
+    def test_killed_run_staging_directory_is_removed(self, corpus, trained, tmp_path):
+        out = tmp_path / "d"
+        (out / ".hyp.partial").mkdir(parents=True)
+        (out / ".hyp.partial" / "test-0000.txt").write_text("c0\n")
+        assert run(["decode", "--manifest", corpus / "test.jsonl", "--model",
+                    trained / "model.rcn", "--decoder", "argmax", "--out", out]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["decode_log.csv", "hyp", "resolved.json"]
 
 

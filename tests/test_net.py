@@ -48,7 +48,7 @@ def conv_stage(x, lay, pool_width=1):
     params.conv[0].weight[...] = lay.weight
     params.conv[0].bias[...] = lay.bias
     _, cache = forward_pass(x, params)
-    return cache.plan.stages[0].out.copy()
+    return cache.plan.stages[0].out[0].copy()
 
 
 class TestConvForward:
@@ -137,10 +137,10 @@ class TestStageForward:
         for x in (np.random.default_rng(8).normal(size=(1, 20, 1)), np.zeros((1, 20, 1))):
             scores, cache = forward_pass(x[0], params)
             stage = cache.plan.stages[0]
-            assert stage.windows.shape == (9, 4)
+            assert stage.windows.shape == (1, 9, 4)
             assert stage.conv.shape == (9, 3)
             pooled, _ = maxpool_forward(stage.conv, 2)
-            np.testing.assert_array_equal(stage.out, np.tanh(pooled))
+            np.testing.assert_array_equal(stage.out[0], np.tanh(pooled))
             dscores = frame_loss(scores, 1)[1]
             grads = backward_pass(cache, params, dscores)
             ref_grads, _ = oracles.backward_pass(oracles.forward_pass(x[0], params)[1], params,
@@ -333,7 +333,7 @@ class TestBackwardPass:
         _, cache = forward_pass(x, params)
         upstream = np.array([1.0, 0.0, 0.0])
         grads = backward_pass(cache, params, upstream)
-        np.testing.assert_array_equal(grads["output.weight"][0], cache.plan.hidden)
+        np.testing.assert_array_equal(grads["output.weight"][0], cache.plan.hidden[0])
         assert not grads["output.weight"][1:].any()
         np.testing.assert_array_equal(grads["output.bias"], upstream)
 

@@ -225,6 +225,19 @@ def test_gradients_stay_valid_after_later_backward_pass():
     assert g1.flat.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("config", [SMALL_POOLED, NO_STAGE], ids=["small_pooled", "no_stage"])
+def test_scores_stay_valid_after_later_forward_and_backward_pass(config):
+    params = init_params(config, 0)
+    rng = np.random.default_rng(2)
+    shape = (config.input_frames, config.input_dim)
+    held, _ = forward_pass(rng.normal(size=shape), params)
+    kept = held.copy()
+    scores, cache = forward_pass(rng.normal(size=shape), params)
+    assert scores.tobytes() != kept.tobytes()
+    backward_pass(cache, params, frame_loss(scores, 1)[1])
+    assert held.tobytes() == kept.tobytes()
+
+
 class TestLentGradients:
     """backward_pass lends the plan's gradient buffer, copied away only if still held."""
 
