@@ -555,6 +555,9 @@ def cmd_eval(args, cfg, out):
     refs = load_manifest(args.ref_manifest)
     if cfg["strip_garbage"] and not cfg["garbage"]:
         raise ValueError("--strip-garbage needs --garbage to name the label to strip")
+    hyp_dir = Path(args.hyp_dir)  # only a file missing inside it scores as empty
+    if not hyp_dir.is_dir():
+        raise DataError(f"{hyp_dir}: --hyp-dir is not a directory")
     table = read_mapping(cfg["mapping"]) if cfg["mapping"] else None
     strip = cfg["garbage"] if cfg["strip_garbage"] else None
 
@@ -563,7 +566,7 @@ def cmd_eval(args, cfg, out):
         if not labels:
             raise DataError(f"utterance {ref.id}: {ref.labels_path} has no segments")
         ref_seq = collapse_path(labels, strip=strip)
-        hyp_file = Path(args.hyp_dir) / f"{ref.id}.txt"
+        hyp_file = hyp_dir / f"{ref.id}.txt"
         hyp_seq = hyp_file.read_text().split() if hyp_file.exists() else []
         if table is not None:
             ref_seq = collapse_path(map_labels(ref_seq, table), strip=strip)

@@ -159,10 +159,11 @@ class LabeledUtterance:
 
 
 def load_manifest(path):
-    """Parse a JSON-lines manifest into UtteranceRef rows."""
+    """Parse a JSON-lines manifest into UtteranceRef rows. An id names a file, so one
+    that is empty, `.` or `..`, holds `/`, `\\` or NUL, or repeats is a DataError."""
     path = Path(path)
     base = path.parent
-    refs = []
+    refs = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -182,15 +183,17 @@ def load_manifest(path):
             for key in ("labels", "wav", "feat"):
                 if key in rec and not isinstance(rec[key], str):
                     raise DataError(f"{path}:{lineno}: `{key}` must be a path string")
-            refs.append(
-                UtteranceRef(
-                    id=str(rec["id"]),
-                    labels_path=base / rec["labels"],
-                    wav_path=base / rec["wav"] if has_wav else None,
-                    feat_path=base / rec["feat"] if has_feat else None,
-                )
+            utt_id = str(rec["id"])
+            if utt_id in refs or utt_id in ("", ".", "..") or any(c in utt_id for c in "/\\\0"):
+                why = "repeats an earlier row's" if utt_id in refs else "cannot name a file"
+                raise DataError(f"{path}:{lineno}: id {utt_id!r} {why}")
+            refs[utt_id] = UtteranceRef(
+                id=utt_id,
+                labels_path=base / rec["labels"],
+                wav_path=base / rec["wav"] if has_wav else None,
+                feat_path=base / rec["feat"] if has_feat else None,
             )
-    return refs
+    return list(refs.values())
 
 
 def load_utterance(ref, feature_dim=None, raw_sample_rate=None):

@@ -5,8 +5,8 @@ A[i, j] for each move from label j to label i, none at t=1 (no start-state
 vector); the softmax is over whole paths. Viterbi works in log space and
 adds in path_score's order, so its score is the enumeration maximum
 exactly; it runs over a padded batch of utterances. The sum-product
-quantities come from one scaled forward-backward; transition training runs
-it over all training utterances at once, time-major. All float64.
+quantities come from one scaled forward-backward, `_TransitionBatch`: over all
+training utterances at once, time-major, or over one utterance. All float64.
 """
 
 import time
@@ -35,27 +35,23 @@ def _check(emissions, transitions, path=None):
     return e, a, y
 
 
-def _sum_product(e, a):
-    """(alpha, beta, w, q, log Z) by forward-backward on p = exp(e - rowmax e)
-    and q = exp(A - max A), alpha_t scaled to sum 1 by c_t; a zero or NaN c_t or
-    non-finite w (non-finite or underflowing scores) is a DivergenceError. Node
-    marginals: alpha * beta; pairwise at t: q * outer(w[t-1], alpha[t-1])."""
-    top, a_top = e.max(axis=1), a.max()
+def _batch_of_one(emissions, transitions, path=None):
+    """(batch, log-likelihood) of the _TransitionBatch of one utterance, its path all
+    zeros where none is given, at A; a non-finite log Z is a DivergenceError."""
+    e, a = _check(emissions, transitions)
+    y = np.zeros(len(e), dtype=np.int64) if path is None else path
+    batch = _TransitionBatch([(e, y)], e.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = np.exp(e - top[:, None])
-        q = np.exp(a - a_top)
-        alpha, c = p.copy(), np.empty(len(p))
-        for t, row in enumerate(alpha):
-            row *= q @ alpha[t - 1] if t else 1.0
-            c[t] = s = np.add.reduce(row)
-            row /= s
-        pc, beta, qt = p / c[:, None], np.ones_like(p), q.T.copy()
-        for t in range(len(p) - 1, 0, -1):  # beta_t = ((p_t+1 * beta_t+1) @ q) / c_t+1
-            beta[t - 1] = qt @ (pc[t] * beta[t])
-        w = pc[1:] * beta[1:]
-    if not (c.min() > 0.0 and np.isfinite(w).all()):
-        raise DivergenceError("zero or non-finite forward-backward normaliser")
-    return alpha, beta, w, q, float(np.log(c).sum() + top.sum() + (len(p) - 1) * a_top)
+        ll = float(batch.log_likelihoods(a)[0])
+    if not np.isfinite(batch.log_z[0]):
+        raise DivergenceError("non-finite scores or an underflowing forward-backward normaliser")
+    return batch, ll
+
+
+def _finite(*results):
+    if not all(np.isfinite(x).all() for x in results):
+        raise DivergenceError("non-finite forward-backward result")
+    return results
 
 
 def path_score(emissions, transitions, path):
@@ -70,12 +66,12 @@ def path_score(emissions, transitions, path):
 
 def log_partition(emissions, transitions):
     """log of the summed exp(path_score) over all K^T paths, by the forward recursion."""
-    return _sum_product(*_check(emissions, transitions))[-1]
+    return float(_batch_of_one(emissions, transitions)[0].log_z[0])
 
 
 def crf_log_likelihood(emissions, transitions, path):
     """Log conditional probability of `path` under the path softmax; <= 0."""
-    return path_score(emissions, transitions, path) - log_partition(emissions, transitions)
+    return _batch_of_one(emissions, transitions, path)[1]
 
 
 def viterbi(emissions, transitions):
@@ -142,23 +138,21 @@ def viterbi_batch(emissions, lengths, transitions):
 
 def forward_backward(emissions, transitions):
     """Exact posteriors under the path softmax: node (T x K) and pairwise, where
-    pairwise[t-1][i, j] is the probability of label j at t-1 followed by i at t."""
-    alpha, beta, w, q, _log_z = _sum_product(*_check(emissions, transitions))
-    return alpha * beta, q * (w[:, :, None] * alpha[:-1, None, :])
-
-
-def transition_counts(path, num_classes):
-    """counts[i, j] = number of j -> i moves in the path."""
-    y = np.asarray(path, dtype=np.int64)
-    flat = np.bincount(y[1:] * num_classes + y[:-1], minlength=num_classes * num_classes)
-    return flat.reshape(num_classes, num_classes).astype(np.float64)
+    pairwise[t-1][i, j] is the probability of label j at t-1 followed by i at t:
+    alpha * beta and q * outer(w_t, alpha_t-1), w_t = p_t * beta_t / c_t."""
+    batch, _ll = _batch_of_one(emissions, transitions)
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch.gradient()
+        g = batch.groups[0]
+        w = g.p[1:] * g.beta[1:] / g.c[1:, None]
+        return _finite(g.alpha * g.beta, batch.q * (w[:, :, None] * g.alpha[:-1, None, :]))
 
 
 def transition_gradient(emissions, transitions, path):
     """d crf_log_likelihood / d A: observed minus expected transition counts."""
-    e, a, y = _check(emissions, transitions, path)
-    alpha, _beta, w, q, _log_z = _sum_product(e, a)
-    return transition_counts(y, e.shape[1]) - q * (w.T @ alpha[:-1])
+    batch, _ll = _batch_of_one(emissions, transitions, path)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite(batch.gradient())[0]
 
 
 # Frames in one group of utterances that a batched dynamic program runs on
@@ -180,6 +174,7 @@ class _Group(NamedTuple):
     c: np.ndarray  # (frames,) forward normalisers, in the same rows
     owner: np.ndarray  # (frames,) each row's utterance, counted from start
     alpha: np.ndarray  # (frames, K) view of the shared alpha buffer
+    beta: np.ndarray  # (frames, K) view of the shared beta buffer
 
 
 class _TransitionBatch:
@@ -193,9 +188,8 @@ class _TransitionBatch:
     at t - 1: each step of a pass works on contiguous rows, and no padding
     is stored or computed. p is computed once, and each utterance's
     emissions are dropped once packed into it: data handed over by an
-    iterator that keeps no reference is held once. One alpha buffer, sized
-    for the largest group, holds the forward pass of the group that ran
-    last.
+    iterator that keeps no reference is held once. One alpha and one beta
+    buffer, sized for the largest group, hold the passes that ran last.
     """
 
     def __init__(self, dataset, num_classes, group_frames=GROUP_FRAMES):
@@ -223,12 +217,12 @@ class _TransitionBatch:
             bounds[-1][1] = u + 1
             frames += t_len
         alpha = np.empty((max(int(self.lengths[s:t].sum()) for s, t in bounds), k))
-        self.beta = np.empty((max(t - s for s, t in bounds), k))
-        self.w = np.empty_like(self.beta)
-        self.groups = [self._group(utts, s, t, alpha) for s, t in bounds]
+        beta = np.empty_like(alpha)
+        self.w = np.empty((max(t - s for s, t in bounds), k))
+        self.groups = [self._group(utts, s, t, alpha, beta) for s, t in bounds]
         self.held = None  # the group whose forward pass is in the alpha buffer
 
-    def _group(self, utts, start, stop, alpha_buffer):
+    def _group(self, utts, start, stop, alpha_buffer, beta_buffer):
         lengths = self.lengths[start:stop]
         running = (lengths[:, None] > np.arange(lengths[0] + 1)).sum(axis=0).tolist()
         first = [0, *accumulate(running)]
@@ -243,10 +237,10 @@ class _TransitionBatch:
                 p[rows] = np.exp(e - top[:, None])
             owner[rows] = j
         return _Group(start, stop, running, first, p, np.empty(first[-1]), owner,
-                      alpha_buffer[: first[-1]])
+                      alpha_buffer[: first[-1]], beta_buffer[: first[-1]])
 
     def _forward(self, i):
-        _start, _stop, running, first, p, c, _owner, alpha = self.groups[i]
+        _start, _stop, running, first, p, c, _owner, alpha, _beta = self.groups[i]
         n, qt = running[0], self.qt
         np.copyto(alpha[:n], p[:n])
         np.add.reduce(alpha[:n], axis=1, out=c[:n])
@@ -261,11 +255,11 @@ class _TransitionBatch:
         self.held = i
 
     def log_likelihoods(self, a):
-        """Each utterance's path log-likelihood under A, in sorted order."""
+        """Each utterance's path log-likelihood under A, in sorted order; log Z in `log_z`."""
         a_top = a.max()
         self.q = np.exp(a - a_top)
         self.qt = self.q.T.copy()
-        log_z = self.top + (self.lengths - 1) * a_top
+        self.log_z = log_z = self.top + (self.lengths - 1) * a_top
         for i, group in enumerate(self.groups):
             self._forward(i)
             log_z[group.start:group.stop] += np.bincount(group.owner, weights=np.log(group.c))
@@ -275,19 +269,18 @@ class _TransitionBatch:
 
     def gradient(self):
         """d(summed log-likelihood)/dA at the A of the last `log_likelihoods`:
-        observed minus expected transition counts."""
+        observed minus expected transition counts; beta stays in the group's rows."""
         expected = np.zeros_like(self.q)
-        for i, (_start, _stop, running, first, p, c, _owner, alpha) in enumerate(self.groups):
+        for i, (_start, _stop, running, first, p, c, _owner, alpha, beta) in enumerate(self.groups):
             if self.held != i:
                 self._forward(i)
+            beta.fill(1.0)  # beta = 1 at each utterance's last frame
             for t in range(len(running) - 2, 0, -1):
                 m, r, prev = running[t], first[t], first[t - 1]
-                beta, w = self.beta[:m], self.w[:m]
-                beta[running[t + 1]:] = 1.0  # beta = 1 at each utterance's last frame
-                np.multiply(p[r:r + m], beta, out=w)
+                w = np.multiply(p[r:r + m], beta[r:r + m], out=self.w[:m])
                 w /= c[r:r + m, None]
                 expected += np.dot(w.T, alpha[prev:prev + m])
-                np.dot(w, self.q, out=beta)  # beta_t-1 = ((p_t * beta_t) / c_t) @ q
+                np.dot(w, self.q, out=beta[prev:prev + m])  # beta_t-1 = ((p_t * beta_t) / c_t) @ q
         return self.observed - self.q * expected
 
 

@@ -544,6 +544,28 @@ class TestDecode:
         assert sorted(p.name for p in out.iterdir()) == ["decode_log.csv", "hyp", "resolved.json"]
 
 
+    @pytest.mark.parametrize("edit", ["escaping", "repeated"])
+    def test_id_that_escapes_or_repeats_is_data_error_before_any_output(
+        self, corpus, trained, tmp_path, capsys, edit
+    ):
+        rows = [json.loads(line) for line in (corpus / "test.jsonl").read_text().splitlines()]
+        for row in rows:
+            row.update(wav=str(corpus / row["wav"]), labels=str(corpus / row["labels"]))
+        if edit == "escaping":
+            rows[0]["id"] = "../escaped"
+        else:
+            rows[1]["id"] = rows[0]["id"]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "d" / "out"
+        rc = run(["decode", "--manifest", manifest, "--model", trained / "model.rcn",
+                  "--decoder", "argmax", "--out", out])
+        assert rc == 2
+        assert f"m.jsonl:{1 if edit == 'escaping' else 2}: id {rows[0]['id']!r}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
+
 class TestEval:
     def make_refs(self, tmp_path, seqs):
         data = tmp_path / "refs"
@@ -576,6 +598,15 @@ class TestEval:
                     "--out", tmp_path / "e"]) == 0
         rows = list(csv.DictReader((tmp_path / "e" / "report.csv").open()))
         assert all(float(r["accuracy"]) == 100.0 for r in rows)
+
+    def test_hyp_dir_that_is_not_a_directory_is_data_error(self, tmp_path, capsys):
+        manifest = self.make_refs(tmp_path, [["a", "b"]])
+        (tmp_path / "file").write_text("u0\n")
+        for hyp in (tmp_path / "hpy", tmp_path / "file"):
+            assert run(["eval", "--ref-manifest", manifest, "--hyp-dir", hyp,
+                        "--out", tmp_path / "e"]) == 2
+            assert f"{hyp}: --hyp-dir is not a directory" in capsys.readouterr().err
+            assert not (tmp_path / "e").exists()
 
     def test_missing_hypothesis_counts_all_deletions(self, tmp_path):
         manifest = self.make_refs(tmp_path, [["a", "b", "c"]])

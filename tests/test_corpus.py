@@ -141,6 +141,22 @@ class TestManifest:
         with pytest.raises(DataError, match=":1"):
             load_manifest(tmp_path / "m.jsonl")
 
+    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_id_that_cannot_name_a_file_is_rejected_at_its_line(self, tmp_path, utt_id):
+        rows = [{"id": "u0", "wav": "u0.wav", "labels": "u0.txt"},
+                {"id": utt_id, "wav": "u1.wav", "labels": "u1.txt"}]
+        (tmp_path / "m.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(DataError, match=r"m\.jsonl:2: id .* cannot name a file"):
+            load_manifest(tmp_path / "m.jsonl")
+
+    def test_repeated_id_is_rejected_at_its_line(self, tmp_path):
+        rows = [{"id": "dup", "wav": "a.wav", "labels": "a.txt"},
+                {"id": "u1", "wav": "b.wav", "labels": "b.txt"},
+                {"id": "dup", "wav": "c.wav", "labels": "c.txt"}]
+        (tmp_path / "m.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(DataError, match=r"m\.jsonl:3: id 'dup' repeats"):
+            load_manifest(tmp_path / "m.jsonl")
+
     def test_wav_and_feat_both_rejected(self, tmp_path):
         rec = {"id": "u", "wav": "a", "feat": "b", "labels": "c"}
         (tmp_path / "m.jsonl").write_text(json.dumps(rec) + "\n")

@@ -11,7 +11,6 @@ from rawphone.crf import (
     log_partition,
     path_score,
     train_transitions,
-    transition_counts,
     transition_gradient,
     viterbi,
     viterbi_batch,
@@ -35,6 +34,9 @@ from oracles import (
 # worked two-frame instance used across several tests
 E2 = np.array([[1.0, 0.0], [0.0, 1.0]])
 A2 = np.array([[0.5, -0.5], [-0.5, 0.5]])
+# two frames whose one legal path makes a move of weight e^-720, a subnormal
+SUBNORMAL_E = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
+SUBNORMAL_A = np.array([[0.0, -720.0], [-720.0, 0.0]])
 
 
 def random_instance(rng, max_t=6, max_k=4):
@@ -273,10 +275,6 @@ class TestForwardBackward:
 
 
 class TestTransitionGradient:
-    def test_observed_counts(self):
-        counts = transition_counts([0, 1, 1, 0], 2)
-        np.testing.assert_array_equal(counts, [[0.0, 1.0], [1.0, 1.0]])
-
     def test_matches_finite_differences(self):
         # Central differences in float64 bottom out around 1e-10 absolute
         # here, so entries under 1e-3 are held to that absolute bound via
@@ -492,3 +490,13 @@ class TestScaledRecursionAgainstLogSpace:
         a[2, 2] = 0.0
         with pytest.raises(DivergenceError):
             forward_backward(e, a)
+        # a normaliser of e^-720 is subnormal, not zero, but 1 / c overflows beta
+        with pytest.raises(DivergenceError):
+            forward_backward(SUBNORMAL_E, SUBNORMAL_A)
+        with pytest.raises(DivergenceError):
+            transition_gradient(SUBNORMAL_E, SUBNORMAL_A, [0, 1])
+
+    def test_subnormal_normaliser_gives_the_one_legal_path(self):
+        # only the path 0 -> 1 is legal, and it scores -720; log Z needs no beta
+        assert crf_enum_partition(SUBNORMAL_E, SUBNORMAL_A) == -720.0
+        assert log_partition(SUBNORMAL_E, SUBNORMAL_A) == pytest.approx(-720.0, abs=1e-8)
