@@ -4,10 +4,10 @@ Subcommands: synth, train, grid, decode, eval, filters, ablate-pool,
 check-grad. Common flags: --config <json>, --out <dir>. Every other
 option is a key of the subcommand's defaults table: its flag is `--`
 plus the key with `_` as `-`, its type is the default's type, and a bool
-defaulting to True is turned off by `--no-<key>` (False: on by
-`--<key>`). Flags beat config-file values, which are checked against the
-same table; every numeric value, whatever its source, and each number in
-a comma list, must meet its bound in LEAST or POSITIVE. The fully resolved
+(each defaults to True) is turned off by `--no-<key>`. Flags beat
+config-file values, which are checked against the same table; every
+numeric value, whatever its source, and each number in a comma list,
+must meet its bound in LEAST or POSITIVE. The fully resolved
 configuration is echoed to <out>/resolved.json. Exit codes: 0 success, 1
 usage error, 2 data error, 3 numeric/divergence error, 4 resource error
 (a lost worker process, out of memory). Identical invocations produce
@@ -151,8 +151,9 @@ def _samples(key, ms, sample_rate):
     if they round to none or are not finite."""
     samples = ms * sample_rate / 1000.0
     if not 0.5 < samples < math.inf:  # round(0.5) == 0
+        what = key.removesuffix("_list").removesuffix("_ms").replace("_", " ")
         raise ValueError(f"{_flag(key)} {ms:g} is {samples:g} samples at {sample_rate} Hz; "
-                         f"the {key.split('_')[0]} must round to at least one sample")
+                         f"the {what} must round to at least one sample")
     return int(round(samples))
 
 
@@ -275,6 +276,7 @@ def cmd_synth(args, cfg, out):
             )
     except ValueError as e:  # within the bounds, only the Nyquist limit is left to break
         raise ValueError(f"--sample-rate: {e}") from None
+    _samples("min_duration_ms", cfg["min_duration_ms"], cfg["sample_rate"])  # max is no less
     out.mkdir(parents=True, exist_ok=True)
     manifests = write_corpus(out, synth_splits(spec, cfg["train"], cfg["cv"], cfg["test"]))
     for name, path in manifests.items():
@@ -476,12 +478,17 @@ DECODE_DEFAULTS = {
 }
 
 
+def _reads_features(params, metadata):
+    """Whether a loaded model reads feature rows rather than raw samples."""
+    return metadata.get("input_kind") == "feature" or params.config.input_dim > 1
+
+
 def cmd_decode(args, cfg, out):
     params, alphabet, metadata, transitions = load_model(args.model)
     if transitions is None:
         transitions = np.zeros((len(alphabet), len(alphabet)))
     decode = decoder(cfg["decoder"], alphabet, transitions, cfg["min_duration"])
-    if metadata.get("input_kind") == "feature" or params.config.input_dim > 1:
+    if _reads_features(params, metadata):
         feature_dim = params.config.input_dim
     else:  # raw input: framed every hop_samples, at the model's sample rate
         feature_dim = None
@@ -528,7 +535,7 @@ def cmd_decode(args, cfg, out):
             if isinstance(outcome, Exception):
                 log_rows.append([ref.id, "error", str(outcome).replace(",", ";")])
             else:
-                (staging / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n")
+                (staging / f"{ref.id}.txt").write_text(" ".join(outcome) + "\n", encoding="utf-8")
                 log_rows.append([ref.id, "ok", ""])
         remove_path(hyp_dir)
         staging.rename(hyp_dir)
@@ -548,18 +555,16 @@ def cmd_decode(args, cfg, out):
 # eval
 
 
-EVAL_DEFAULTS = {"mapping": "", "strip_garbage": False, "garbage": ""}
+EVAL_DEFAULTS = {"mapping": "", "garbage": ""}
 
 
 def cmd_eval(args, cfg, out):
     refs = load_manifest(args.ref_manifest)
-    if cfg["strip_garbage"] and not cfg["garbage"]:
-        raise ValueError("--strip-garbage needs --garbage to name the label to strip")
     hyp_dir = Path(args.hyp_dir)  # only a file missing inside it scores as empty
     if not hyp_dir.is_dir():
         raise DataError(f"{hyp_dir}: --hyp-dir is not a directory")
     table = read_mapping(cfg["mapping"]) if cfg["mapping"] else None
-    strip = cfg["garbage"] if cfg["strip_garbage"] else None
+    strip = cfg["garbage"] or None  # stripped from references and hypotheses
 
     def sequences(ref):
         labels = read_labels(ref.labels_path).labels()
@@ -567,7 +572,7 @@ def cmd_eval(args, cfg, out):
             raise DataError(f"utterance {ref.id}: {ref.labels_path} has no segments")
         ref_seq = collapse_path(labels, strip=strip)
         hyp_file = hyp_dir / f"{ref.id}.txt"
-        hyp_seq = hyp_file.read_text().split() if hyp_file.exists() else []
+        hyp_seq = hyp_file.read_text(encoding="utf-8").split() if hyp_file.exists() else []
         if table is not None:
             ref_seq = collapse_path(map_labels(ref_seq, table), strip=strip)
             hyp_seq = map_labels(hyp_seq, table)
@@ -596,11 +601,9 @@ FILTERS_DEFAULTS = {"n_fft": 512, "sample_rate": 0}
 
 def cmd_filters(args, cfg, out):
     params, _alphabet, metadata, _a = load_model(args.model)
-    if params.config.input_dim != 1:
-        raise DataError(
-            "filter spectra need a raw-input model (first layer d_in == 1), "
-            f"got d_in == {params.config.input_dim}"
-        )
+    if _reads_features(params, metadata):
+        raise DataError("filter spectra need a raw-input model; this one reads features "
+                        f"of dimension {params.config.input_dim}")
     if not params.config.stages:
         raise DataError("model has no convolutional layers")
     sample_rate = cfg["sample_rate"] or metadata.get("sample_rate")
@@ -755,11 +758,9 @@ def build_parser(only=None):
         for key in paths:
             p.add_argument(_flag(key), required=True)
         for key, default in defaults.items():
-            if isinstance(default, bool):
-                p.add_argument(
-                    _flag(("no_" if default else "") + key), dest=key, default=None,
-                    action="store_false" if default else "store_true", help=HELP.get(key),
-                )
+            if isinstance(default, bool):  # every bool defaults to True
+                p.add_argument(_flag("no_" + key), dest=key, default=None,
+                               action="store_false", help=HELP.get(key))
             else:
                 p.add_argument(
                     _flag(key), type=type(default), choices=CHOICES.get(key), help=HELP.get(key)

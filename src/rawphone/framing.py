@@ -196,8 +196,7 @@ def frame_labels(annotation, grid, label_to_index, garbage_index=None):
     idx = np.array(
         [label_to_index[l] for _s, _e, l in annotation.segments], dtype=np.int64
     )
-    hop = grid.hop_samples
-    centers = np.arange(grid.num_frames, dtype=np.int64) * hop + hop // 2
+    centers = grid.center(np.arange(grid.num_frames, dtype=np.int64))
     # rightmost segment with start <= center, then check center < end
     pos = np.searchsorted(starts, centers, side="right") - 1
     covered = pos >= 0

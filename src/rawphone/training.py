@@ -282,28 +282,21 @@ def grid_search(dataset_for_config, configs, train_config, max_configs=None):
 
 
 def random_check_config(rng):
-    """A random small raw-input NetworkConfig for a gradient check, drawn from `rng`."""
-    while True:
-        window = int(rng.integers(8, 65))
-        stages = []
-        t = window
-        ok = True
-        for _ in range(int(rng.integers(1, 4))):
-            kw = int(rng.integers(1, min(t, 6) + 1))
-            dw = int(rng.integers(1, 4))
-            t_conv = (t - kw) // dw + 1
-            if t_conv < 1:
-                ok = False
-                break
-            pool = int(rng.integers(1, min(t_conv, 3) + 1))
-            t = t_conv // pool
-            if t < 1:
-                ok = False
-                break
-            stages.append(StageConfig(kw, dw, int(rng.integers(2, 9)), pool))
-        if ok:
-            return NetworkConfig(window, 1, tuple(stages),
-                                 int(rng.integers(3, 13)), int(rng.integers(2, 7)))
+    """A random small raw-input NetworkConfig for a gradient check, drawn from `rng`.
+
+    Every draw is feasible: kw <= t leaves t_conv >= 1 frames, and pool <= t_conv leaves t >= 1.
+    """
+    window = t = int(rng.integers(8, 65))
+    stages = []
+    for _ in range(int(rng.integers(1, 4))):
+        kw = int(rng.integers(1, min(t, 6) + 1))
+        dw = int(rng.integers(1, 4))
+        t_conv = (t - kw) // dw + 1
+        pool = int(rng.integers(1, min(t_conv, 3) + 1))
+        t = t_conv // pool
+        stages.append(StageConfig(kw, dw, int(rng.integers(2, 9)), pool))
+    hidden = int(rng.integers(3, 13))
+    return NetworkConfig(window, 1, tuple(stages), hidden, int(rng.integers(2, 7)))
 
 
 def numeric_gradient(tensor, loss_fn, eps):

@@ -45,6 +45,23 @@ def write_config(path, values):
     return path
 
 
+def file_tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# a locale whose preferred encoding is ASCII, as a minimal container's may be
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_in_ascii_locale(argv):
+    """`rawphone argv` in a subprocess under ASCII_LOCALE."""
+    return subprocess.run([sys.executable, "-m", "rawphone.cli", *map(str, argv)],
+                          capture_output=True, text=True, encoding="utf-8",
+                          env={**os.environ, **ASCII_LOCALE})
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -88,10 +105,6 @@ class TestSynth:
         assert resolved["train"] == 10
 
     def test_synth_into_used_out_gives_the_tree_of_a_fresh_synth(self, tmp_path):
-        def tree(root):
-            return {p.relative_to(root).as_posix(): p.read_bytes()
-                    for p in sorted(root.rglob("*")) if p.is_file()}
-
         sizes = ["--cv", "1", "--test", "1"]
         used, elsewhere = tmp_path / "used", tmp_path / "elsewhere"
         assert run(["synth", "--out", used, "--train", "4", *sizes]) == 0
@@ -100,8 +113,22 @@ class TestSynth:
         (used / "labels").symlink_to(elsewhere, target_is_directory=True)
         assert run(["synth", "--out", used, "--train", "2", *sizes]) == 0
         assert run(["synth", "--out", tmp_path / "fresh", "--train", "2", *sizes]) == 0
-        assert tree(used) == tree(tmp_path / "fresh")
+        assert file_tree(used) == file_tree(tmp_path / "fresh")
         assert len(list(elsewhere.iterdir())) == 6
+
+    def test_duration_of_no_sample_is_usage_error_before_out_is_touched(self, tmp_path, capsys):
+        used = tmp_path / "used"
+        assert run(["synth", "--out", used, "--train", "2", "--cv", "1", "--test", "1"]) == 0
+        before = file_tree(used)
+        capsys.readouterr()
+        assert run(["synth", "--out", used, "--min-duration-ms", "0.01",
+                    "--max-duration-ms", "0.05"]) == 1
+        assert ("usage error: --min-duration-ms 0.01 is 0.16 samples at 16000 Hz; "
+                "the min duration must round to at least one sample") in capsys.readouterr().err
+        assert file_tree(used) == before
+        # a duration that rounds to one sample is a corpus of one-sample segments
+        assert run(["synth", "--out", tmp_path / "short", "--min-duration-ms", "0.04",
+                    "--max-duration-ms", "0.05", "--train", "1", "--cv", "0", "--test", "0"]) == 0
 
 
 class TestTrain:
@@ -300,6 +327,21 @@ class TestDecode:
                         "--decoder", decoder, "--out", tmp_path / out]) == 0
         for hyp in (tmp_path / "a" / "hyp").iterdir():
             assert hyp.read_bytes() == (tmp_path / "b" / "hyp" / hyp.name).read_bytes()
+
+    def test_non_ascii_labels_in_an_ascii_locale(self, tmp_path):
+        config = NetworkConfig(64, 1, (StageConfig(16, 4, 2, 1),), 4, 2)
+        save_model(tmp_path / "m.rcn", init_params(config, 0), ["ʃ", "ʒ"],
+                   {"input_kind": "raw", "sample_rate": 16000, "hop_samples": 16})
+        write_wav(tmp_path / "u.wav", Waveform(np.sin(np.arange(640) * 0.3), 16000))
+        write_labels(tmp_path / "u.txt", SegmentAnnotation(((0, 640, "ʃ"),)))
+        (tmp_path / "m.jsonl").write_text(json.dumps({"id": "u", "wav": "u.wav",
+                                                      "labels": "u.txt"}) + "\n")
+        proc = run_in_ascii_locale(["decode", "--manifest", tmp_path / "m.jsonl", "--model",
+                                    tmp_path / "m.rcn", "--decoder", "argmax",
+                                    "--out", tmp_path / "d"])
+        assert proc.returncode == 0, proc.stderr
+        hypothesis = (tmp_path / "d" / "hyp" / "u.txt").read_text(encoding="utf-8").split()
+        assert hypothesis and set(hypothesis) <= {"ʃ", "ʒ"}
 
     def test_short_utterance_error_recorded_run_continues(self, corpus, trained, tmp_path):
         # 2 frames at hop 160: too short for the 3-state minimum duration
@@ -580,13 +622,45 @@ class TestEval:
         manifest.write_text("\n".join(lines) + "\n")
         return manifest
 
-    def test_strip_garbage_without_garbage_is_usage_error(self, tmp_path, capsys):
+    def test_options_are_mapping_and_garbage(self):
+        assert cli.EVAL_DEFAULTS == {"mapping": "", "garbage": ""}
+
+    def test_strip_garbage_flag_is_usage_error(self, tmp_path, capsys):
         refs = self.make_refs(tmp_path, [["a", "b"]])
-        rc = run(["eval", "--ref-manifest", refs, "--hyp-dir", tmp_path,
-                  "--out", tmp_path / "o", "--strip-garbage"])
-        assert rc == 1
-        assert "--strip-garbage needs --garbage" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            run(["eval", "--ref-manifest", refs, "--hyp-dir", tmp_path,
+                 "--out", tmp_path / "o", "--garbage", "a", "--strip-garbage"])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --strip-garbage" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_garbage_is_stripped_from_references_and_hypotheses(self, tmp_path):
+        manifest = self.make_refs(tmp_path, [["sil", "a", "sil", "b", "sil"], ["a", "sil", "a"]])
+        hyp = tmp_path / "hyp"
+        hyp.mkdir()
+        (hyp / "u0.txt").write_text("sil a b sil\n")
+        (hyp / "u1.txt").write_text("a sil sil a\n")
+        assert run(["eval", "--ref-manifest", manifest, "--hyp-dir", hyp,
+                    "--out", tmp_path / "kept"]) == 0
+        kept = list(csv.DictReader((tmp_path / "kept" / "report.csv").open()))
+        assert [r["n_ref"] for r in kept] == ["5", "3", "8"]
+        assert kept[0]["deletions"] == "1"
+        assert run(["eval", "--ref-manifest", manifest, "--hyp-dir", hyp,
+                    "--garbage", "sil", "--out", tmp_path / "e"]) == 0
+        rows = list(csv.DictReader((tmp_path / "e" / "report.csv").open()))
+        # sil goes after collapsing, so u1's two a's stay two tokens on both sides
+        assert [(r["n_ref"], r["accuracy"]) for r in rows] == [
+            ("2", "100.000000"), ("2", "100.000000"), ("4", "100.000000")]
+
+    def test_non_ascii_labels_in_an_ascii_locale(self, tmp_path):
+        manifest = self.make_refs(tmp_path, [["a", "ʃ"]])
+        hyp = tmp_path / "hyp"
+        hyp.mkdir()
+        (hyp / "u0.txt").write_text("a ʃ\n", encoding="utf-8")
+        proc = run_in_ascii_locale(["eval", "--ref-manifest", manifest, "--hyp-dir", hyp,
+                                    "--out", tmp_path / "e"])
+        assert proc.returncode == 0, proc.stderr
+        assert "phoneme accuracy (corpus-pooled): 100.000" in proc.stdout
 
     def test_identity_hypothesis_scores_hundred(self, tmp_path):
         manifest = self.make_refs(tmp_path, [["a", "b", "c"], ["b", "a"]])
@@ -710,11 +784,23 @@ class TestFilters:
                     "--sample-rate", "0"]) == 0
         assert "8000.000000" in (tmp_path / "f" / "filters.csv").read_text()
 
-    def test_feature_model_rejected(self, tmp_path):
+    def test_feature_model_rejected(self, tmp_path, capsys):
         cfg = NetworkConfig(9, 13, (StageConfig(3, 1, 4, 1),), 4, 2)
         save_model(tmp_path / "m.rcn", init_params(cfg, 0), ["a", "b"])
         rc = run(["filters", "--model", tmp_path / "m.rcn", "--out", tmp_path / "f"])
         assert rc == 2
+        # one feature per row, as `train --feature-dim 1` saves it: d_in is 1 all the same
+        cfg = NetworkConfig(9, 1, (StageConfig(3, 1, 4, 1),), 4, 2)
+        save_model(tmp_path / "f1.rcn", init_params(cfg, 0), ["a", "b"],
+                   {"input_kind": "feature", "sample_rate": None, "hop_samples": 1,
+                    "garbage": None})
+        for rate in ([], ["--sample-rate", "16000"]):
+            capsys.readouterr()
+            assert run(["filters", "--model", tmp_path / "f1.rcn", "--out", tmp_path / "f",
+                        *rate]) == 2
+            assert ("data error: filter spectra need a raw-input model; this one reads "
+                    "features of dimension 1") in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
 
 def write_raw_float_corpus(corpus, root):
@@ -1259,10 +1345,12 @@ class TestOptionTables:
             dests = [a.dest for a in subparsers[name]._actions]
             assert sorted(dests) == sorted(["help", "config", "out", *paths, *defaults]), name
 
+    def test_every_bool_option_defaults_to_true(self):
+        bools = {(name, key): value for name, _handler, _help, defaults, _paths in SUBCOMMANDS
+                 for key, value in defaults.items() if isinstance(value, bool)}
+        assert bools and bools == dict.fromkeys(bools, True)
+
     def test_bool_flags_follow_their_default(self):
-        ns = build_parser().parse_args(["eval", "--ref-manifest", "m", "--hyp-dir", "h",
-                                        "--out", "o", "--strip-garbage"])
-        assert ns.strip_garbage is True
         grid = ["grid", "--train-manifest", "t", "--cv-manifest", "c", "--out", "o"]
         assert build_parser().parse_args(grid).shuffle is None
         assert build_parser().parse_args([*grid, "--no-shuffle"]).shuffle is False

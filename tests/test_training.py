@@ -29,6 +29,7 @@ from rawphone.training import (
     frame_loss,
     gradient_errors,
     grid_search,
+    random_check_config,
     sgd_step,
     train_network,
 )
@@ -170,6 +171,15 @@ class TestGradientErrors:
             target = int(case.integers(config.num_classes))
             assert gradient_errors(params, window, target, 1e-4) == check_config_gradients(
                 config, seed)
+
+
+class TestRandomCheckConfig:
+    def test_every_draw_is_a_network(self):
+        # NetworkConfig raises on a stage left with no frame, so each draw is one a network has
+        rng = np.random.Generator(np.random.PCG64(0))
+        for _ in range(5000):
+            config = random_check_config(rng)
+            assert 1 <= len(config.stages) <= 3 and 8 <= config.input_frames <= 64
 
 
 class TestSgdStep:
